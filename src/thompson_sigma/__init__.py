@@ -57,7 +57,6 @@ from .lattices import (
     index,
     intersect_with_M,
     restrict_character,
-    theta_shift,
 )
 from .plrep import PLMap, compose, evaluate_word, generator_map, invert_map, maps_equal
 from .words import (

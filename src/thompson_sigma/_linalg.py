@@ -1,7 +1,7 @@
 """Small exact linear algebra helpers (Fractions over Q, big ints over Z).
 
-Only what the package needs: rational rank/nullspace for annihilator
-subspaces, and an integer kernel via unimodular row reduction for lattice
+Only what the package needs: rational rank for kernel classification,
+and an integer kernel via unimodular row reduction for lattice
 preimages.  Everything is tiny (n <= 10 or so); clarity over speed.
 """
 
@@ -38,23 +38,6 @@ def rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
 
 def rational_rank(rows: list[list[Fraction]]) -> int:
     return len(rational_rref(rows)[1])
-
-
-def rational_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of {v : rows . v = 0} (v a column vector), over Q."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = rational_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
 
 
 def integer_kernel(rows: list[list[int]]) -> list[list[int]]:

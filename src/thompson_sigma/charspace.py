@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import rational_nullspace, rational_rank
+from ._linalg import rational_rank
 from .errors import ArityMismatchError, ConjectureRequiredError, ParseError, ZeroCharacterError
 from .words import GroupWord, abelianize
 
@@ -224,8 +224,3 @@ def kernel_finiteness(
         return FinitenessReport(True, "infinity", None, True)
     return FinitenessReport(True, min(2, m_max), None, False)
 
-
-def annihilator_basis(lattice_rows: list[list[int]]) -> list[RationalVector]:
-    """Rational basis of the space of characters vanishing on the lattice."""
-    rows = [[Fraction(x) for x in r] for r in lattice_rows]
-    return [tuple(v) for v in rational_nullspace(rows)]

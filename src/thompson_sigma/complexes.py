@@ -172,6 +172,13 @@ def binomial_cells(k: int) -> CellVector:
     return cell_vector(tuple(comb(k, j) for j in range(k + 1)))
 
 
+# The two n = 2 answers, derived once.  Cases 1-2: HNN over the classical
+# complex, 1, 3, 4, 4, ...  Case 3: a second HNN (1, 4, 7, 8, 8, ...) stacked
+# with the finite cyclic quotient, 1, 5, 12, 20, ..., 8j-4.
+CASE_1_2_CELLS = hnn_cells(classical_f_cells())
+CASE_3_CELLS = stack_cells(hnn_cells(CASE_1_2_CELLS), ones_cells())
+
+
 def cells_for_subgroup_F(lat: SubgroupLattice) -> tuple[CellVector, int]:
     """Exact cell counts for a finite-index subgroup of the n = 2 group.
 
@@ -185,16 +192,10 @@ def cells_for_subgroup_F(lat: SubgroupLattice) -> tuple[CellVector, int]:
     if lat.arity != 2:
         raise DomainError(f"closed-form cells need n = 2, got n = {lat.arity}")
     if member(lat, (0, 1)):
-        case = 1
-    elif member(lat, (1, -1)):
-        case = 2
-    else:
-        case = 3
-    base = hnn_cells(classical_f_cells())  # cases 1-2: 1, 3, 4, 4, ...
-    if case in (1, 2):
-        return base, case
-    r_b = hnn_cells(base)  # 1, 4, 7, 8, 8, ...
-    return stack_cells(r_b, ones_cells()), case  # 1, 5, 12, 20, ..., 8j-4
+        return CASE_1_2_CELLS, 1
+    if member(lat, (1, -1)):
+        return CASE_1_2_CELLS, 2
+    return CASE_3_CELLS, 3
 
 
 def chi_m(r: CellVector, m: int) -> int:

@@ -12,10 +12,11 @@ in a canonical Hermite normal form with rows as generators:
 With this orientation the pivot of coordinate 0 is exactly the smallest
 alpha > 0 with x_0^alpha in H, which feeds the HNN decomposition
 machinery: `intersect_with_M` computes the image of H intersect M for
-M = <x_1, ..., x_n> (the preimage under the fold x_n -> x_1), and
-`theta_shift` transports it back to G-coordinates along the isomorphism
-theta : M -> G, x_i -> x_{i-1}.  `restrict_character` is the companion
-move on characters.
+M = <x_1, ..., x_n> (the preimage under the fold x_n -> x_1).  The
+isomorphism theta : M -> G, x_i -> x_{i-1}, sends M-slot i (holding
+xbar_{i+1}) to G-slot i, so that HNF lattice is already in G-coordinates
+and transporting it along theta is the identity.  `restrict_character` is
+the companion move on characters.
 
 `enumerate_subgroups` lists all subgroups up to a given index exactly
 once, and `ChainSpec`/`chain` generate the subgroup chains the gradient
@@ -25,6 +26,7 @@ series are evaluated on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 
 from ._linalg import integer_kernel
@@ -43,9 +45,6 @@ class SubgroupLattice:
 
     def index(self) -> int:
         return prod(self.basis[i][i] for i in range(self.arity))
-
-    def contains(self, vector) -> bool:
-        return member(self, vector)
 
 
 def hnf(rows, arity: int | None = None) -> SubgroupLattice:
@@ -143,15 +142,6 @@ def intersect_with_M(lat: SubgroupLattice) -> SubgroupLattice:
     return hnf(projections, arity=n)
 
 
-def theta_shift(lat_m: SubgroupLattice) -> SubgroupLattice:
-    """Transport an M-coordinate lattice to G-coordinates along theta.
-
-    theta sends x_i to x_{i-1}, so M-slot i (holding xbar_{i+1}) becomes
-    G-slot i: the basis is unchanged and only re-canonicalized.
-    """
-    return hnf(lat_m.basis, arity=lat_m.arity)
-
-
 def restrict_character(chi: Character) -> Character:
     """rho = (chi restricted to M) composed with theta^-1.
 
@@ -164,16 +154,21 @@ def restrict_character(chi: Character) -> Character:
     return Character(n, tuple(chi.value_at(i + 1) for i in range(n)))
 
 
-def _diagonals(n: int, max_index: int):
-    # all positive diagonal tuples with product <= max_index, lexicographic
-    def rec(prefix, budget):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for d in range(1, budget + 1):
-            yield from rec(prefix + [d], budget // d)
-
-    yield from rec([], max_index)
+def _bases_of_index(n: int, rows: tuple, remaining: int):
+    # HNF bases of index exactly k = remaining * (pivots of rows so far), in
+    # lexicographic order: row by row, the below-pivot entries first, then
+    # the pivot over the divisors of what remains; the last pivot takes it all
+    r = len(rows)
+    fillings = product(*(range(row[i]) for i, row in enumerate(rows)))
+    if r == n - 1:
+        for below in fillings:
+            yield (*rows, below + (remaining,))
+        return
+    divisors = [d for d in range(1, remaining + 1) if remaining % d == 0]
+    zeros = (0,) * (n - 1 - r)
+    for below in fillings:
+        for d in divisors:
+            yield from _bases_of_index(n, (*rows, below + (d,) + zeros), remaining // d)
 
 
 def enumerate_subgroups(
@@ -181,40 +176,20 @@ def enumerate_subgroups(
 ) -> list[SubgroupLattice]:
     """All HNF lattices of index <= max_index, each exactly once.
 
-    Sorted by (index, basis) for stable output.  `cap` bounds the number
-    of lattices produced (ResourceLimitError beyond it).
+    Generated in (index, basis) order: index 1, 2, ..., and within one
+    index lexicographically by basis.  `cap` bounds the number of lattices
+    produced (ResourceLimitError beyond it).
     """
     if n < 2:
         raise ValueError(f"arity must be >= 2, got {n}")
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     found: list[SubgroupLattice] = []
-    for diag in _diagonals(n, max_index):
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = diag[i]
-
-        def fill(k: int, i: int):
-            # below-pivot slots (k, i), i < k, values in [0, diag[i])
-            if k == n:
-                if cap is not None and len(found) >= cap:
-                    raise ResourceLimitError(
-                        f"enumeration exceeds cap of {cap} lattices"
-                    )
-                found.append(
-                    SubgroupLattice(n, tuple(tuple(r) for r in rows))
-                )
-                return
-            if i == k:
-                fill(k + 1, 0)
-                return
-            for v in range(diag[i]):
-                rows[k][i] = v
-                fill(k, i + 1)
-            rows[k][i] = 0
-
-        fill(1, 0)
-    found.sort(key=lambda lat: (lat.index(), lat.basis))
+    for k in range(1, max_index + 1):
+        for basis in _bases_of_index(n, (), k):
+            if cap is not None and len(found) >= cap:
+                raise ResourceLimitError(f"enumeration exceeds cap of {cap} lattices")
+            found.append(SubgroupLattice(n, basis))
     return found
 
 
@@ -261,26 +236,3 @@ def chain(spec: ChainSpec, s: int, n: int) -> SubgroupLattice:
     if term.arity != n:
         raise DomainError(f"chain term arity {term.arity} != {n}")
     return term
-
-
-def brute_force_index_count(n: int, k: int) -> int:
-    """Independent count of index-k sublattices via HNF diagonal sums.
-
-    For each diagonal (d_0, ..., d_{n-1}) with product k there are
-    prod d_i^(n-1-i) below-pivot fillings.
-    """
-    total = 0
-    for diag in _diagonals(n, k):
-        if prod(diag) == k:
-            total += prod(d ** (n - 1 - i) for i, d in enumerate(diag))
-    return total
-
-
-def divisor_sum(k: int) -> int:
-    """sigma(k), the sum of divisors; counts index-k sublattices of Z^2."""
-    return sum(d for d in range(1, k + 1) if k % d == 0)
-
-
-def abelianization_in_lattice(lat: SubgroupLattice, abelianized: tuple[int, ...]) -> bool:
-    """Membership of a word's abelianization; realizes `w in H` for H >= G'."""
-    return member(lat, abelianized)

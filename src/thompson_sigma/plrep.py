@@ -167,13 +167,3 @@ def maps_equal(f: PLMap, g: PLMap) -> bool:
     """Exact equality; breakpoint lists are already canonical."""
     return f.arity == g.arity and f.breakpoints == g.breakpoints
 
-
-def is_power_of(q: Fraction, n: int) -> bool:
-    """Is q an integer power n**k, k in Z?  (Test helper for slope closure.)"""
-    if q <= 0:
-        return False
-    while q < 1:
-        q *= n
-    while q > 1:
-        q /= n
-    return q == 1

@@ -73,9 +73,6 @@ class GroupWord:
     def __len__(self):
         return len(self.letters)
 
-    def is_identity_word(self) -> bool:
-        return not self.letters
-
 
 @dataclass(frozen=True)
 class SeminormalForm:

@@ -42,14 +42,14 @@ from thompson_sigma.gradients import (
 from thompson_sigma.lattices import (
     ChainSpec,
     hnf,
-    brute_force_index_count,
     chain,
-    divisor_sum,
     enumerate_subgroups,
     index,
 )
 from thompson_sigma.plrep import evaluate_word, maps_equal
 from thompson_sigma.words import are_equal, word
+
+from oracles import brute_force_index_count, divisor_sum
 
 
 @contextmanager

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thompson_sigma.charspace import (
-    annihilator_basis,
     character,
     chi1,
     chi2,
@@ -197,9 +196,3 @@ class TestKernelFiniteness:
         report = kernel_finiteness([[1, -2]])
         assert report.max_certified_f_type == "infinity"
         assert not report.assumed_conjecture
-
-    def test_annihilator_basis(self):
-        basis = annihilator_basis([[1, 1]])
-        assert len(basis) == 1
-        a, b = basis[0]
-        assert a + b == 0 and (a, b) != (0, 0)

@@ -102,6 +102,24 @@ class TestLatticeCommands:
         assert len(got) == 4  # sigma(1) + sigma(2)
         assert [1, 0, 0, 1] in got and [2, 0, 1, 1] in got
 
+    def test_subgroups_order_n2(self, capsys):
+        code, out, _ = run(capsys, "subgroups", "--n", "2", "--max-index", "3")
+        assert code == 0
+        assert out == (
+            "[[1, 0, 0, 1], [1, 0, 0, 2], [2, 0, 0, 1], [2, 0, 1, 1], "
+            "[1, 0, 0, 3], [3, 0, 0, 1], [3, 0, 1, 1], [3, 0, 2, 1]]\n"
+        )
+
+    def test_subgroups_order_n3(self, capsys):
+        code, out, _ = run(capsys, "subgroups", "--n", "3", "--max-index", "2")
+        assert code == 0
+        assert out == (
+            "[[1, 0, 0, 0, 1, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0, 0, 0, 2], "
+            "[1, 0, 0, 0, 2, 0, 0, 0, 1], [1, 0, 0, 0, 2, 0, 0, 1, 1], "
+            "[2, 0, 0, 0, 1, 0, 0, 0, 1], [2, 0, 0, 0, 1, 0, 1, 0, 1], "
+            "[2, 0, 0, 1, 1, 0, 0, 0, 1], [2, 0, 0, 1, 1, 0, 1, 0, 1]]\n"
+        )
+
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("THOMPSON_SIGMA_MAX_INDEX", "5")
         code, _, err = run(capsys, "subgroups", "--n", "2", "--max-index", "10")

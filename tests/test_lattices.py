@@ -12,9 +12,7 @@ from thompson_sigma.errors import DomainError, RankDeficientError, ResourceLimit
 from thompson_sigma.lattices import (
     ChainSpec,
     alpha,
-    brute_force_index_count,
     chain,
-    divisor_sum,
     enumerate_subgroups,
     full_lattice,
     hnf,
@@ -22,9 +20,10 @@ from thompson_sigma.lattices import (
     intersect_with_M,
     member,
     restrict_character,
-    theta_shift,
 )
 from thompson_sigma.words import abelianize, word
+
+from oracles import brute_force_index_count, divisor_sum
 
 
 class TestHNF:
@@ -97,7 +96,6 @@ class TestIntersectTheta:
     def test_full_lattice_fixed(self):
         for n in (2, 3, 4):
             assert intersect_with_M(full_lattice(n)) == full_lattice(n)
-            assert theta_shift(full_lattice(n)) == full_lattice(n)
 
     def test_n2_even_second_coordinate(self):
         # L = {(a,b) : b even} pulls back to {(v1,v2) : v1+v2 even}
@@ -108,11 +106,6 @@ class TestIntersectTheta:
         # psi never reaches coordinate 0, so the condition v0 even is vacuous
         got = intersect_with_M(hnf([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
         assert got == full_lattice(3)
-
-    def test_theta_preserves_index(self):
-        for lat in enumerate_subgroups(2, 10):
-            lat_m = intersect_with_M(lat)
-            assert index(theta_shift(lat_m)) == index(lat_m)
 
     def test_intersection_index_bound(self):
         # [Z^n : L_M] divides n * [Z^n : L]  (sanity bound)
@@ -154,6 +147,18 @@ class TestEnumeration:
             exact = [l for l in enumerate_subgroups(2, k) if index(l) == k]
             assert len(exact) == divisor_sum(k) == brute_force_index_count(2, k)
 
+    def test_matches_brute_force_count(self):
+        for n, max_index in ((3, 12), (4, 6)):
+            lats = enumerate_subgroups(n, max_index)
+            for k in range(1, max_index + 1):
+                exact = sum(1 for l in lats if index(l) == k)
+                assert exact == brute_force_index_count(n, k)
+
+    def test_order_is_index_then_basis(self):
+        for n, max_index in ((2, 40), (3, 10), (4, 6)):
+            lats = enumerate_subgroups(n, max_index)
+            assert lats == sorted(lats, key=lambda l: (l.index(), l.basis))
+
     def test_no_duplicates_and_canonical(self):
         lats = enumerate_subgroups(3, 6)
         assert len(set(lats)) == len(lats)
@@ -164,6 +169,19 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_subgroups(2, 30, cap=10)
+
+    def test_cap_boundary(self):
+        for n, max_index in ((2, 30), (3, 6)):
+            everything = enumerate_subgroups(n, max_index)
+            assert enumerate_subgroups(n, max_index, cap=len(everything)) == everything
+            with pytest.raises(ResourceLimitError):
+                enumerate_subgroups(n, max_index, cap=len(everything) - 1)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            enumerate_subgroups(1, 3)
+        with pytest.raises(ValueError):
+            enumerate_subgroups(2, 0)
 
 
 class TestMembershipLaw:

@@ -12,11 +12,12 @@ from thompson_sigma.plrep import (
     generator_map,
     identity_map,
     invert_map,
-    is_power_of,
     maps_equal,
     plmap,
 )
 from thompson_sigma.words import identity_word, word
+
+from oracles import is_power_of
 
 
 def test_defining_relation_n2():

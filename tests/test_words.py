@@ -200,6 +200,34 @@ class TestWordProblem:
         assert are_equal(u, word(n, scrambled))
 
 
+class TestCanonicity:
+    """normal_form(u) == normal_form(v) exactly when the PL maps agree."""
+
+    @staticmethod
+    def seeded_words(n):
+        rng = random.Random(100 + n)
+        for _ in range(250):
+            length = rng.randrange(0, 9)
+            yield word(n, [(rng.randrange(0, 4), rng.choice((1, -1))) for _ in range(length)])
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_same_partition_as_pl_oracle(self, n):
+        by_form, by_map = {}, {}
+        for w in self.seeded_words(n):
+            by_form.setdefault(normal_form(w), set()).add(w)
+            by_map.setdefault(plrep.evaluate_word(w).breakpoints, set()).add(w)
+        assert set(map(frozenset, by_form.values())) == set(map(frozenset, by_map.values()))
+        # both directions are exercised: many elements, some with several words
+        assert len(by_form) > 100
+        assert sum(len(words) > 1 for words in by_form.values()) > 5
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_idempotent(self, n):
+        for w in self.seeded_words(n):
+            nf = normal_form(w)
+            assert normal_form(nf.to_word()) == nf
+
+
 class TestTextSyntax:
     def test_parse(self):
         w = parse_word(2, "x0 x1^-1 x3^2")
