@@ -47,6 +47,14 @@ def _parse_lattice(n: int, text: str) -> list[list[int]]:
     return [flat[i : i + n] for i in range(0, len(flat), n)]
 
 
+def arity(text: str) -> int:
+    """argparse type of --n: an integer n >= 2."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"n must be >= 2, got {n}")
+    return n
+
+
 def _emit(payload) -> None:
     print(json.dumps(payload))
 
@@ -118,7 +126,11 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_subgroups(args) -> int:
     cap_text = os.environ.get(ENV_MAX_INDEX)
-    if cap_text is not None and args.max_index > int(cap_text):
+    try:
+        cap = None if cap_text is None else int(cap_text)
+    except ValueError as exc:
+        raise ParseError(f"{ENV_MAX_INDEX} must be an integer, got {cap_text!r}") from exc
+    if cap is not None and args.max_index > cap:
         raise DomainError(
             f"--max-index {args.max_index} exceeds {ENV_MAX_INDEX}={cap_text}"
         )
@@ -222,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--n", type=int, required=True, help="family parameter n >= 2")
+        p.add_argument("--n", type=arity, required=True, help="family parameter n >= 2")
         return p
 
     p = add("normalize", _cmd_normalize, help="canonical normal form of a word")

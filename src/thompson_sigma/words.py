@@ -27,7 +27,9 @@ beyond it.  All values are immutable; operations return fresh objects.
 
 from __future__ import annotations
 
+import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -151,44 +153,53 @@ def concat(u: GroupWord, v: GroupWord) -> GroupWord:
     return GroupWord(u.arity, u.letters + v.letters)
 
 
-def _check_cap(index: int, cap: int) -> int:
+def _check_cap(index: int, cap: int) -> None:
     if index > cap:
         raise ResourceLimitError(
             f"generator index {index} exceeds rewriting cap {cap}"
         )
-    return index
+
+
+def _pass_smaller(neg: list[int], k: int, s: int, cap: int) -> tuple[int, int]:
+    # Move x_k^(+-1) left past the inverse letters smaller than it, which end
+    # `neg`; passing each one bumps k by s = n-1.  Returns the number of
+    # inverse letters not passed and the bumped index.
+    j = len(neg)
+    bumped = k
+    while j and neg[j - 1] < bumped:
+        bumped += s
+        j -= 1
+    if bumped > cap and bumped != k:
+        _check_cap(k + s * max(1, (cap - k) // s + 1), cap)  # first bump past cap
+    return j, bumped
 
 
 def _push_positive(pos: list[int], neg: list[int], k: int, n: int, cap: int):
-    # Move x_k left through the inverse tail, bumping per the mixed rules,
-    # then insert into the positive part by bubbling (rule x_i x_j with i > j).
-    j = len(neg) - 1
-    while j >= 0:
-        q = neg[j]
-        if q == k:
-            del neg[j]
-            return
-        if q > k:
-            neg[j] = _check_cap(q + n - 1, cap)
-        else:
-            k = _check_cap(k + n - 1, cap)
-        j -= 1
-    pos.append(k)
-    p = len(pos) - 1
-    while p > 0 and pos[p - 1] > pos[p]:
-        pos[p - 1], pos[p] = pos[p], _check_cap(pos[p - 1] + n - 1, cap)
-        p -= 1
+    # Move x_k left through the inverse part per the mixed rules: it bumps
+    # past the smaller inverse letters, cancels an equal one, and bumps every
+    # larger one once.  Then insert it into the positive part, bumping the
+    # larger letters it passes (rule x_i x_j with i > j).
+    s = n - 1
+    j, k = _pass_smaller(neg, k, s, cap)
+    if j and neg[j - 1] == k:
+        del neg[j - 1]
+        return
+    if j:
+        if neg[0] + s > cap:  # x_k passes the smallest first; name that one
+            _check_cap(min(q for q in neg[:j] if q + s > cap) + s, cap)
+        neg[:j] = [q + s for q in neg[:j]]
+    i = bisect_right(pos, k)
+    if i < len(pos):
+        _check_cap(pos[-1] + s, cap)
+    pos[i:] = [k] + [p + s for p in pos[i:]]
 
 
 def _push_negative(pos: list[int], neg: list[int], k: int, n: int, cap: int):
     if not neg and pos and pos[-1] == k:
         pos.pop()
         return
-    neg.append(k)
-    p = len(neg) - 1
-    while p > 0 and neg[p - 1] < neg[p]:
-        neg[p - 1], neg[p] = _check_cap(neg[p] + n - 1, cap), neg[p - 1]
-        p -= 1
+    j, k = _pass_smaller(neg, k, n - 1, cap)
+    neg.insert(j, k)
 
 
 def rewrite_to_seminormal(
@@ -196,8 +207,11 @@ def rewrite_to_seminormal(
 ) -> SeminormalForm:
     """Apply the oriented rules exhaustively; always terminates.
 
-    Each letter insertion moves strictly left, so the loop is O(len^2)
-    swaps; indices beyond `index_cap` raise ResourceLimitError.
+    Each new letter moves left through the inverse part and, if positive,
+    into the positive part.  Passing a smaller inverse letter bumps its own
+    index; the larger letters it passes are bumped together as one slice.
+    A word of length L thus costs O(L^2) index increments, most of them done
+    in bulk.  An index bumped beyond `index_cap` raises ResourceLimitError.
     """
     pos: list[int] = []
     neg: list[int] = []
@@ -226,22 +240,42 @@ def multiply(
 
 
 def _reduce(pos: list[int], neg: list[int], n: int):
-    # Remove innermost matched pairs x_i ... x_i^-1 whose enclosed letters
-    # all avoid {i+1, ..., i+n-1}; the enclosed block then conjugates down
-    # by n-1.  Loop to a fixpoint; sortedness is preserved throughout.
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(set(pos) & set(neg)):
-            a = max(k for k, v in enumerate(pos) if v == i)
-            b = min(k for k, v in enumerate(neg) if v == i)
-            enclosed = pos[a + 1 :] + neg[:b]
-            if any(i + 1 <= v <= i + n - 1 for v in enclosed):
+    # Remove every matched pair x_i ... x_i^-1 (last x_i of `pos`, first
+    # x_i^-1 of `neg`) that encloses no letter with index in i+1 .. i+n-1;
+    # the enclosed letters then conjugate down by n-1.  One pass from the
+    # middle outwards, largest indices first: a removal shifts everything it
+    # encloses alike, so a blocked pair stays blocked and no new pair appears.
+    # A kept letter is stored as index + (n-1)*r, r the pairs removed so far,
+    # so subtracting (n-1)*r at the end gives every final index.  The letter
+    # kept last has the smallest current index among those kept; at a pair
+    # x_i ... x_i^-1 that index is above i, or equal to i when a pair at i
+    # was just kept, whose blocker then blocks this pair too.
+    s = n - 1
+    a, b = len(pos), 0
+    inner_pos: list[int] = []  # kept letters of pos, right to left
+    inner_neg: list[int] = []
+    low = math.inf  # stored index of the letter kept last
+    r = 0
+    while a and b < len(neg):
+        p, q = pos[a - 1], neg[b]
+        if p == q:
+            a -= 1
+            b += 1
+            if low - s * r > p + s:
+                r += 1
                 continue
-            pos[a:] = [v - (n - 1) for v in pos[a + 1 :]]
-            neg[: b + 1] = [v - (n - 1) for v in neg[:b]]
-            changed = True
-            break
+            inner_pos.append(p + s * r)
+            inner_neg.append(p + s * r)
+        elif p > q:
+            a -= 1
+            inner_pos.append(p + s * r)
+        else:
+            b += 1
+            inner_neg.append(q + s * r)
+        low = max(p, q) + s * r
+    shift = s * r
+    pos[a:] = [v - shift for v in reversed(inner_pos)]
+    neg[:b] = [v - shift for v in inner_neg]
 
 
 def normal_form(

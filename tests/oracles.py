@@ -33,3 +33,26 @@ def is_power_of(q: Fraction, n: int) -> bool:
     while q > 1:
         q /= n
     return q == 1
+
+
+def fixpoint_reduce(pos: list[int], neg: list[int], n: int) -> None:
+    """Reference matched-pair reduction of a seminormal form, in place.
+
+    Removes the first removable pair x_i ... x_i^-1 (smallest i, last x_i
+    of `pos`, first x_i^-1 of `neg`) whose enclosed letters all avoid
+    i+1 .. i+n-1, shifts the enclosed letters down by n-1, and rescans
+    until no pair is removable.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(set(pos) & set(neg)):
+            a = max(k for k, v in enumerate(pos) if v == i)
+            b = min(k for k, v in enumerate(neg) if v == i)
+            enclosed = pos[a + 1 :] + neg[:b]
+            if any(i + 1 <= v <= i + n - 1 for v in enclosed):
+                continue
+            pos[a:] = [v - (n - 1) for v in pos[a + 1 :]]
+            neg[: b + 1] = [v - (n - 1) for v in neg[:b]]
+            changed = True
+            break

@@ -223,6 +223,18 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_usage_error_arity_below_two(self, capsys):
+        for n in ("1", "0", "-3", "two"):
+            code, out, err = run(capsys, "normalize", "--n", n, "--word", "x0")
+            assert (code, out) == (1, "")
+            assert err.startswith("usage error: argument --n")
+
+    def test_usage_error_bad_env_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("THOMPSON_SIGMA_MAX_INDEX", "abc")
+        code, out, err = run(capsys, "subgroups", "--n", "2", "--max-index", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: THOMPSON_SIGMA_MAX_INDEX")
+
     def test_domain_error_bad_arity_pair(self, capsys):
         code, _, _ = run(capsys, "classify-kernel", "--n", "2", "--lattice", "1,1,1")
         assert code == 1  # not a multiple of n: malformed input

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fixpoint_reduce
 from thompson_sigma import plrep
 from thompson_sigma.errors import ArityMismatchError, ParseError, ResourceLimitError
 from thompson_sigma.words import (
@@ -92,6 +93,41 @@ class TestSeminormal:
         letters = [(1, 1)] + [(0, 1)] * 60
         with pytest.raises(ResourceLimitError):
             rewrite_to_seminormal(w2(*letters), index_cap=50)
+
+    # One word per bump site, its last letter doing all of the bumping:
+    # (n, letters, highest index reached).
+    CAP_SITES = {
+        # x_1 passes three x_0^-1 and becomes x_3, x_5, x_7
+        "positive letter passing inverse letters": (3, [(0, -1)] * 3 + [(1, 1)], 7),
+        # x_0 bumps the inverse tail x_5^-1 x_3^-1 to x_6^-1 x_4^-1
+        "inverse tail": (2, [(5, -1), (3, -1), (0, 1)], 6),
+        # x_0 bumps the positive tail x_3 x_6 to x_4 x_7
+        "positive tail": (2, [(5, 1), (3, 1), (0, 1)], 7),
+        # x_1^-1 passes two x_0^-1 and becomes x_3^-1, x_5^-1
+        "inverse letter passing inverse letters": (3, [(0, -1)] * 2 + [(1, -1)], 5),
+    }
+
+    @pytest.mark.parametrize("site", CAP_SITES)
+    def test_index_cap_boundary(self, site):
+        n, letters, highest = self.CAP_SITES[site]
+        w = word(n, letters)
+        sn = rewrite_to_seminormal(w, index_cap=highest)
+        assert max(sn.positive + sn.negative) == highest
+        with pytest.raises(ResourceLimitError, match=f"index {highest} exceeds rewriting cap {highest - 1}"):
+            rewrite_to_seminormal(w, index_cap=highest - 1)
+        u = rewrite_to_seminormal(word(n, letters[:-1]))
+        v = rewrite_to_seminormal(word(n, letters[-1:]))
+        assert multiply(u, v, index_cap=highest) == sn
+        with pytest.raises(ResourceLimitError):
+            multiply(u, v, index_cap=highest - 1)
+
+    def test_index_cap_names_first_index_past_it(self):
+        # the inverse tail x_5^-1 x_3^-1 bumps smallest first: x_4^-1 is past 3
+        with pytest.raises(ResourceLimitError, match="index 4 exceeds rewriting cap 3"):
+            rewrite_to_seminormal(w2((5, -1), (3, -1), (0, 1)), index_cap=3)
+        # x_1 bumps to x_3, x_5, x_7 (n = 3): x_5 is the first past 4
+        with pytest.raises(ResourceLimitError, match="index 5 exceeds rewriting cap 4"):
+            rewrite_to_seminormal(w3(*[(0, -1)] * 3, (1, 1)), index_cap=4)
 
 
 class TestMultiplyInvert:
@@ -226,6 +262,33 @@ class TestCanonicity:
         for w in self.seeded_words(n):
             nf = normal_form(w)
             assert normal_form(nf.to_word()) == nf
+
+
+class TestReduceOracle:
+    """normal_form equals the seminormal form reduced by the fixpoint oracle."""
+
+    def test_matches_fixpoint_reduction(self):
+        rng = random.Random(2024)
+        several_pairs = blocked = 0
+        for t in range(2400):
+            n = 2 + t % 4
+            top = rng.choice((1, 2, 3, 6, 10))
+            length = rng.randrange(rng.choice((12, 60, 401)))
+            letters = [(rng.randrange(top + 1), rng.choice((1, -1))) for _ in range(length)]
+            if t % 3 == 0:  # x_i^a ... x_i^-b around the word: repeated pairs
+                i, a, b = rng.randrange(top + 1), rng.randrange(1, 4), rng.randrange(1, 4)
+                letters = [(i, 1)] * a + letters + [(i, -1)] * b
+            w = word(n, letters)
+            sn = rewrite_to_seminormal(w)
+            pos, neg = list(sn.positive), list(sn.negative)
+            fixpoint_reduce(pos, neg, n)
+            nf = normal_form(w)
+            assert (nf.positive, nf.negative) == (tuple(pos), tuple(neg))
+            common = set(sn.positive) & set(sn.negative)
+            several_pairs += any(min(sn.positive.count(i), sn.negative.count(i)) > 1 for i in common)
+            blocked += bool(set(nf.positive) & set(nf.negative))
+        # the hard cases occur: several pairs at one index, blocked pairs
+        assert several_pairs > 500 and blocked > 500, (several_pairs, blocked)
 
 
 class TestTextSyntax:
