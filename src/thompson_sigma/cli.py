@@ -47,12 +47,26 @@ def _parse_lattice(n: int, text: str) -> list[list[int]]:
     return [flat[i : i + n] for i in range(0, len(flat), n)]
 
 
+def _at_least(low: int, text: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
 def arity(text: str) -> int:
     """argparse type of --n: an integer n >= 2."""
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"n must be >= 2, got {n}")
-    return n
+    return _at_least(2, text)
+
+
+def positive(text: str) -> int:
+    """argparse type of counts, indices and dimensions that start at 1."""
+    return _at_least(1, text)
+
+
+def nonnegative(text: str) -> int:
+    """argparse type of a dimension that may be 0."""
+    return _at_least(0, text)
 
 
 def _emit(payload) -> None:
@@ -253,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sigma", _cmd_sigma, help="Sigma^m membership of a character")
     p.add_argument("--chi", required=True, help="comma-separated rationals")
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=positive, default=1)
     p.add_argument("--assume-sigma-m", action="store_true")
 
     p = add("classify-kernel", _cmd_classify_kernel, help="finiteness type of a kernel subgroup")
@@ -269,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=1024)
 
     p = add("subgroups", _cmd_subgroups, help="all subgroup lattices up to an index")
-    p.add_argument("--max-index", type=int, required=True)
+    p.add_argument("--max-index", type=positive, required=True)
 
     p = add("cells", _cmd_cells, help="exact cell counts for an n = 2 subgroup")
     p.add_argument("--lattice", required=True)
@@ -278,15 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bounds", _cmd_bounds, help="generator and deficiency bounds")
     p.add_argument("--lattice", required=True)
     p.add_argument("--m", type=int, default=complexes.DEFAULT_DIM_CAP)
-    p.add_argument("--d0-override", type=int)
+    p.add_argument("--d0-override", type=positive)
 
     p = add("gradient", _cmd_gradient, help="gradient series along a chain")
     p.add_argument("--kind", choices=("rg", "dg", "chi"), required=True)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=nonnegative, default=2)
     p.add_argument("--chain", required=True, help="scaling:p or coordinate:p")
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=positive, default=10)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--d0-override", type=int)
+    p.add_argument("--d0-override", type=positive)
 
     return parser
 

@@ -39,6 +39,13 @@ DEFAULT_INDEX_CAP = 1 << 16
 
 _TOKEN_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
+# `normal_form` rewrites runs of this many letters left to right and
+# multiplies their forms.  On 1600-letter words runs of 32, 64 or 128
+# letters took 5.0-6.0 ms, runs of 16 or 256 letters 5.9-7.6 ms, and one
+# run of the whole word 24 ms; on words of up to 200 letters no run length
+# was consistently faster.
+_LEAF = 64
+
 
 class GeneratorLetter(NamedTuple):
     """One letter x_index^exponent with exponent +1 or -1."""
@@ -160,6 +167,13 @@ def _check_cap(index: int, cap: int) -> None:
         )
 
 
+def _check_max(indices: Iterable[int], cap: int) -> None:
+    # Raise if the largest of `indices`, if any, exceeds the cap.
+    top = max(indices, default=None)
+    if top is not None:
+        _check_cap(top, cap)
+
+
 def _pass_smaller(neg: list[int], k: int, s: int, cap: int) -> tuple[int, int]:
     # Move x_k^(+-1) left past the inverse letters smaller than it, which end
     # `neg`; passing each one bumps k by s = n-1.  Returns the number of
@@ -202,6 +216,18 @@ def _push_negative(pos: list[int], neg: list[int], k: int, n: int, cap: int):
     neg.insert(j, k)
 
 
+def _rewrite(letters, n: int, cap: int) -> tuple[list[int], list[int]]:
+    # Push the (index, exponent) letters one at a time, left to right.
+    pos: list[int] = []
+    neg: list[int] = []
+    for index, exponent in letters:
+        if exponent == 1:
+            _push_positive(pos, neg, index, n, cap)
+        else:
+            _push_negative(pos, neg, index, n, cap)
+    return pos, neg
+
+
 def rewrite_to_seminormal(
     w: GroupWord, *, index_cap: int = DEFAULT_INDEX_CAP
 ) -> SeminormalForm:
@@ -211,31 +237,102 @@ def rewrite_to_seminormal(
     into the positive part.  Passing a smaller inverse letter bumps its own
     index; the larger letters it passes are bumped together as one slice.
     A word of length L thus costs O(L^2) index increments, most of them done
-    in bulk.  An index bumped beyond `index_cap` raises ResourceLimitError.
+    in bulk.  The result depends on this left-to-right order: it is one of
+    the element's seminormal forms, not the canonical one.  An input letter
+    or a bumped index beyond `index_cap` raises ResourceLimitError.
     """
-    pos: list[int] = []
-    neg: list[int] = []
-    n = w.arity
-    for let in w.letters:
-        if let.exponent == 1:
-            _push_positive(pos, neg, let.index, n, index_cap)
-        else:
-            _push_negative(pos, neg, let.index, n, index_cap)
+    _check_max((let.index for let in w.letters), index_cap)  # input letters too
+    pos, neg = _rewrite(w.letters, w.arity, index_cap)
     return SeminormalForm(w.arity, tuple(pos), tuple(neg))
+
+
+def _merge(u, v, s: int, cap: int) -> tuple[list[int], list[int]]:
+    # The product of seminormal forms u = (positive, negative) and v, equal
+    # to pushing v's letters onto u one at a time, in three linear walks;
+    # s = n-1.  An index only grows until its letter cancels, so the pushes
+    # raise exactly when a final index, or an index at which two letters
+    # cancel, exceeds the cap; the inputs are within it.
+    upos, uneg = u
+    vpos, vneg = v
+    # 1. v's positive letters pass u's inverse letters, smallest first.  As
+    # v's letters are sorted, each passes all that an earlier one passed; the
+    # larger letters it stops at are all bumped by s, held in one offset.
+    low = uneg[::-1]
+    m = len(low)
+    passed: list[int] = []
+    rise: list[int] = []
+    cancelled: list[int] = []  # indices at which a pair cancelled, rising
+    i = off = shift = 0
+    for b in vpos:
+        k = b + shift
+        while i < m and low[i] + off < k:
+            passed.append(low[i] + off)
+            i += 1
+            k += s
+        shift = k - b  # s times the letters passed so far
+        if i < m and low[i] + off == k:
+            i += 1
+            cancelled.append(k)
+        else:
+            off += s
+            rise.append(k)
+    mid = passed + [q + off for q in low[i:]]  # u's inverse part, ascending
+    # 2. The surviving letters, rising, merge into u's positive part.  After
+    # c/s new letters went in, a u-letter p stands at p + c, and the next new
+    # letter k passes it (and bumps it) iff k < p + c.
+    pos: list[int] = []
+    j = c = 0
+    for k in rise:
+        while j < len(upos) and upos[j] + c <= k:
+            pos.append(upos[j] + c)
+            j += 1
+        pos.append(k)
+        c += s
+    pos += [p + c for p in upos[j:]]
+    # 3. v's inverse letters cancel against the last positive letter while
+    # the inverse part is empty.  The others pass the smaller letters of the
+    # inverse part but never each other; taken smallest first, each passes
+    # all that an earlier one passed.
+    a = 0
+    if not mid:
+        while a < len(vneg) and pos and pos[-1] == vneg[a]:
+            pos.pop()
+            a += 1
+    neg: list[int] = []
+    t = 0
+    for k in reversed(vneg[a:]):
+        k += s * t
+        while t < len(mid) and mid[t] < k:
+            neg.append(mid[t])
+            t += 1
+            k += s
+        neg.append(k)
+    neg += mid[t:]
+    neg.reverse()
+    _check_max(pos[-1:] + neg[:1] + cancelled[-1:], cap)
+    return pos, neg
 
 
 def multiply(
     u: SeminormalForm, v: SeminormalForm, *, index_cap: int = DEFAULT_INDEX_CAP
 ) -> SeminormalForm:
-    """Product of two seminormal forms, again in seminormal form."""
+    """Product of two seminormal forms, again in seminormal form.
+
+    The result is the form `rewrite_to_seminormal` reaches by pushing v's
+    letters onto u one at a time, computed by one linear merge in
+    O(|u| + |v|) steps.  It raises ResourceLimitError in exactly the cases
+    the pushes would: an input letter, or an index the pushes reach, beyond
+    `index_cap`; the message names the highest such index.
+    """
     if u.arity != v.arity:
         raise ArityMismatchError(f"arity {u.arity} vs {v.arity}")
-    pos, neg = list(u.positive), list(u.negative)
-    n = u.arity
-    for k in v.positive:
-        _push_positive(pos, neg, k, n, index_cap)
-    for k in v.negative:
-        _push_negative(pos, neg, k, n, index_cap)
+    _check_max(
+        u.positive[-1:] + u.negative[:1] + v.positive[-1:] + v.negative[:1],
+        index_cap,
+    )
+    pos, neg = _merge(
+        (u.positive, u.negative), (v.positive, v.negative), u.arity - 1, index_cap
+    )
     return SeminormalForm(u.arity, tuple(pos), tuple(neg))
 
 
@@ -281,11 +378,35 @@ def _reduce(pos: list[int], neg: list[int], n: int):
 def normal_form(
     w: GroupWord, *, index_cap: int = DEFAULT_INDEX_CAP
 ) -> SeminormalForm:
-    """Seminormal form plus the matched-pair reduction; canonical per element."""
-    sn = rewrite_to_seminormal(w, index_cap=index_cap)
-    pos, neg = list(sn.positive), list(sn.negative)
-    _reduce(pos, neg, w.arity)
-    return SeminormalForm(w.arity, tuple(pos), tuple(neg))
+    """Seminormal form plus the matched-pair reduction; canonical per element.
+
+    A word of at most `_LEAF` letters is rewritten left to right, as by
+    `rewrite_to_seminormal`.  A longer one is cut into runs of `_LEAF`
+    letters, each rewritten so; their forms are multiplied pairwise, level by
+    level, each product one linear merge as in `multiply`.  `_reduce` then
+    removes the matched pairs.  A word of length L costs O(L * _LEAF) for the
+    runs and O(L log L) for the merges, against O(L^2) for the left-to-right
+    rewrite.  The result does not depend on the route, as the normal form is
+    unique per element, but the intermediate indices do: the smallest
+    `index_cap` under which a long word passes can differ from that of
+    `rewrite_to_seminormal`.  On 300 seeded words of 70-400 letters it was
+    the same for 268, lower for 31 and higher for 1, by -6.3% to +1.0%.
+    """
+    letters, n = w.letters, w.arity
+    _check_max((let.index for let in letters), index_cap)
+    forms = [  # an empty word is one empty run
+        _rewrite(letters[i : i + _LEAF], n, index_cap)
+        for i in range(0, len(letters) or 1, _LEAF)
+    ]
+    while len(forms) > 1:
+        odd = forms[-1:] if len(forms) % 2 else []
+        forms = [
+            _merge(forms[i], forms[i + 1], n - 1, index_cap)
+            for i in range(0, len(forms) - 1, 2)
+        ] + odd
+    pos, neg = forms[0]
+    _reduce(pos, neg, n)
+    return SeminormalForm(n, tuple(pos), tuple(neg))
 
 
 def are_equal(

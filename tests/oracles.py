@@ -2,6 +2,14 @@
 
 from fractions import Fraction
 
+from thompson_sigma.errors import ArityMismatchError, ResourceLimitError
+from thompson_sigma.words import (
+    DEFAULT_INDEX_CAP,
+    SeminormalForm,
+    _push_negative,
+    _push_positive,
+)
+
 
 def brute_force_index_count(n: int, k: int) -> int:
     """Count of index-k sublattices of Z^n via HNF diagonals.
@@ -56,3 +64,25 @@ def fixpoint_reduce(pos: list[int], neg: list[int], n: int) -> None:
             neg[: b + 1] = [v - (n - 1) for v in neg[:b]]
             changed = True
             break
+
+
+def sequential_multiply(
+    u: SeminormalForm, v: SeminormalForm, *, index_cap: int = DEFAULT_INDEX_CAP
+) -> SeminormalForm:
+    """Reference product: push v's letters onto u one at a time.
+
+    The positive letters go first, smallest first, then the inverse letters,
+    largest first, each by the pushes of `rewrite_to_seminormal`.  Input
+    letters beyond `index_cap` raise, as in `words.multiply`.
+    """
+    if u.arity != v.arity:
+        raise ArityMismatchError(f"arity {u.arity} vs {v.arity}")
+    top = max(u.positive + u.negative + v.positive + v.negative, default=None)
+    if top is not None and top > index_cap:
+        raise ResourceLimitError(f"generator index {top} exceeds rewriting cap {index_cap}")
+    pos, neg = list(u.positive), list(u.negative)
+    for k in v.positive:
+        _push_positive(pos, neg, k, u.arity, index_cap)
+    for k in v.negative:
+        _push_negative(pos, neg, k, u.arity, index_cap)
+    return SeminormalForm(u.arity, tuple(pos), tuple(neg))

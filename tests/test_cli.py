@@ -229,6 +229,19 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert err.startswith("usage error: argument --n")
 
+    def test_usage_error_value_below_range(self, capsys):
+        for argv in (
+            ("gradient", "--n", "2", "--kind", "rg", "--chain", "scaling:2", "--steps", "0"),
+            ("sigma", "--n", "2", "--chi", "1,0", "--m", "0"),
+            ("subgroups", "--n", "2", "--max-index", "0"),
+            ("bounds", "--n", "3", "--lattice", "2,0,0,0,2,0,0,0,1", "--d0-override", "0"),
+            ("gradient", "--n", "3", "--kind", "rg", "--chain", "scaling:2", "--d0-override", "0"),
+            ("gradient", "--n", "2", "--kind", "chi", "--chain", "scaling:2", "--m", "-1"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith(f"usage error: argument {argv[-2]}: must be >= "), argv
+
     def test_usage_error_bad_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("THOMPSON_SIGMA_MAX_INDEX", "abc")
         code, out, err = run(capsys, "subgroups", "--n", "2", "--max-index", "3")

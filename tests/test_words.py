@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fixpoint_reduce
+from oracles import fixpoint_reduce, sequential_multiply
 from thompson_sigma import plrep
 from thompson_sigma.errors import ArityMismatchError, ParseError, ResourceLimitError
 from thompson_sigma.words import (
+    _LEAF,
     GroupWord,
+    SeminormalForm,
     abelianize,
     are_equal,
     concat,
@@ -32,6 +34,33 @@ def w2(*pairs):
 
 def w3(*pairs):
     return word(3, pairs)
+
+
+def lowest_passing_cap(f, low):
+    """Smallest cap >= low under which f(cap) raises no ResourceLimitError.
+
+    Passing is monotone in the cap, so gallop up from `low`, then bisect.
+    """
+
+    def passes(cap):
+        try:
+            f(cap)
+        except ResourceLimitError:
+            return False
+        return True
+
+    step = 1
+    while not passes(low + step - 1):
+        low += step
+        step *= 2
+    high = low + step - 1
+    while low < high:
+        mid = (low + high) // 2
+        if passes(mid):
+            high = mid
+        else:
+            low = mid + 1
+    return high
 
 
 class TestSeminormal:
@@ -122,12 +151,26 @@ class TestSeminormal:
             multiply(u, v, index_cap=highest - 1)
 
     def test_index_cap_names_first_index_past_it(self):
-        # the inverse tail x_5^-1 x_3^-1 bumps smallest first: x_4^-1 is past 3
-        with pytest.raises(ResourceLimitError, match="index 4 exceeds rewriting cap 3"):
-            rewrite_to_seminormal(w2((5, -1), (3, -1), (0, 1)), index_cap=3)
+        # the inverse tail x_4^-1 x_3^-1 bumps smallest first (n = 3) to
+        # x_6^-1 x_5^-1: x_5^-1 is the first past 4
+        with pytest.raises(ResourceLimitError, match="index 5 exceeds rewriting cap 4"):
+            rewrite_to_seminormal(w3((4, -1), (3, -1), (0, 1)), index_cap=4)
         # x_1 bumps to x_3, x_5, x_7 (n = 3): x_5 is the first past 4
         with pytest.raises(ResourceLimitError, match="index 5 exceeds rewriting cap 4"):
             rewrite_to_seminormal(w3(*[(0, -1)] * 3, (1, 1)), index_cap=4)
+
+    def test_input_letters_count_against_cap(self):
+        w = word(2, [(100000, 1)])
+        sn = SeminormalForm(2, (100000,), ())
+        for call in (
+            lambda: rewrite_to_seminormal(w, index_cap=50),
+            lambda: normal_form(w, index_cap=50),
+            lambda: are_equal(w, w, index_cap=50),
+            lambda: multiply(sn, SeminormalForm(2, (), ()), index_cap=50),
+            lambda: multiply(SeminormalForm(2, (), ()), sn, index_cap=50),
+        ):
+            with pytest.raises(ResourceLimitError, match="index 100000 exceeds rewriting cap 50"):
+                call()
 
 
 class TestMultiplyInvert:
@@ -167,6 +210,47 @@ class TestMultiplyInvert:
             assert plrep.maps_equal(
                 plrep.evaluate_word(sn.to_word()), plrep.identity_map(n)
             )
+
+
+class TestMultiplyOracle:
+    """multiply equals pushing v's letters onto u one at a time."""
+
+    def test_matches_sequential_pushes(self):
+        rng = random.Random(4096)
+        raised = cancelled = 0
+
+        def size(form):
+            return len(form.positive) + len(form.negative)
+
+        for t in range(6000):
+            n = 2 + t % 4
+            top = rng.choice((2, 4, 8, 20))
+
+            def letters(length):
+                return [(rng.randrange(top + 1), rng.choice((1, -1))) for _ in range(length)]
+
+            lu = letters(rng.randrange(rng.choice((6, 30, 80))))
+            lv = letters(rng.randrange(rng.choice((6, 30, 80))))
+            if t % 3 == 0 and lu:  # v starts with the inverse of u's tail
+                lv = [(i, -e) for i, e in reversed(lu[-rng.randrange(1, len(lu) + 1) :])] + lv
+            u = rewrite_to_seminormal(word(n, lu))
+            v = rewrite_to_seminormal(word(n, lv))
+            inputs = max(u.positive + u.negative + v.positive + v.negative, default=0)
+            highest = lowest_passing_cap(
+                lambda cap: sequential_multiply(u, v, index_cap=cap), inputs
+            )
+            cap = rng.choice((highest, highest - 1, rng.randrange(highest + 2)))
+            try:
+                expected = sequential_multiply(u, v, index_cap=cap)
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    multiply(u, v, index_cap=cap)
+                raised += 1
+                continue
+            assert multiply(u, v, index_cap=cap) == expected
+            cancelled += size(expected) < size(u) + size(v)
+        # both outcomes occur often, and so do cancellations
+        assert raised > 1500 and 6000 - raised > 1500 and cancelled > 1000, (raised, cancelled)
 
 
 class TestAbelianize:
@@ -289,6 +373,70 @@ class TestReduceOracle:
             blocked += bool(set(nf.positive) & set(nf.negative))
         # the hard cases occur: several pairs at one index, blocked pairs
         assert several_pairs > 500 and blocked > 500, (several_pairs, blocked)
+
+
+class TestLongWords:
+    """The chunked route of normal_form on words longer than _LEAF."""
+
+    @staticmethod
+    def long_words():
+        rng = random.Random(3200)
+        for t in range(19):
+            n = 2 + t % 3
+            top = rng.choice((2, 4))
+            length = rng.randrange(1000, 3201)
+            yield word(n, [(rng.randrange(top + 1), rng.choice((1, -1))) for _ in range(length)])
+        # x_800^-1 ... x_0^-1 x_1^800: every x_1 passes the whole inverse part
+        yield word(2, [(i, -1) for i in range(800, -1, -1)] + [(1, 1)] * 800)
+
+    def test_matches_fixpoint_reduction(self):
+        chunk_counts = set()
+        for w in self.long_words():
+            sn = rewrite_to_seminormal(w)
+            pos, neg = list(sn.positive), list(sn.negative)
+            fixpoint_reduce(pos, neg, w.arity)
+            nf = normal_form(w)
+            assert (nf.positive, nf.negative) == (tuple(pos), tuple(neg))
+            chunk_counts.add(-(-len(w) // _LEAF) % 2)
+        assert chunk_counts == {0, 1}  # odd and even numbers of runs
+
+    @staticmethod
+    def route(w, cap):
+        # the documented route: runs of _LEAF letters rewritten left to
+        # right, their forms multiplied pairwise, level by level
+        forms = [
+            rewrite_to_seminormal(word(w.arity, w.letters[i : i + _LEAF]), index_cap=cap)
+            for i in range(0, len(w), _LEAF)
+        ]
+        while len(forms) > 1:
+            odd = forms[-1:] if len(forms) % 2 else []
+            forms = [
+                sequential_multiply(a, b, index_cap=cap) for a, b in zip(forms[::2], forms[1::2])
+            ] + odd
+        return forms[0]
+
+    def test_index_cap_boundary(self):
+        rng = random.Random(400)
+        for t in range(40):
+            top = rng.choice((3, 8, 20))
+            letters = [(rng.randrange(top + 1), rng.choice((1, -1))) for _ in range(rng.randrange(70, 401))]
+            w = word(2 + t % 4, letters)
+            highest = lowest_passing_cap(lambda cap: self.route(w, cap), max(i for i, _ in letters))
+            assert normal_form(w, index_cap=highest) == normal_form(w)
+            with pytest.raises(ResourceLimitError):
+                normal_form(w, index_cap=highest - 1)
+
+    def test_index_cap_boundary_of_balanced_product(self):
+        # four runs, each padded in front with cancelling x_0 x_0^-1 pairs;
+        # the pairwise product reaches x_6, while multiplying the runs left
+        # to right, or rewriting the whole word, reaches x_9
+        runs = ([(4, -1), (0, 1)], [(5, -1), (4, -1)], [(0, -1), (4, -1)], [(4, 1), (1, 1)])
+        pad = [(0, 1), (0, -1)] * (_LEAF // 2 - 1)
+        w = word(2, [let for run in runs for let in pad + run])
+        assert normal_form(w, index_cap=6) == normal_form(w)
+        with pytest.raises(ResourceLimitError):
+            normal_form(w, index_cap=5)
+        assert lowest_passing_cap(lambda cap: rewrite_to_seminormal(w, index_cap=cap), 5) == 9
 
 
 class TestTextSyntax:
