@@ -1,75 +1,52 @@
-"""Small exact linear algebra helpers (Fractions over Q, big ints over Z).
+"""Exact integer elimination, the one routine behind the lattice code.
 
-Only what the package needs: rational rank for kernel classification,
-and an integer kernel via unimodular row reduction for lattice
-preimages.  Everything is tiny (n <= 10 or so); clarity over speed.
+`eliminate` clears chosen columns by unimodular row operations (gcd
+steps, big ints).  `hnf` uses its pivots, `integer_kernel` the rows it
+leaves zero, and `rank` counts its pivots, which over Z equals the rank
+over Q.  Everything is tiny (n <= 10 or so); clarity over speed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+
+def eliminate(rows, columns) -> tuple[list[list[int] | None], list[list[int]]]:
+    """Clear `columns` in order by unimodular integer row operations.
+
+    Returns (pivots, rest): pivots[k] is the row left nonzero in columns[k],
+    or None when no remaining row is nonzero there, and rest holds the
+    rows that are zero in every cleared column.  A pivot row is zero in the
+    columns cleared before its own.
+    """
+    work = [list(r) for r in rows]
+    pivots: list[list[int] | None] = []
+    for col in columns:
+        live = [r for r in work if r[col]]
+        while len(live) > 1:
+            base = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not base:
+                    q = r[col] // base[col]
+                    r[:] = [a - q * b for a, b in zip(r, base)]
+            live = [r for r in live if r[col]]
+        pivot = live[0] if live else None
+        work = [r for r in work if r is not pivot]
+        pivots.append(pivot)
+    return pivots, work
 
 
-def rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def rational_rank(rows: list[list[Fraction]]) -> int:
-    return len(rational_rref(rows)[1])
+def rank(rows, width: int) -> int:
+    """Rank of integer rows of length `width`."""
+    return sum(p is not None for p in eliminate(rows, range(width))[0])
 
 
 def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
     """Basis of the left kernel {v in Z^m : v . rows = 0} of an m x c matrix.
 
-    Row-reduces [rows | I] with unimodular integer operations; the identity
-    block rows paired with zero rows of the reduced matrix span the kernel.
+    Clears the first c columns of [rows | I]; the identity block of each
+    row left zero there is a kernel vector, and together they span it.
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return []
-    ncols = len(rows[0])
-    a = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    top = 0
-    for c in range(ncols):
-        # gcd-eliminate column c among rows top..m-1
-        while True:
-            live = [i for i in range(top, m) if a[i][c] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: abs(a[i][c]))
-            i0 = live[0]
-            for i in live[1:]:
-                q = a[i][c] // a[i0][c]
-                a[i] = [x - q * y for x, y in zip(a[i], a[i0])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[i0])]
-        live = [i for i in range(top, m) if a[i][c] != 0]
-        if live:
-            i0 = live[0]
-            a[top], a[i0] = a[i0], a[top]
-            u[top], u[i0] = u[i0], u[top]
-            top += 1
-    return [u[i] for i in range(m) if all(x == 0 for x in a[i])]
+    m, c = len(rows), len(rows[0])
+    augmented = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    return [r[c:] for r in eliminate(augmented, range(c))[1]]

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import rational_rank
+from ._linalg import rank
 from .errors import ArityMismatchError, ConjectureRequiredError, ParseError, ZeroCharacterError
 from .words import GroupWord, abelianize
 
@@ -154,28 +154,21 @@ def in_sigma_m(
     return not _in_complement_wedge(chi.values)
 
 
-def _wedge_meet(n: int, basis_rows: list[list[Fraction]]) -> RationalVector | None:
+def _wedge_meet(n: int, rows: list[list[int]]) -> tuple[int, ...] | None:
     """Nonzero annihilator vector inside the complement wedge, if any.
 
-    basis_rows generate the lattice L; the annihilator is V = {v : L.v = 0}.
+    rows generate the lattice L; the annihilator is V = {v : L.v = 0}.
     The wedge lives in the plane P = {(a, b, ..., b)}; V intersect P is cut
     out by one linear constraint per generator: a*u_0 + b*sum(u_1..) = 0.
+    Callers have ruled out chi1, so some constraint is nonzero.
     """
-    constraints = []
-    for row in basis_rows:
-        c = row[0]
-        d = sum(row[1:], start=Fraction(0))
-        if c != 0 or d != 0:
-            constraints.append((c, d))
-    if not constraints:
-        # V contains the whole plane; chi1 is a wedge point
-        return chi1(n).values
-    c0, d0 = constraints[0]
-    if any(c * d0 != d * c0 for c, d in constraints[1:]):
+    constraints = [(row[0], sum(row[1:])) for row in rows]
+    c0, d0 = next(cd for cd in constraints if cd != (0, 0))
+    if any(c * d0 != d * c0 for c, d in constraints):
         return None  # constraints of rank 2: V meets P trivially
     a, b = -d0, c0
     for sa, sb in ((a, b), (-a, -b)):
-        if sb >= 0 and sa <= sb and (sa, sb) != (0, 0):
+        if sb >= 0 and sa <= sb:
             return (sa,) + (sb,) * (n - 1)
     return None
 
@@ -189,38 +182,37 @@ def kernel_finiteness(
     """Finiteness type of N = (preimage in G of the lattice L), G' <= N.
 
     `lattice_rows` are integer generators of L inside Z^n (any rank).  The
-    decision is exact: the rational annihilator V of L is intersected with
-    the Sigma^1 complement {[chi1], [chi2]} and with the Sigma^m complement
-    wedge.  "infinity" is certified when V misses the wedge entirely --
-    unconditionally for n = 2, under the conjecture flag for n >= 3
-    (without the flag the certified type stops at 2).
+    decision is exact and runs in integer arithmetic: the annihilator V of
+    L is intersected with the Sigma^1 complement {[chi1], [chi2]} and with
+    the Sigma^m complement wedge.  "infinity" is certified when V misses
+    the wedge entirely -- unconditionally for n = 2, under the conjecture
+    flag for n >= 3 (without the flag the certified type stops at 2).
+    Certified finite types are capped at m_max >= 1.
     """
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
     if not lattice_rows:
         raise ValueError("need at least one lattice generator")
     n = len(lattice_rows[0])
     if n < 2 or any(len(r) != n for r in lattice_rows):
         raise ValueError("lattice rows must all have length n >= 2")
-    rows = [[Fraction(x) for x in r] for r in lattice_rows]
+    rows = [list(map(int, r)) for r in lattice_rows]
 
-    if rational_rank(rows) == n:
+    if rank(rows, n) == n:
         return FinitenessReport(True, "infinity", None, False)
 
     # not finitely generated iff chi1 or chi2 annihilates L
-    for bad in (chi1(n), chi2(n)):
-        if all(
-            sum((u * v for u, v in zip(row, bad.values)), start=Fraction(0)) == 0
-            for row in rows
-        ):
-            return FinitenessReport(False, 0, bad, False)
+    for bad in ((-1,) + (0,) * (n - 1), (1,) * n):
+        if all(sum(u * v for u, v in zip(row, bad)) == 0 for row in rows):
+            return FinitenessReport(False, 0, character(n, bad), False)
 
     wedge_vec = _wedge_meet(n, rows)
     if wedge_vec is not None:
         # finitely generated, but some vanishing character leaves Sigma^2
-        return FinitenessReport(True, min(1, m_max), Character(n, wedge_vec), False)
+        return FinitenessReport(True, 1, character(n, wedge_vec), False)
 
     if n == 2:
         return FinitenessReport(True, "infinity", None, False)
     if assume_conjecture:
         return FinitenessReport(True, "infinity", None, True)
     return FinitenessReport(True, min(2, m_max), None, False)
-

@@ -200,6 +200,8 @@ def _parse_chain(text: str) -> lattices.ChainSpec:
             p = int(param)
         except ValueError as exc:
             raise ParseError(f"bad chain parameter {param!r}") from exc
+        if p < 2:
+            raise ParseError(f"argument --chain: must be >= 2, got {p}")
         return lattices.ChainSpec(kind, p=p)
     raise ParseError(f"unknown chain kind {kind!r} (use scaling:p or coordinate:p)")
 
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify-kernel", _cmd_classify_kernel, help="finiteness type of a kernel subgroup")
     p.add_argument("--lattice", required=True, help="row-major integer entries")
-    p.add_argument("--m-max", type=int, default=16)
+    p.add_argument("--m-max", type=positive, default=16)
     p.add_argument("--assume-sigma-m", action="store_true")
 
     p = add("auto-matrix", _cmd_auto_matrix, help="shift or flip matrix on characters")
@@ -280,18 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("orbit", _cmd_orbit, help="orbit of a sphere point under shift and flip")
     p.add_argument("--chi", required=True)
-    p.add_argument("--cap", type=int, default=1024)
+    p.add_argument("--cap", type=positive, default=1024)
 
     p = add("subgroups", _cmd_subgroups, help="all subgroup lattices up to an index")
     p.add_argument("--max-index", type=positive, required=True)
 
     p = add("cells", _cmd_cells, help="exact cell counts for an n = 2 subgroup")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--m", type=int, default=complexes.DEFAULT_DIM_CAP)
+    p.add_argument("--m", type=nonnegative, default=complexes.DEFAULT_DIM_CAP)
 
     p = add("bounds", _cmd_bounds, help="generator and deficiency bounds")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--m", type=int, default=complexes.DEFAULT_DIM_CAP)
+    p.add_argument("--m", type=nonnegative, default=complexes.DEFAULT_DIM_CAP)
     p.add_argument("--d0-override", type=positive)
 
     p = add("gradient", _cmd_gradient, help="gradient series along a chain")

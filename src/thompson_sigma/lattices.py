@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from ._linalg import integer_kernel
+from ._linalg import eliminate, integer_kernel
 from .charspace import Character
 from .errors import DomainError, RankDeficientError, ResourceLimitError, ZeroCharacterError
 
@@ -59,23 +59,10 @@ def hnf(rows, arity: int | None = None) -> SubgroupLattice:
     if n < 2 or any(len(r) != n for r in work):
         raise ValueError("rows must all have length n >= 2")
 
-    pivot_rows: dict[int, list[int]] = {}
-    for col in range(n - 1, -1, -1):
-        while True:
-            live = [i for i in range(len(work)) if work[i][col] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: abs(work[i][col]))
-            base = work[live[0]]
-            for i in live[1:]:
-                q = work[i][col] // base[col]
-                work[i] = [a - q * b for a, b in zip(work[i], base)]
-        live = [i for i in range(len(work)) if work[i][col] != 0]
-        if not live:
-            raise RankDeficientError(f"rows do not span coordinate {col}")
-        pivot_rows[col] = work.pop(live[0])
-
-    basis = [pivot_rows[c] for c in range(n)]
+    basis = eliminate(work, range(n - 1, -1, -1))[0][::-1]
+    if None in basis:
+        missing = max(i for i, row in enumerate(basis) if row is None)
+        raise RankDeficientError(f"rows do not span coordinate {missing}")
     for i in range(n):
         if basis[i][i] < 0:
             basis[i] = [-x for x in basis[i]]

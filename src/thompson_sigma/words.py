@@ -39,6 +39,9 @@ DEFAULT_INDEX_CAP = 1 << 16
 
 _TOKEN_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
+# `parse_word` refuses words that expand to more letters than this.
+MAX_WORD_LETTERS = 1 << 20
+
 # `normal_form` rewrites runs of this many letters left to right and
 # multiplies their forms.  On 1600-letter words runs of 32, 64 or 128
 # letters took 5.0-6.0 ms, runs of 16 or 256 letters 5.9-7.6 ms, and one
@@ -124,7 +127,9 @@ def parse_word(arity: int, text: str) -> GroupWord:
     """Parse whitespace-separated tokens `x<k>`, `x<k>^-1`, `x<k>^<e>`.
 
     Integer exponents expand to |e| letters of the matching sign; e = 0
-    contributes nothing.  The empty string is the identity.
+    contributes nothing.  The empty string is the identity.  A word of more
+    than MAX_WORD_LETTERS letters raises ResourceLimitError before the
+    token that crosses the budget is expanded.
     """
     letters: list[GeneratorLetter] = []
     for token in text.split():
@@ -133,8 +138,11 @@ def parse_word(arity: int, text: str) -> GroupWord:
             raise ParseError(f"bad word token {token!r}")
         index = int(m.group(1))
         exp = 1 if m.group(2) is None else int(m.group(2))
-        sign = 1 if exp >= 0 else -1
-        letters.extend(GeneratorLetter(index, sign) for _ in range(abs(exp)))
+        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+            raise ResourceLimitError(
+                f"word exceeds the budget of {MAX_WORD_LETTERS} letters"
+            )
+        letters.extend([GeneratorLetter(index, 1 if exp >= 0 else -1)] * abs(exp))
     return GroupWord(arity, tuple(letters))
 
 

@@ -86,3 +86,21 @@ def sequential_multiply(
     for k in v.negative:
         _push_negative(pos, neg, k, u.arity, index_cap)
     return SeminormalForm(u.arity, tuple(pos), tuple(neg))
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q by reduced row echelon form in Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [v / m[rank][c] for v in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank

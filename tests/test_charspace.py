@@ -191,6 +191,13 @@ class TestKernelFiniteness:
             assert flagged.max_certified_f_type == "infinity"
             assert flagged.assumed_conjecture
 
+    def test_m_max_below_one(self):
+        for m_max in (0, -3):
+            with pytest.raises(ValueError, match="m_max must be >= 1"):
+                kernel_finiteness([[1, 1]], m_max=m_max)
+        assert kernel_finiteness([[1, 1]], m_max=1).max_certified_f_type == 1
+        assert kernel_finiteness([[1, 0, 0], [0, 0, 1]], m_max=1).max_certified_f_type == 1
+
     def test_n2_wedge_missed_is_f_infinity_unconditionally(self):
         # annihilator of Z(1,-2) is spanned by (2,1): outside the wedge
         report = kernel_finiteness([[1, -2]])

@@ -3,6 +3,7 @@
 import json
 
 from thompson_sigma.cli import main
+from thompson_sigma.words import MAX_WORD_LETTERS
 
 
 def run(capsys, *argv):
@@ -237,10 +238,29 @@ class TestExitCodes:
             ("bounds", "--n", "3", "--lattice", "2,0,0,0,2,0,0,0,1", "--d0-override", "0"),
             ("gradient", "--n", "3", "--kind", "rg", "--chain", "scaling:2", "--d0-override", "0"),
             ("gradient", "--n", "2", "--kind", "chi", "--chain", "scaling:2", "--m", "-1"),
+            ("gradient", "--n", "2", "--kind", "rg", "--chain", "scaling:1"),
+            ("gradient", "--n", "2", "--kind", "rg", "--chain", "coordinate:0"),
+            ("gradient", "--n", "2", "--kind", "rg", "--chain", "scaling:-3"),
+            ("cells", "--n", "2", "--lattice", "2,0,0,2", "--m", "-1"),
+            ("bounds", "--n", "2", "--lattice", "2,0,0,2", "--m", "-1"),
+            ("classify-kernel", "--n", "2", "--lattice", "2,0,0,2", "--m-max", "0"),
+            ("classify-kernel", "--n", "2", "--lattice", "2,0,0,2", "--m-max", "-3"),
+            ("orbit", "--n", "2", "--chi", "-1,0", "--cap", "0"),
+            ("orbit", "--n", "2", "--chi", "-1,0", "--cap", "-1"),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, ""), argv
             assert err.startswith(f"usage error: argument {argv[-2]}: must be >= "), argv
+
+    def test_domain_error_word_budget(self, capsys):
+        over = MAX_WORD_LETTERS + 1
+        for argv in (
+            ("normalize", "--n", "2", "--word", f"x1^{over}"),
+            ("eq", "--n", "2", "--u", "x0", "--v", f"x0 x1^{MAX_WORD_LETTERS}"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: word exceeds the budget"), argv
 
     def test_usage_error_bad_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("THOMPSON_SIGMA_MAX_INDEX", "abc")

@@ -12,6 +12,7 @@ from thompson_sigma import plrep
 from thompson_sigma.errors import ArityMismatchError, ParseError, ResourceLimitError
 from thompson_sigma.words import (
     _LEAF,
+    MAX_WORD_LETTERS,
     GroupWord,
     SeminormalForm,
     abelianize,
@@ -454,6 +455,14 @@ class TestTextSyntax:
     def test_bad_tokens(self):
         for text in ("y0", "x", "x1^", "x-1", "x1 ^2"):
             with pytest.raises(ParseError):
+                parse_word(2, text)
+
+    def test_letter_budget(self):
+        # only inputs just past the budget: the check runs before a token
+        # expands, so none of these builds a long word
+        over = MAX_WORD_LETTERS + 1
+        for text in (f"x1^{over}", f"x0^-{over}", f"x0 x1^{MAX_WORD_LETTERS}", f"x2^-1 x0^-{MAX_WORD_LETTERS}"):
+            with pytest.raises(ResourceLimitError, match=f"budget of {MAX_WORD_LETTERS} letters"):
                 parse_word(2, text)
 
     def test_format_round_trip(self):
