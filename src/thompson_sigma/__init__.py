@@ -74,5 +74,20 @@ from .words import (
     word,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Character", "FinitenessReport", "SpherePoint", "character", "chi1", "chi2",
+    "in_sigma1", "in_sigma_m", "kernel_finiteness", "sphere_point",
+    "AffineTail", "BoundReport", "CellVector", "cell_vector",
+    "cells_for_subgroup_F", "chi_m", "d_bound", "deficiency_bounds",
+    "graph_of_groups_cells", "hnn_cells", "stack_cells",
+    "GradientRow", "GradientSeries", "certify_convergence", "chi_m_gradient_series",
+    "deficiency_gradient_series", "rank_gradient_series",
+    "ChainSpec", "SubgroupLattice", "alpha", "chain", "enumerate_subgroups", "hnf",
+    "index", "intersect_with_M", "restrict_character",
+    "PLMap", "compose", "evaluate_word", "generator_map", "invert_map",
+    "maps_equal",
+    "GeneratorLetter", "GroupWord", "SeminormalForm", "abelianize", "are_equal",
+    "format_word", "invert", "multiply", "normal_form", "parse_word",
+    "rewrite_to_seminormal", "word",
+]
 __version__ = "0.1.0"

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charspace import Character, SpherePoint, sphere_point
-from .errors import DomainError, InvariantViolationError, ResourceLimitError
-from .words import GeneratorLetter, GroupWord
+from .errors import DomainError, ResourceLimitError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -144,37 +143,6 @@ def order_of(mat: CharacterMatrix, cap: int = 64) -> int | None:
             return k
         acc = mat_mul(acc, mat)
     return None
-
-
-def phi_on_word(w: GroupWord, k: int = 1) -> GroupWord:
-    """Apply the shift k >= 0 times: indices >= 1 move up by k, x_0 is fixed."""
-    if k < 0:
-        raise DomainError("only nonnegative shift powers act on words")
-    letters = tuple(
-        GeneratorLetter(l.index + k if l.index >= 1 else 0, l.exponent)
-        for l in w.letters
-    )
-    return GroupWord(w.arity, letters)
-
-
-def reduction_identity_check(n: int, rho: Character) -> Character:
-    """A^(n-3) C applied to a character with rho(x_0) = rho(x_{n-1}).
-
-    Returns rho0 and checks the structural identity rho0(x_1) = 0 used to
-    step the generator-bound recursion down one rank.
-    """
-    if n < 3:
-        raise DomainError(f"the reduction needs n >= 3, got {n}")
-    if rho.arity != n:
-        raise DomainError(f"character arity {rho.arity} != {n}")
-    if rho.values[0] != rho.values[n - 1]:
-        raise DomainError("need rho(x_0) = rho(x_{n-1})")
-    rho0 = apply(mat_mul(mat_pow(matrix_A(n), n - 3), matrix_C(n)), rho)
-    if rho0.values[1] != 0:
-        raise InvariantViolationError(
-            f"reduction produced rho0(x_1) = {rho0.values[1]} != 0"
-        )
-    return rho0
 
 
 def d_orbit(point: SpherePoint, cap: int = 1024) -> frozenset[SpherePoint]:

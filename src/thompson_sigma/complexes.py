@@ -34,7 +34,6 @@ characteristic, checked nonnegative; `deficiency_bounds` gives
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import DomainError, InvariantViolationError
 from .lattices import SubgroupLattice, member
@@ -165,11 +164,6 @@ def classical_f_cells() -> CellVector:
 def ones_cells() -> CellVector:
     """One cell in every dimension: a K(finite cyclic, 1)."""
     return cell_vector((1,), AffineTail(0, 1, 0))
-
-
-def binomial_cells(k: int) -> CellVector:
-    """The k-torus complex for Z^k: (k choose j) cells in dimension j."""
-    return cell_vector(tuple(comb(k, j) for j in range(k + 1)))
 
 
 # The two n = 2 answers, derived once.  Cases 1-2: HNN over the classical

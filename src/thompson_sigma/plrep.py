@@ -20,6 +20,16 @@ for this choice.
 Breakpoint lists are minimized after every operation (collinear interior
 points dropped), so two maps are equal as functions iff their breakpoint
 tuples are equal.
+
+`compose(f, g)` is one walk over g's segments with a pointer into f's
+breakpoints: O(|f| + |g|) `Fraction` operations, then one minimizing pass.
+`evaluate_word` multiplies the letter maps pairwise, level by level (the
+tree shape of `words.normal_form`), so a word of L letters takes O(log L)
+levels of compositions, each linear in the sizes of its operands, where a
+left fold makes L compositions with a growing left factor.  On seeded
+n = 2 words with indices below 7 (medians, 2-vCPU shared machine) it took
+16 ms at L = 50, 70 ms at L = 200 and 270 ms at L = 800; a left fold of
+composing by evaluating f(g(x)) at every point took 77 ms, 590 ms and 7.2 s.
 """
 
 from __future__ import annotations
@@ -28,14 +38,27 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
-from .errors import ArityMismatchError
+from .errors import ArityMismatchError, ResourceLimitError
 from .words import GroupWord
 
 Breakpoint = tuple[Fraction, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# `generator_map` and `evaluate_word` refuse generator indices above this.
+# Building the vines of x_i takes time about quadratic in i: for n = 2,
+# 4 ms at i = 64, 19 ms at i = 256 and 104 ms at i = 1024.
+MAX_PL_INDEX = 256
+
+
+def _check_index(i: int) -> None:
+    if i > MAX_PL_INDEX:
+        raise ResourceLimitError(
+            f"generator index {i} exceeds the PL budget of {MAX_PL_INDEX}"
+        )
 
 
 def _minimized(points: list[Breakpoint]) -> tuple[Breakpoint, ...]:
@@ -96,7 +119,7 @@ def evaluate_at(f: PLMap, t: Fraction) -> Fraction:
     if not (_ZERO <= t <= _ONE):
         raise ValueError(f"point {t} outside [0,1]")
     bps = f.breakpoints
-    k = bisect_right([x for x, _ in bps], t) - 1
+    k = bisect_right(bps, t, key=itemgetter(0)) - 1
     if k == len(bps) - 1:
         return bps[-1][1]
     x0, y0 = bps[k]
@@ -110,13 +133,40 @@ def invert_map(f: PLMap) -> PLMap:
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
-    """Exact composition f o g (apply g first), minimized."""
+    """Exact composition f o g (apply g first), minimized.
+
+    One walk over g's segments with a pointer into f's breakpoints.  The
+    walk emits, in order of input, g's breakpoints and the g-preimages of
+    f's breakpoints, each with its image under f o g; an f-breakpoint that
+    lands exactly on a g-breakpoint's image is emitted once.
+    """
     if f.arity != g.arity:
         raise ArityMismatchError(f"arity {f.arity} vs {g.arity}")
-    ginv = invert_map(g)
-    xs = {x for x, _ in g.breakpoints}
-    xs.update(evaluate_at(ginv, x) for x, _ in f.breakpoints)
-    points = [(x, evaluate_at(f, evaluate_at(g, x))) for x in sorted(xs)]
+    fb, gb = f.breakpoints, g.breakpoints
+    points = [(_ZERO, _ZERO)]
+    k = 1  # fb[k] is the first f-breakpoint not yet passed
+    u0, v0 = fb[0]
+    u1, v1 = fb[1]
+    f_slope = (v1 - v0) / (u1 - u0)
+    for j in range(1, len(gb)):
+        x0, y0 = gb[j - 1]
+        x1, y1 = gb[j]
+        inverse_slope = (x1 - x0) / (y1 - y0)
+        while u1 < y1:  # f-breakpoints inside g's segment, by g's inverse
+            points.append((x0 + (u1 - y0) * inverse_slope, v1))
+            k += 1
+            u0, v0 = u1, v1
+            u1, v1 = fb[k]
+            f_slope = (v1 - v0) / (u1 - u0)
+        if u1 == y1:  # coincident breakpoints: advance both walks
+            points.append((x1, v1))
+            if k + 1 < len(fb):
+                k += 1
+                u0, v0 = u1, v1
+                u1, v1 = fb[k]
+                f_slope = (v1 - v0) / (u1 - u0)
+        else:
+            points.append((x1, v0 + (y1 - u0) * f_slope))
     return plmap(f.arity, points)
 
 
@@ -143,6 +193,7 @@ def generator_map(n: int, i: int) -> PLMap:
         raise ValueError(f"arity must be >= 2, got {n}")
     if i < 0:
         raise ValueError(f"generator index must be >= 0, got {i}")
+    _check_index(i)
     q, _ = divmod(i, n - 1)
     domain = _vine_points(n, q + 2)
     rng = _vine_points(n, q + 1)
@@ -153,14 +204,23 @@ def generator_map(n: int, i: int) -> PLMap:
 
 
 def evaluate_word(w: GroupWord) -> PLMap:
-    """Image of a word under the representation; empty word -> identity."""
-    acc = identity_map(w.arity)
-    for let in w.letters:
-        m = generator_map(w.arity, let.index)
-        if let.exponent == -1:
-            m = invert_map(m)
-        acc = compose(acc, m)
-    return acc
+    """Image of a word under the representation; empty word -> identity.
+
+    The letter maps are multiplied pairwise, level by level.  A letter
+    index above MAX_PL_INDEX raises ResourceLimitError before any map is
+    built.
+    """
+    _check_index(max((let.index for let in w.letters), default=0))
+    maps = [
+        invert_map(generator_map(w.arity, let.index))
+        if let.exponent == -1
+        else generator_map(w.arity, let.index)
+        for let in w.letters
+    ] or [identity_map(w.arity)]
+    while len(maps) > 1:
+        odd = maps[-1:] if len(maps) % 2 else []
+        maps = [compose(maps[i], maps[i + 1]) for i in range(0, len(maps) - 1, 2)] + odd
+    return maps[0]
 
 
 def maps_equal(f: PLMap, g: PLMap) -> bool:

@@ -42,6 +42,11 @@ _TOKEN_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 # `parse_word` refuses words that expand to more letters than this.
 MAX_WORD_LETTERS = 1 << 20
 
+# `parse_word` refuses an index or exponent of more digits than this, before
+# turning it into an integer (CPython's `int` refuses strings of more than
+# 4300 digits with a plain ValueError).
+MAX_TOKEN_DIGITS = 100
+
 # `normal_form` rewrites runs of this many letters left to right and
 # multiplies their forms.  On 1600-letter words runs of 32, 64 or 128
 # letters took 5.0-6.0 ms, runs of 16 or 256 letters 5.9-7.6 ms, and one
@@ -129,13 +134,18 @@ def parse_word(arity: int, text: str) -> GroupWord:
     Integer exponents expand to |e| letters of the matching sign; e = 0
     contributes nothing.  The empty string is the identity.  A word of more
     than MAX_WORD_LETTERS letters raises ResourceLimitError before the
-    token that crosses the budget is expanded.
+    token that crosses the budget is expanded.  An index or exponent of more
+    than MAX_TOKEN_DIGITS digits raises ParseError.
     """
     letters: list[GeneratorLetter] = []
     for token in text.split():
         m = _TOKEN_RE.match(token)
         if not m:
             raise ParseError(f"bad word token {token!r}")
+        if max(len(m.group(1)), len((m.group(2) or "").lstrip("-"))) > MAX_TOKEN_DIGITS:
+            raise ParseError(
+                f"word token has more than {MAX_TOKEN_DIGITS} digits in its index or exponent"
+            )
         index = int(m.group(1))
         exp = 1 if m.group(2) is None else int(m.group(2))
         if len(letters) + abs(exp) > MAX_WORD_LETTERS:

@@ -1,10 +1,23 @@
 """Independent oracles the tests check the package against."""
 
+from bisect import bisect_right
 from fractions import Fraction
+from math import comb
 
-from thompson_sigma.errors import ArityMismatchError, ResourceLimitError
+from thompson_sigma.autos import apply, mat_mul, mat_pow, matrix_A, matrix_C
+from thompson_sigma.charspace import Character
+from thompson_sigma.complexes import CellVector, cell_vector
+from thompson_sigma.errors import (
+    ArityMismatchError,
+    DomainError,
+    InvariantViolationError,
+    ResourceLimitError,
+)
+from thompson_sigma.plrep import PLMap, generator_map, identity_map, invert_map, plmap
 from thompson_sigma.words import (
     DEFAULT_INDEX_CAP,
+    GeneratorLetter,
+    GroupWord,
     SeminormalForm,
     _push_negative,
     _push_positive,
@@ -104,3 +117,72 @@ def rational_rank(rows) -> int:
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def pointwise_evaluate(f: PLMap, t: Fraction) -> Fraction:
+    """f(t) by bisecting a freshly built list of breakpoint inputs."""
+    bps = f.breakpoints
+    k = bisect_right([x for x, _ in bps], t) - 1
+    if k == len(bps) - 1:
+        return bps[-1][1]
+    x0, y0 = bps[k]
+    x1, y1 = bps[k + 1]
+    return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+
+
+def pointwise_compose(f: PLMap, g: PLMap) -> PLMap:
+    """Reference f o g: evaluate f(g(x)) at the sorted union of g's
+    breakpoints and the g-preimages of f's breakpoints, then minimize."""
+    if f.arity != g.arity:
+        raise ArityMismatchError(f"arity {f.arity} vs {g.arity}")
+    ginv = invert_map(g)
+    xs = {x for x, _ in g.breakpoints}
+    xs.update(pointwise_evaluate(ginv, x) for x, _ in f.breakpoints)
+    points = [(x, pointwise_evaluate(f, pointwise_evaluate(g, x))) for x in sorted(xs)]
+    return plmap(f.arity, points)
+
+
+def left_fold_evaluate(w: GroupWord) -> PLMap:
+    """Reference word map: compose the letter maps left to right."""
+    acc = identity_map(w.arity)
+    for let in w.letters:
+        m = generator_map(w.arity, let.index)
+        if let.exponent == -1:
+            m = invert_map(m)
+        acc = pointwise_compose(acc, m)
+    return acc
+
+
+def phi_on_word(w: GroupWord, k: int = 1) -> GroupWord:
+    """Apply the shift k >= 0 times: indices >= 1 move up by k, x_0 is fixed."""
+    if k < 0:
+        raise DomainError("only nonnegative shift powers act on words")
+    letters = tuple(
+        GeneratorLetter(l.index + k if l.index >= 1 else 0, l.exponent)
+        for l in w.letters
+    )
+    return GroupWord(w.arity, letters)
+
+
+def reduction_identity_check(n: int, rho: Character) -> Character:
+    """A^(n-3) C applied to a character with rho(x_0) = rho(x_{n-1}).
+
+    Returns rho0 and checks the structural identity rho0(x_1) = 0.
+    """
+    if n < 3:
+        raise DomainError(f"the reduction needs n >= 3, got {n}")
+    if rho.arity != n:
+        raise DomainError(f"character arity {rho.arity} != {n}")
+    if rho.values[0] != rho.values[n - 1]:
+        raise DomainError("need rho(x_0) = rho(x_{n-1})")
+    rho0 = apply(mat_mul(mat_pow(matrix_A(n), n - 3), matrix_C(n)), rho)
+    if rho0.values[1] != 0:
+        raise InvariantViolationError(
+            f"reduction produced rho0(x_1) = {rho0.values[1]} != 0"
+        )
+    return rho0
+
+
+def binomial_cells(k: int) -> CellVector:
+    """The k-torus complex for Z^k: (k choose j) cells in dimension j."""
+    return cell_vector(tuple(comb(k, j) for j in range(k + 1)))

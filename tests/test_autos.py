@@ -15,13 +15,13 @@ from thompson_sigma.autos import (
     matrix_A,
     matrix_C,
     order_of,
-    phi_on_word,
-    reduction_identity_check,
     rho0_cycle_power,
 )
 from thompson_sigma.charspace import character, chi1, chi2, evaluate, sphere_point
 from thompson_sigma.errors import DomainError
 from thompson_sigma.words import parse_word, word
+
+from oracles import phi_on_word, reduction_identity_check
 
 
 def det(mat: CharacterMatrix) -> Fraction:

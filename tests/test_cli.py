@@ -3,7 +3,8 @@
 import json
 
 from thompson_sigma.cli import main
-from thompson_sigma.words import MAX_WORD_LETTERS
+from thompson_sigma.plrep import MAX_PL_INDEX
+from thompson_sigma.words import MAX_TOKEN_DIGITS, MAX_WORD_LETTERS
 
 
 def run(capsys, *argv):
@@ -261,6 +262,36 @@ class TestExitCodes:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: word exceeds the budget"), argv
+
+    def test_usage_error_digit_budget(self, capsys):
+        for digits in (MAX_TOKEN_DIGITS + 1, 5000):
+            big = "9" * digits
+            for argv in (
+                ("normalize", "--n", "2", "--word", f"x{big}"),
+                ("normalize", "--n", "2", "--word", f"x1^{big}"),
+                ("eval-pl", "--n", "2", "--word", f"x0 x1^-{big}"),
+                ("eq", "--n", "2", "--u", "x0", "--v", f"x{big}"),
+            ):
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (1, ""), argv
+                assert err.startswith("usage error: word token has more than"), argv
+
+    def test_domain_error_below_digit_budget(self, capsys):
+        # numbers the digit budget lets through still end in a budget error
+        for argv in (
+            ("normalize", "--n", "2", "--word", "x1^99999999999"),
+            ("normalize", "--n", "2", "--word", "x1^" + "9" * MAX_TOKEN_DIGITS),
+            ("normalize", "--n", "2", "--word", "x" + "9" * MAX_TOKEN_DIGITS),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: "), argv
+
+    def test_domain_error_pl_index_budget(self, capsys):
+        for word in (f"x{MAX_PL_INDEX + 1}", f"x0 x{MAX_PL_INDEX + 1}^-1 x0"):
+            code, out, err = run(capsys, "eval-pl", "--n", "2", "--word", word)
+            assert (code, out) == (2, ""), word
+            assert err == f"error: generator index {MAX_PL_INDEX + 1} exceeds the PL budget of {MAX_PL_INDEX}\n"
 
     def test_usage_error_bad_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("THOMPSON_SIGMA_MAX_INDEX", "abc")

@@ -5,7 +5,6 @@ import pytest
 from thompson_sigma.complexes import (
     AffineTail,
     BoundReport,
-    binomial_cells,
     cell_vector,
     cells_for_subgroup_F,
     chi_m,
@@ -19,6 +18,8 @@ from thompson_sigma.complexes import (
 )
 from thompson_sigma.errors import DomainError, InvariantViolationError
 from thompson_sigma.lattices import enumerate_subgroups, full_lattice, hnf
+
+from oracles import binomial_cells
 
 
 def values(vec, upto):

@@ -1,13 +1,18 @@
 """The exact PL representation: relations, group laws, slope structure."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from thompson_sigma.errors import ArityMismatchError
+from thompson_sigma import plrep
+from thompson_sigma.errors import ArityMismatchError, ResourceLimitError
 from thompson_sigma.plrep import (
+    MAX_PL_INDEX,
     compose,
+    evaluate_at,
     evaluate_word,
     generator_map,
     identity_map,
@@ -15,9 +20,21 @@ from thompson_sigma.plrep import (
     maps_equal,
     plmap,
 )
-from thompson_sigma.words import identity_word, word
+from thompson_sigma.words import identity_word, parse_word, word
 
-from oracles import is_power_of
+from oracles import is_power_of, left_fold_evaluate, pointwise_compose, pointwise_evaluate
+
+GOLDEN = Path(__file__).parent / "data" / "plrep_golden.json"
+
+
+def random_map(rng, n, length, top):
+    letters = [(rng.randrange(top), rng.choice((1, -1))) for _ in range(length)]
+    return evaluate_word(word(n, letters))
+
+
+def coincident_breakpoints(f, g):
+    """Interior f-breakpoints that land exactly on the image of a g-breakpoint."""
+    return {u for u, _ in f.breakpoints[1:-1]} & {y for _, y in g.breakpoints[1:-1]}
 
 
 def test_defining_relation_n2():
@@ -147,3 +164,99 @@ def test_quadruple_serialization():
     assert quads[0] == ["0", "1", "0", "1"]
     assert quads[1] == ["1", "2", "1", "4"]
     assert all(len(q) == 4 and all(isinstance(s, str) for s in q) for q in quads)
+
+
+class TestComposeOracle:
+    """The one-walk `compose` against the pointwise oracle."""
+
+    def test_seeded_pairs(self, monkeypatch):
+        # the walk emits every point once, in increasing order, before the
+        # minimizing pass; a coincident breakpoint emitted twice would be
+        # dropped again by that pass, so check the emitted points themselves
+        minimized = plrep._minimized
+
+        def checked(points):
+            assert all(p[0] < q[0] and p[1] < q[1] for p, q in zip(points, points[1:]))
+            return minimized(points)
+
+        rng = random.Random(6)
+        coincident = 0
+        for k in range(300):
+            n = 2 + k % 3
+            f = random_map(rng, n, rng.randint(0, 12), 6)
+            g = random_map(rng, n, rng.randint(0, 12), 6)
+            coincident += bool(coincident_breakpoints(f, g))
+            with monkeypatch.context() as m:
+                m.setattr(plrep, "_minimized", checked)
+                got = compose(f, g)
+            assert got.breakpoints == pointwise_compose(f, g).breakpoints, (n, f, g)
+        assert coincident > 100  # the branch where both walks advance is exercised
+
+    def test_identity_and_inverse_operands(self):
+        rng = random.Random(7)
+        for k in range(90):
+            n = 2 + k % 3
+            f = random_map(rng, n, rng.randint(1, 16), 7)
+            one = identity_map(n)
+            for a, b in ((f, one), (one, f), (one, one), (f, invert_map(f)), (invert_map(f), f)):
+                assert compose(a, b).breakpoints == pointwise_compose(a, b).breakpoints
+            assert maps_equal(compose(f, invert_map(f)), one)
+            assert len(coincident_breakpoints(f, invert_map(f))) == len(f.breakpoints) - 2
+
+    def test_coincident_breakpoints(self):
+        # x_0 o x_1 at n = 2: x_1 sends its breakpoints 1/2 to 1/2 and 7/8
+        # to 3/4, both breakpoints of x_0
+        f, g = generator_map(2, 0), generator_map(2, 1)
+        assert coincident_breakpoints(f, g) == {Fraction(1, 2), Fraction(3, 4)}
+        assert compose(f, g).breakpoints == pointwise_compose(f, g).breakpoints
+
+
+class TestEvaluateWord:
+    def test_matches_left_fold(self):
+        rng = random.Random(8)
+        for k in range(90):
+            n = 2 + k % 3
+            w = word(n, [(rng.randrange(7), rng.choice((1, -1))) for _ in range(rng.randint(0, 20))])
+            assert evaluate_word(w).breakpoints == left_fold_evaluate(w).breakpoints, w
+
+    def test_golden_quadruples(self):
+        # 200 seeded words (n = 2, 3; up to 200 letters, indices below 8)
+        # with the quadruples of the left fold of the pointwise composition
+        cases = json.loads(GOLDEN.read_text())
+        assert len(cases) == 200
+        for case in cases:
+            w = parse_word(case["n"], case["word"])
+            assert evaluate_word(w).to_quadruples() == case["quadruples"], case["word"]
+
+    def test_evaluate_at_matches_oracle(self):
+        rng = random.Random(10)
+        for k in range(60):
+            f = random_map(rng, 2 + k % 3, rng.randint(0, 10), 6)
+            points = [x for x, _ in f.breakpoints]
+            points += [Fraction(rng.randint(0, 999), 999) for _ in range(10)]
+            for t in points:
+                assert evaluate_at(f, t) == pointwise_evaluate(f, t) == f(t)
+        with pytest.raises(ValueError):
+            evaluate_at(identity_map(2), Fraction(3, 2))
+
+
+class TestIndexBudget:
+    def test_generator_map(self, monkeypatch):
+        assert evaluate_word(word(2, [(MAX_PL_INDEX, 1)])) == generator_map(2, MAX_PL_INDEX)
+
+        def no_vine(*args):
+            raise AssertionError("vine built past the budget")
+
+        monkeypatch.setattr(plrep, "_vine_points", no_vine)
+        for n in (2, 3):
+            with pytest.raises(ResourceLimitError, match=f"index {MAX_PL_INDEX + 1} exceeds"):
+                generator_map(n, MAX_PL_INDEX + 1)
+
+    def test_evaluate_word_checks_before_any_map(self, monkeypatch):
+        def no_map(*args):
+            raise AssertionError("map built before the budget check")
+
+        monkeypatch.setattr(plrep, "generator_map", no_map)
+        w = word(2, [(0, 1), (MAX_PL_INDEX + 1, -1), (1, 1)])
+        with pytest.raises(ResourceLimitError, match=f"PL budget of {MAX_PL_INDEX}"):
+            evaluate_word(w)

@@ -12,6 +12,7 @@ from thompson_sigma import plrep
 from thompson_sigma.errors import ArityMismatchError, ParseError, ResourceLimitError
 from thompson_sigma.words import (
     _LEAF,
+    MAX_TOKEN_DIGITS,
     MAX_WORD_LETTERS,
     GroupWord,
     SeminormalForm,
@@ -463,6 +464,20 @@ class TestTextSyntax:
         over = MAX_WORD_LETTERS + 1
         for text in (f"x1^{over}", f"x0^-{over}", f"x0 x1^{MAX_WORD_LETTERS}", f"x2^-1 x0^-{MAX_WORD_LETTERS}"):
             with pytest.raises(ResourceLimitError, match=f"budget of {MAX_WORD_LETTERS} letters"):
+                parse_word(2, text)
+
+    def test_digit_budget(self):
+        # tokens just past the budget, and past CPython's 4300-digit limit
+        # for `int`, raise ParseError for the index and for the exponent
+        for digits in (MAX_TOKEN_DIGITS + 1, 5000):
+            big = "9" * digits
+            for text in (f"x{big}", f"x0 x{big}^-1", f"x1^{big}", f"x1^-{big}", f"x{'0' * digits}"):
+                with pytest.raises(ParseError, match=f"more than {MAX_TOKEN_DIGITS} digits"):
+                    parse_word(2, text)
+        at_budget = "1" + "0" * (MAX_TOKEN_DIGITS - 1)
+        assert parse_word(2, f"x{at_budget}") == w2((10 ** (MAX_TOKEN_DIGITS - 1), 1))
+        for text in (f"x1^{at_budget}", f"x1^-{at_budget}"):
+            with pytest.raises(ResourceLimitError, match="budget of"):
                 parse_word(2, text)
 
     def test_format_round_trip(self):
