@@ -111,15 +111,6 @@ def mat_mul(a: CharacterMatrix, b: CharacterMatrix) -> CharacterMatrix:
     return CharacterMatrix(n, rows)
 
 
-def mat_pow(mat: CharacterMatrix, k: int) -> CharacterMatrix:
-    if k < 0:
-        raise ValueError(f"power must be >= 0, got {k}")
-    acc = identity_matrix(mat.arity)
-    for _ in range(k):
-        acc = mat_mul(acc, mat)
-    return acc
-
-
 def apply(mat: CharacterMatrix, chi: Character) -> Character:
     """Matrix-vector product on the character's value vector."""
     if mat.arity != chi.arity:

@@ -4,11 +4,15 @@ Output is deterministic JSON (or CSV for gradient series) so scripts and
 the acceptance harness can compare bytes.  Rationals are rendered "p/q".
 Exit codes: 0 success, 1 usage errors, 2 domain errors such as a missing
 conjecture flag or an enumeration cap.
+
+Each command returns its output, a string or a JSON payload, and `main`
+prints it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,15 +24,11 @@ from .errors import DomainError, ParseError
 ENV_MAX_INDEX = "THOMPSON_SIGMA_MAX_INDEX"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage problems; this artifact reserves 2 for
     # domain errors, so remap through an exception.
     def error(self, message):
-        raise _UsageError(message)
+        raise ParseError(message)
 
 
 def _frac(q: Fraction) -> str:
@@ -69,76 +69,62 @@ def nonnegative(text: str) -> int:
     return _at_least(0, text)
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload))
-
-
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args):
     w = words.parse_word(args.n, args.word)
-    print(words.format_word(words.normal_form(w).to_word()))
-    return 0
+    return words.format_word(words.normal_form(w).to_word())
 
 
-def _cmd_mul(args) -> int:
+def _cmd_mul(args):
     u = words.rewrite_to_seminormal(words.parse_word(args.n, args.u))
     v = words.rewrite_to_seminormal(words.parse_word(args.n, args.v))
-    print(words.format_word(words.multiply(u, v).to_word()))
-    return 0
+    return words.format_word(words.multiply(u, v).to_word())
 
 
-def _cmd_eq(args) -> int:
+def _cmd_eq(args):
     u = words.parse_word(args.n, args.u)
     v = words.parse_word(args.n, args.v)
-    _emit({"equal": words.are_equal(u, v)})
-    return 0
+    return {"equal": words.are_equal(u, v)}
 
 
-def _cmd_eval_pl(args) -> int:
+def _cmd_eval_pl(args):
     w = words.parse_word(args.n, args.word)
-    _emit(plrep.evaluate_word(w).to_quadruples())
-    return 0
+    return plrep.evaluate_word(w).to_quadruples()
 
 
-def _cmd_sigma(args) -> int:
+def _cmd_sigma(args):
     chi = charspace.parse_character(args.n, args.chi)
     result = charspace.in_sigma_m(chi, args.m, assume_conjecture=args.assume_sigma_m)
-    _emit({"inSigma": result})
-    return 0
+    return {"inSigma": result}
 
 
-def _cmd_classify_kernel(args) -> int:
+def _cmd_classify_kernel(args):
     rows = _parse_lattice(args.n, args.lattice)
     report = charspace.kernel_finiteness(
         rows, m_max=args.m_max, assume_conjecture=args.assume_sigma_m
     )
-    _emit(
-        {
-            "isFinitelyGenerated": report.is_finitely_generated,
-            "maxCertifiedFType": report.max_certified_f_type,
-            "witness": None
-            if report.witness is None
-            else [_frac(v) for v in report.witness.values],
-            "assumedConjecture": report.assumed_conjecture,
-        }
-    )
-    return 0
+    return {
+        "isFinitelyGenerated": report.is_finitely_generated,
+        "maxCertifiedFType": report.max_certified_f_type,
+        "witness": None
+        if report.witness is None
+        else [_frac(v) for v in report.witness.values],
+        "assumedConjecture": report.assumed_conjecture,
+    }
 
 
-def _cmd_auto_matrix(args) -> int:
+def _cmd_auto_matrix(args):
     mat = autos.matrix_A(args.n) if args.which == "A" else autos.matrix_C(args.n)
-    _emit([list(row) for row in mat.entries])
-    return 0
+    return [list(row) for row in mat.entries]
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args):
     chi = charspace.parse_character(args.n, args.chi)
     orbit = autos.d_orbit(charspace.sphere_point(chi), cap=args.cap)
     points = sorted(p.values for p in orbit)
-    _emit([[_frac(v) for v in values] for values in points])
-    return 0
+    return [[_frac(v) for v in values] for values in points]
 
 
-def _cmd_subgroups(args) -> int:
+def _cmd_subgroups(args):
     cap_text = os.environ.get(ENV_MAX_INDEX)
     try:
         cap = None if cap_text is None else int(cap_text)
@@ -149,48 +135,35 @@ def _cmd_subgroups(args) -> int:
             f"--max-index {args.max_index} exceeds {ENV_MAX_INDEX}={cap_text}"
         )
     found = lattices.enumerate_subgroups(args.n, args.max_index)
-    _emit([[entry for row in lat.basis for entry in row] for lat in found])
-    return 0
+    return [[entry for row in lat.basis for entry in row] for lat in found]
 
 
-def _tail_payload(vec: complexes.CellVector):
-    if vec.tail is None:
-        return None
-    return {"slope": vec.tail.slope, "offset": vec.tail.offset, "start": vec.tail.start}
-
-
-def _cmd_cells(args) -> int:
+def _cmd_cells(args):
     lat = lattices.hnf(_parse_lattice(args.n, args.lattice), arity=args.n)
     vec, case = complexes.cells_for_subgroup_F(lat)
-    _emit(
-        {
-            "counts": list(vec.prefix(args.m)),
-            "tail": _tail_payload(vec),
-            "case": case,
-        }
-    )
-    return 0
+    return {
+        "counts": list(vec.prefix(args.m)),
+        "tail": None if vec.tail is None else dataclasses.asdict(vec.tail),
+        "case": case,
+    }
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     lat = lattices.hnf(_parse_lattice(args.n, args.lattice), arity=args.n)
     report = complexes.d_bound(
         lat, d0_override=args.d0_override, chi_upto=args.m
     )
-    _emit(
-        {
-            "dUpper": report.d_upper
-            if report.d_upper is not None
-            else report.d_upper_symbolic,
-            "caseTag": report.case_tag,
-            "defLower": report.def_lower,
-            "defUpper": report.def_upper,
-            "chiValues": None
-            if report.chi_values is None
-            else list(report.chi_values),
-        }
-    )
-    return 0
+    return {
+        "dUpper": report.d_upper
+        if report.d_upper is not None
+        else report.d_upper_symbolic,
+        "caseTag": report.case_tag,
+        "defLower": report.def_lower,
+        "defUpper": report.def_upper,
+        "chiValues": None
+        if report.chi_values is None
+        else list(report.chi_values),
+    }
 
 
 def _parse_chain(text: str) -> lattices.ChainSpec:
@@ -206,7 +179,7 @@ def _parse_chain(text: str) -> lattices.ChainSpec:
     raise ParseError(f"unknown chain kind {kind!r} (use scaling:p or coordinate:p)")
 
 
-def _cmd_gradient(args) -> int:
+def _cmd_gradient(args):
     spec = _parse_chain(args.chain)
     if args.kind == "rg":
         series = gradients.rank_gradient_series(
@@ -221,26 +194,21 @@ def _cmd_gradient(args) -> int:
         return _frac(row.upper) if row.upper is not None else row.upper_symbolic
 
     if args.format == "csv":
-        print("s,index,lower,upper")
-        for row in series.rows:
-            print(f"{row.s},{row.index},{_frac(row.lower)},{upper_text(row)}")
-    else:
-        _emit(
+        lines = [f"{row.s},{row.index},{_frac(row.lower)},{upper_text(row)}" for row in series.rows]
+        return "\n".join(["s,index,lower,upper", *lines])
+    return {
+        "kind": series.kind,
+        "m": series.m,
+        "rows": [
             {
-                "kind": series.kind,
-                "m": series.m,
-                "rows": [
-                    {
-                        "s": row.s,
-                        "index": row.index,
-                        "lower": _frac(row.lower),
-                        "upper": upper_text(row),
-                    }
-                    for row in series.rows
-                ],
+                "s": row.s,
+                "index": row.index,
+                "lower": _frac(row.lower),
+                "upper": upper_text(row),
             }
-        )
-    return 0
+            for row in series.rows
+        ],
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,16 +299,15 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_fuse_value_flags(list(argv)))
-        return args.fn(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        out = args.fn(args)
     except ParseError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(out if isinstance(out, str) else json.dumps(out))
+    return 0
 
 
 if __name__ == "__main__":

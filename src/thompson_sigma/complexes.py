@@ -122,8 +122,6 @@ def _combine(parts, value_fn) -> CellVector:
         raise DomainError("combined cell counts are not eventually affine")
     slope = d[0]
     offset = vals[horizon] - slope * horizon
-    if slope == 0 and offset == 0:
-        return cell_vector(vals[: horizon + 1])
     return cell_vector(vals[: horizon + 1], AffineTail(slope, offset, horizon))
 
 
@@ -248,45 +246,25 @@ def d_bound(
     n >= 3 otherwise: d(H) <= n + 2 + d0, symbolic unless overridden.
     """
     n = lat.arity
+    symbolic = def_lower = chi_values = None
     if n == 2:
         cells, case = cells_for_subgroup_F(lat)
-        lower, upper = deficiency_bounds(cells, n)
-        return BoundReport(
-            d_upper=cells.value(1),
-            d_upper_symbolic=None,
-            case_tag=f"cells-case-{case}",
-            def_lower=lower,
-            def_upper=upper,
-            chi_values=tuple(chi_m(cells, m) for m in range(chi_upto + 1)),
-        )
-    basis_vectors = [
-        tuple(1 if c == i else 0 for c in range(n)) for i in range(1, n)
-    ]
-    if all(member(lat, v) for v in basis_vectors):
-        return BoundReport(
-            d_upper=n + 1,
-            d_upper_symbolic=None,
-            case_tag="m-contained",
-            def_lower=None,
-            def_upper=n,
-            chi_values=None,
-        )
-    if d0_override is not None:
+        d_upper, tag = cells.value(1), f"cells-case-{case}"
+        def_lower, _ = deficiency_bounds(cells, n)
+        chi_values = tuple(chi_m(cells, m) for m in range(chi_upto + 1))
+    elif all(member(lat, tuple(int(c == i) for c in range(n))) for i in range(1, n)):
+        d_upper, tag = n + 1, "m-contained"
+    elif d0_override is not None:
         if d0_override < 1:
             raise ValueError(f"d0 override must be >= 1, got {d0_override}")
-        return BoundReport(
-            d_upper=n + 2 + d0_override,
-            d_upper_symbolic=None,
-            case_tag="generic",
-            def_lower=None,
-            def_upper=n,
-            chi_values=None,
-        )
+        d_upper, tag = n + 2 + d0_override, "generic"
+    else:
+        d_upper, symbolic, tag = None, f"{n + 2}+d0", "generic"
     return BoundReport(
-        d_upper=None,
-        d_upper_symbolic=f"{n + 2}+d0",
-        case_tag="generic",
-        def_lower=None,
+        d_upper=d_upper,
+        d_upper_symbolic=symbolic,
+        case_tag=tag,
+        def_lower=def_lower,
         def_upper=n,
-        chi_values=None,
+        chi_values=chi_values,
     )

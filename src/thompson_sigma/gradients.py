@@ -51,11 +51,10 @@ class GradientSeries:
     rows: tuple[GradientRow, ...]
 
 
-def _chain_terms(spec: ChainSpec, n: int, steps: int):
-    count = steps if steps is not None else spec.length
-    if count is None or count < 1:
+def _chain_terms(spec: ChainSpec, n: int, steps: int | None):
+    if steps is None or steps < 1:
         raise ValueError("need a positive number of chain steps")
-    for s in range(count):
+    for s in range(steps):
         lat = chain(spec, s, n)
         yield s, lat, lat.index()
 

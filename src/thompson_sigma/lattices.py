@@ -191,7 +191,6 @@ class ChainSpec:
 
     kind: str
     p: int | None = None
-    length: int | None = None
     terms: tuple[SubgroupLattice, ...] | None = None
 
     def __post_init__(self):

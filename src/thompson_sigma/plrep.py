@@ -23,10 +23,10 @@ tuples are equal.
 
 `compose(f, g)` is one walk over g's segments with a pointer into f's
 breakpoints: O(|f| + |g|) `Fraction` operations, then one minimizing pass.
-`evaluate_word` multiplies the letter maps pairwise, level by level (the
-tree shape of `words.normal_form`), so a word of L letters takes O(log L)
-levels of compositions, each linear in the sizes of its operands, where a
-left fold makes L compositions with a growing left factor.  On seeded
+`evaluate_word` composes the letter maps in the product tree of
+`words.normal_form`, so a word of L letters takes O(log L) levels of
+compositions, each linear in the sizes of its operands, where a left fold
+makes L compositions with a growing left factor.  On seeded
 n = 2 words with indices below 7 (medians, 2-vCPU shared machine) it took
 16 ms at L = 50, 70 ms at L = 200 and 270 ms at L = 800; a left fold of
 composing by evaluating f(g(x)) at every point took 77 ms, 590 ms and 7.2 s.
@@ -41,24 +41,27 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .errors import ArityMismatchError, ResourceLimitError
-from .words import GroupWord
+from .words import GroupWord, _pairwise_product
 
 Breakpoint = tuple[Fraction, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# `generator_map` and `evaluate_word` refuse generator indices above this.
-# Building the vines of x_i takes time about quadratic in i: for n = 2,
-# 4 ms at i = 64, 19 ms at i = 256 and 104 ms at i = 1024.
+# `generator_map` and `evaluate_word` refuse an arity n or a generator
+# index above this.  Building the vines of x_i takes time about quadratic
+# in i: for n = 2, 4 ms at i = 64, 19 ms at i = 256 and 104 ms at i = 1024.
+# It is linear in n, as each caret cuts n - 1 points: x_0 took 12 ms at
+# n = 256, 100 ms at n = 2000 and 1.5 s at n = 20000 (2-vCPU machine).
 MAX_PL_INDEX = 256
 
 
-def _check_index(i: int) -> None:
-    if i > MAX_PL_INDEX:
-        raise ResourceLimitError(
-            f"generator index {i} exceeds the PL budget of {MAX_PL_INDEX}"
-        )
+def _check_budget(n: int, i: int) -> None:
+    for what, value in (("arity", n), ("generator index", i)):
+        if value > MAX_PL_INDEX:
+            raise ResourceLimitError(
+                f"{what} {value} exceeds the PL budget of {MAX_PL_INDEX}"
+            )
 
 
 def _minimized(points: list[Breakpoint]) -> tuple[Breakpoint, ...]:
@@ -193,7 +196,7 @@ def generator_map(n: int, i: int) -> PLMap:
         raise ValueError(f"arity must be >= 2, got {n}")
     if i < 0:
         raise ValueError(f"generator index must be >= 0, got {i}")
-    _check_index(i)
+    _check_budget(n, i)
     q, _ = divmod(i, n - 1)
     domain = _vine_points(n, q + 2)
     rng = _vine_points(n, q + 1)
@@ -206,21 +209,17 @@ def generator_map(n: int, i: int) -> PLMap:
 def evaluate_word(w: GroupWord) -> PLMap:
     """Image of a word under the representation; empty word -> identity.
 
-    The letter maps are multiplied pairwise, level by level.  A letter
-    index above MAX_PL_INDEX raises ResourceLimitError before any map is
-    built.
+    An arity or a letter index above MAX_PL_INDEX raises
+    ResourceLimitError before any map is built.
     """
-    _check_index(max((let.index for let in w.letters), default=0))
+    _check_budget(w.arity, max((let.index for let in w.letters), default=0))
     maps = [
         invert_map(generator_map(w.arity, let.index))
         if let.exponent == -1
         else generator_map(w.arity, let.index)
         for let in w.letters
     ] or [identity_map(w.arity)]
-    while len(maps) > 1:
-        odd = maps[-1:] if len(maps) % 2 else []
-        maps = [compose(maps[i], maps[i + 1]) for i in range(0, len(maps) - 1, 2)] + odd
-    return maps[0]
+    return _pairwise_product(maps, compose)
 
 
 def maps_equal(f: PLMap, g: PLMap) -> bool:

@@ -393,6 +393,14 @@ def _reduce(pos: list[int], neg: list[int], n: int):
     neg[:b] = [v - shift for v in inner_neg]
 
 
+def _pairwise_product(items: list, op):
+    """Product of the non-empty `items` under `op`, pairwise, level by level."""
+    while len(items) > 1:
+        odd = items[-1:] if len(items) % 2 else []
+        items = [op(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)] + odd
+    return items[0]
+
+
 def normal_form(
     w: GroupWord, *, index_cap: int = DEFAULT_INDEX_CAP
 ) -> SeminormalForm:
@@ -416,13 +424,7 @@ def normal_form(
         _rewrite(letters[i : i + _LEAF], n, index_cap)
         for i in range(0, len(letters) or 1, _LEAF)
     ]
-    while len(forms) > 1:
-        odd = forms[-1:] if len(forms) % 2 else []
-        forms = [
-            _merge(forms[i], forms[i + 1], n - 1, index_cap)
-            for i in range(0, len(forms) - 1, 2)
-        ] + odd
-    pos, neg = forms[0]
+    pos, neg = _pairwise_product(forms, lambda u, v: _merge(u, v, n - 1, index_cap))
     _reduce(pos, neg, n)
     return SeminormalForm(n, tuple(pos), tuple(neg))
 

@@ -4,7 +4,14 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
-from thompson_sigma.autos import apply, mat_mul, mat_pow, matrix_A, matrix_C
+from thompson_sigma.autos import (
+    CharacterMatrix,
+    apply,
+    identity_matrix,
+    mat_mul,
+    matrix_A,
+    matrix_C,
+)
 from thompson_sigma.charspace import Character
 from thompson_sigma.complexes import CellVector, cell_vector
 from thompson_sigma.errors import (
@@ -162,6 +169,16 @@ def phi_on_word(w: GroupWord, k: int = 1) -> GroupWord:
         for l in w.letters
     )
     return GroupWord(w.arity, letters)
+
+
+def mat_pow(mat: CharacterMatrix, k: int) -> CharacterMatrix:
+    """mat^k for k >= 0, by k multiplications."""
+    if k < 0:
+        raise ValueError(f"power must be >= 0, got {k}")
+    acc = identity_matrix(mat.arity)
+    for _ in range(k):
+        acc = mat_mul(acc, mat)
+    return acc
 
 
 def reduction_identity_check(n: int, rho: Character) -> Character:

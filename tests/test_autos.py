@@ -11,7 +11,6 @@ from thompson_sigma.autos import (
     delta_involution,
     identity_matrix,
     mat_mul,
-    mat_pow,
     matrix_A,
     matrix_C,
     order_of,
@@ -21,7 +20,7 @@ from thompson_sigma.charspace import character, chi1, chi2, evaluate, sphere_poi
 from thompson_sigma.errors import DomainError
 from thompson_sigma.words import parse_word, word
 
-from oracles import phi_on_word, reduction_identity_check
+from oracles import mat_pow, phi_on_word, reduction_identity_check
 
 
 def det(mat: CharacterMatrix) -> Fraction:

@@ -69,6 +69,8 @@ class TestBasics:
             parse_character(2, "1")
         with pytest.raises(ParseError):
             parse_character(2, "a,b")
+        with pytest.raises(ParseError):
+            parse_character(2, "1/0,1")
 
     def test_sphere_point_normalization(self):
         assert sphere_point(character(2, (-2, 0))) == sphere_point(chi1(2))

@@ -1,16 +1,34 @@
 """CLI surface: outputs, determinism, exit codes, the enumeration cap."""
 
+import csv
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thompson_sigma.cli import main
 from thompson_sigma.plrep import MAX_PL_INDEX
-from thompson_sigma.words import MAX_TOKEN_DIGITS, MAX_WORD_LETTERS
+from thompson_sigma.words import MAX_TOKEN_DIGITS, MAX_WORD_LETTERS, parse_word
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class TestGoldens:
+    def test_stdout_bytes(self, capsys):
+        # one argv per subcommand, the empty word, CSV and every bounds case tag
+        for case in json.loads(GOLDEN.read_text()):
+            assert run(capsys, *case["argv"]) == (0, case["stdout"], ""), case["argv"]
 
 
 class TestWordCommands:
@@ -220,10 +238,11 @@ class TestExitCodes:
         assert run(capsys, "normalize", "--n", "2", "--word", "y0")[0] == 1
 
     def test_usage_error_bad_chain(self, capsys):
-        code, _, _ = run(
-            capsys, "gradient", "--n", "2", "--kind", "rg", "--chain", "weird:2"
-        )
-        assert code == 1
+        for chain in ("weird:2", "scaling", "coordinate:x", "scaling:2:3"):
+            code, _, _ = run(
+                capsys, "gradient", "--n", "2", "--kind", "rg", "--chain", chain
+            )
+            assert code == 1, chain
 
     def test_usage_error_arity_below_two(self, capsys):
         for n in ("1", "0", "-3", "two"):
@@ -293,6 +312,13 @@ class TestExitCodes:
             assert (code, out) == (2, ""), word
             assert err == f"error: generator index {MAX_PL_INDEX + 1} exceeds the PL budget of {MAX_PL_INDEX}\n"
 
+    def test_domain_error_pl_arity_budget(self, capsys):
+        over = MAX_PL_INDEX + 1
+        for word in ("x0", ""):
+            code, out, err = run(capsys, "eval-pl", "--n", str(over), "--word", word)
+            assert (code, out) == (2, ""), word
+            assert err == f"error: arity {over} exceeds the PL budget of {MAX_PL_INDEX}\n"
+
     def test_usage_error_bad_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("THOMPSON_SIGMA_MAX_INDEX", "abc")
         code, out, err = run(capsys, "subgroups", "--n", "2", "--max-index", "3")
@@ -300,5 +326,128 @@ class TestExitCodes:
         assert err.startswith("usage error: THOMPSON_SIGMA_MAX_INDEX")
 
     def test_domain_error_bad_arity_pair(self, capsys):
-        code, _, _ = run(capsys, "classify-kernel", "--n", "2", "--lattice", "1,1,1")
-        assert code == 1  # not a multiple of n: malformed input
+        # not a multiple of n, or not integers: malformed input
+        for lattice in ("1,1,1", "1,x", "1,,2"):
+            code, _, _ = run(capsys, "classify-kernel", "--n", "2", "--lattice", lattice)
+            assert code == 1, lattice
+
+
+_HUGE = "9" * 4301  # just past CPython's 4300-digit limit on `int` of a string
+_INTS = st.integers(0, 6).map(str) | st.sampled_from([" 3", "+2"])
+_BAD_INTS = st.sampled_from(["x", "-1", "", "1.5", "2/3", "1e2", "0x10", _HUGE, "-" + _HUGE])
+_RATIONALS = st.integers(-3, 3).map(str) | st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3))
+_BAD_RATIONALS = st.sampled_from(["1/0", "x", "3/-2", "/", "nan", "inf", "1/" + _HUGE, _HUGE + "/7"])
+_LETTERS = st.builds("x{}^{}".format, st.integers(0, 6), st.integers(-2, 2))
+_BAD_LETTERS = st.sampled_from(["y0", "x", "x-1", "x1^", "x1^99999999999", "x" + _HUGE, "x1^-" + _HUGE])
+
+
+def _joined(values, count, sep=","):
+    return st.lists(values, min_size=count, max_size=count).map(sep.join)
+
+
+# Each option maps to (valid values, malformed values), or to a function of
+# the arity n that returns them; (None, None) marks a flag without a value.
+_FLAG = (None, None)
+_NUMBERS = (_INTS, _BAD_INTS)
+_WORDS = (
+    st.integers(0, 5).flatmap(lambda k: _joined(_LETTERS, k, " ")),
+    st.integers(1, 5).flatmap(lambda k: _joined(_LETTERS | _BAD_LETTERS, k, " ")),
+)
+
+
+def _characters(n):
+    return _joined(_RATIONALS, n), _joined(_BAD_RATIONALS | _RATIONALS, n) | _joined(_RATIONALS, n + 1)
+
+
+def _lattices(n):
+    return (
+        st.sampled_from([n - 1, n]).flatmap(lambda rows: _joined(_INTS, rows * n)),
+        _joined(_BAD_INTS | _INTS, n * n)
+        | _joined(_INTS, n + 1)
+        | st.sampled_from(["", ",", "1,,2", "1;0;0;1"]),
+    )
+
+
+_OPTIONS = {
+    "normalize": {"--word": _WORDS},
+    "mul": {"--u": _WORDS, "--v": _WORDS},
+    "eq": {"--u": _WORDS, "--v": _WORDS},
+    "eval-pl": {"--word": _WORDS},
+    "sigma": {"--chi": _characters, "--m": _NUMBERS, "--assume-sigma-m": _FLAG},
+    "classify-kernel": {"--lattice": _lattices, "--m-max": _NUMBERS, "--assume-sigma-m": _FLAG},
+    "auto-matrix": {"--which": (st.sampled_from(["A", "C"]), st.sampled_from(["B", ""]))},
+    "orbit": {"--chi": _characters, "--cap": (st.integers(1, 64).map(str), _BAD_INTS)},
+    "subgroups": {"--max-index": _NUMBERS},
+    "cells": {"--lattice": _lattices, "--m": _NUMBERS},
+    "bounds": {"--lattice": _lattices, "--m": _NUMBERS, "--d0-override": _NUMBERS},
+    "gradient": {
+        "--kind": (st.sampled_from(["rg", "dg", "chi"]), st.just("xx")),
+        "--m": _NUMBERS,
+        "--chain": (
+            st.builds("{}:{}".format, st.sampled_from(["scaling", "coordinate"]), st.integers(2, 5)),
+            st.sampled_from(["coordinate:x", "scaling", ":", "scaling:1", "scaling:2:3", "explicit:1",
+                             "spiral:2", "scaling:" + _HUGE]),
+        ),
+        "--steps": _NUMBERS,
+        "--format": (st.sampled_from(["json", "csv"]), st.just("xml")),
+        "--d0-override": _NUMBERS,
+    },
+}
+_BAD_ARITIES = st.sampled_from(["1", "0", "-3", "two", "", _HUGE])
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, THOMPSON_SIGMA_MAX_INDEX or None): a valid call, or one with one fault.
+
+    The fault is a malformed or dropped option, a junk argument, or a set
+    environment variable.
+    """
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    n = draw(st.integers(2, 4))
+    options = {**_OPTIONS[command], "--n": (st.just(str(n)), _BAD_ARITIES)}
+    fault = draw(st.sampled_from([*_OPTIONS[command], None, None, "--n", "junk", "env"]))
+    argv = [command]
+    for flag, values in options.items():
+        good, bad = values(n) if callable(values) else values
+        if good is None:
+            if draw(st.booleans()):
+                argv.append(flag)
+        elif flag != fault:
+            argv += [flag, draw(good)]
+        elif draw(st.integers(0, 3)):  # else the faulty option is dropped
+            argv += [flag, draw(bad)]
+    if fault == "junk":
+        argv += draw(st.sampled_from([["--bogus"], ["extra"], ["--n"], ["--m", "1"]]))
+    env = draw(st.sampled_from(["5", "abc", _HUGE])) if fault == "env" else None
+    return argv, env
+
+
+class TestErrorContractFuzz:
+    @given(_invocations())
+    @settings(max_examples=500, deadline=None)
+    def test_exit_codes_and_streams(self, invocation):
+        argv, env = invocation
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+            os.environ.pop("THOMPSON_SIGMA_MAX_INDEX", None)
+            if env is not None:
+                os.environ["THOMPSON_SIGMA_MAX_INDEX"] = env
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err
+        if code != 0:
+            assert code in (1, 2)
+            assert out == ""
+            assert err.startswith("usage error: " if code == 1 else "error: ")
+            return
+        assert err == ""
+        assert out.endswith("\n")
+        if argv[0] in ("normalize", "mul"):
+            parse_word(int(argv[argv.index("--n") + 1]), out)
+        elif argv[0] == "gradient" and "csv" in argv:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0] == ["s", "index", "lower", "upper"]
+            assert all(len(row) == 4 for row in rows)
+        else:
+            json.loads(out)

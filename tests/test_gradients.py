@@ -46,6 +46,16 @@ class TestRankGradient:
         series = rank_gradient_series(SCALING2, 3, steps=3, d0_override=2)
         assert series.rows[1].upper == Fraction(3 + 2 + 2 - 1, 8)
 
+    def test_steps_required(self):
+        for steps in (None, 0):
+            for build in (
+                lambda: rank_gradient_series(SCALING2, 2, steps),
+                lambda: deficiency_gradient_series(SCALING2, 2, steps),
+                lambda: chi_m_gradient_series(SCALING2, 2, 2, steps),
+            ):
+                with pytest.raises(ValueError, match="positive number of chain steps"):
+                    build()
+
 
 class TestDeficiencyGradient:
     def test_scaling_rows(self):

@@ -260,3 +260,18 @@ class TestIndexBudget:
         w = word(2, [(0, 1), (MAX_PL_INDEX + 1, -1), (1, 1)])
         with pytest.raises(ResourceLimitError, match=f"PL budget of {MAX_PL_INDEX}"):
             evaluate_word(w)
+
+    def test_arity(self, monkeypatch):
+        assert evaluate_word(word(MAX_PL_INDEX, [(1, 1)])) == generator_map(MAX_PL_INDEX, 1)
+
+        def no_map(*args):
+            raise AssertionError("map built before the budget check")
+
+        monkeypatch.setattr(plrep, "_vine_points", no_map)
+        with pytest.raises(ResourceLimitError, match=f"arity {MAX_PL_INDEX + 1} exceeds"):
+            generator_map(MAX_PL_INDEX + 1, 0)
+        monkeypatch.setattr(plrep, "generator_map", no_map)
+        monkeypatch.setattr(plrep, "identity_map", no_map)
+        for letters in ([], [(0, 1), (1, -1)]):
+            with pytest.raises(ResourceLimitError, match=f"arity {MAX_PL_INDEX + 1} exceeds"):
+                evaluate_word(word(MAX_PL_INDEX + 1, letters))
