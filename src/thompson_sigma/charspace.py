@@ -83,10 +83,12 @@ def character(arity: int, values) -> Character:
 
 
 def parse_character(arity: int, text: str) -> Character:
-    """Parse a comma-separated rational vector like `-1,0` or `1/2,3`."""
+    """Parse a comma-separated rational vector like `-1,0` or `1/2,3` (no `1e3`)."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != arity:
         raise ParseError(f"expected {arity} comma-separated values, got {len(parts)}")
+    if "e" in text.lower():  # Fraction would expand 1e999999999 exactly
+        raise ParseError(f"bad rational vector {text!r}: values take no exponent (e or E)")
     try:
         return Character(arity, tuple(Fraction(p) for p in parts))
     except (ValueError, ZeroDivisionError) as exc:

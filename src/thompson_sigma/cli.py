@@ -55,8 +55,14 @@ def _at_least(low: int, text: str) -> int:
 
 
 def arity(text: str) -> int:
-    """argparse type of --n: an integer n >= 2."""
-    return _at_least(2, text)
+    """argparse type of --n: an integer n >= 2 within the PL budget.
+
+    An n above plrep.MAX_PL_INDEX raises ResourceLimitError, which argparse
+    does not catch, so every subcommand exits 2 on it.
+    """
+    n = _at_least(2, text)
+    plrep._check_budget(n, 0)
+    return n
 
 
 def positive(text: str) -> int:
@@ -168,15 +174,10 @@ def _cmd_bounds(args):
 
 def _parse_chain(text: str) -> lattices.ChainSpec:
     kind, _, param = text.partition(":")
-    if kind in ("scaling", "coordinate"):
-        try:
-            p = int(param)
-        except ValueError as exc:
-            raise ParseError(f"bad chain parameter {param!r}") from exc
-        if p < 2:
-            raise ParseError(f"argument --chain: must be >= 2, got {p}")
-        return lattices.ChainSpec(kind, p=p)
-    raise ParseError(f"unknown chain kind {kind!r} (use scaling:p or coordinate:p)")
+    try:
+        return lattices.ChainSpec(kind, p=int(param))
+    except ValueError as exc:
+        raise ParseError(f"argument --chain: {exc}") from exc
 
 
 def _cmd_gradient(args):

@@ -35,6 +35,10 @@ from .errors import DomainError, RankDeficientError, ResourceLimitError, ZeroCha
 
 IntRows = tuple[tuple[int, ...], ...]
 
+# `enumerate_subgroups` refuses more lattices than this by default.  The
+# largest enumeration of the tests and benchmarks makes 84,552, at (3, 50).
+MAX_LATTICES = 2**20
+
 
 @dataclass(frozen=True)
 class SubgroupLattice:
@@ -158,26 +162,47 @@ def _bases_of_index(n: int, rows: tuple, remaining: int):
             yield from _bases_of_index(n, (*rows, below + (d,) + zeros), remaining // d)
 
 
+def _basis_count(n: int, max_index: int, cap: int) -> int:
+    # The number of HNF bases of index <= max_index, the sum over pivot
+    # sequences (d_0, ..., d_{n-1}) with product <= max_index of
+    # prod d_i^(n-1-i), or a number past cap as soon as the count passes it.
+    # Index k has at least k bases (pivot k in row n - 2), hence the floor.
+    if max_index * (max_index + 1) // 2 > cap:
+        return cap + 1
+    # ways[m]: the weighted choices of the last pivots with product m; each
+    # pass takes one more pivot and lowers no total
+    ways = [0] + [1] * max_index
+    for e in range(1, n):
+        taken = [0] * (max_index + 1)
+        for d in range(1, max_index + 1):
+            for m in range(1, max_index // d + 1):
+                taken[d * m] += d**e * ways[m]
+        ways = taken
+        if sum(ways) > cap:
+            break
+    return sum(ways)
+
+
 def enumerate_subgroups(
-    n: int, max_index: int, *, cap: int | None = None
+    n: int, max_index: int, *, cap: int = MAX_LATTICES
 ) -> list[SubgroupLattice]:
     """All HNF lattices of index <= max_index, each exactly once.
 
     Generated in (index, basis) order: index 1, 2, ..., and within one
-    index lexicographically by basis.  `cap` bounds the number of lattices
-    produced (ResourceLimitError beyond it).
+    index lexicographically by basis.  When there are more than `cap`
+    lattices, ResourceLimitError is raised before the first is built.
     """
     if n < 2:
         raise ValueError(f"arity must be >= 2, got {n}")
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
-    found: list[SubgroupLattice] = []
-    for k in range(1, max_index + 1):
-        for basis in _bases_of_index(n, (), k):
-            if cap is not None and len(found) >= cap:
-                raise ResourceLimitError(f"enumeration exceeds cap of {cap} lattices")
-            found.append(SubgroupLattice(n, basis))
-    return found
+    if _basis_count(n, max_index, cap) > cap:
+        raise ResourceLimitError(f"enumeration exceeds cap of {cap} lattices")
+    return [
+        SubgroupLattice(n, basis)
+        for k in range(1, max_index + 1)
+        for basis in _bases_of_index(n, (), k)
+    ]
 
 
 @dataclass(frozen=True)
@@ -196,7 +221,7 @@ class ChainSpec:
     def __post_init__(self):
         if self.kind in ("scaling", "coordinate"):
             if self.p is None or self.p < 2:
-                raise ValueError(f"{self.kind} chain needs p >= 2")
+                raise ValueError(f"must be >= 2, got {self.p} (p of a {self.kind} chain)")
         elif self.kind == "explicit":
             if not self.terms:
                 raise ValueError("explicit chain needs at least one term")

@@ -21,15 +21,17 @@ Breakpoint lists are minimized after every operation (collinear interior
 points dropped), so two maps are equal as functions iff their breakpoint
 tuples are equal.
 
-`compose(f, g)` is one walk over g's segments with a pointer into f's
-breakpoints: O(|f| + |g|) `Fraction` operations, then one minimizing pass.
-`evaluate_word` composes the letter maps in the product tree of
-`words.normal_form`, so a word of L letters takes O(log L) levels of
-compositions, each linear in the sizes of its operands, where a left fold
-makes L compositions with a growing left factor.  On seeded
-n = 2 words with indices below 7 (medians, 2-vCPU shared machine) it took
-16 ms at L = 50, 70 ms at L = 200 and 270 ms at L = 800; a left fold of
-composing by evaluating f(g(x)) at every point took 77 ms, 590 ms and 7.2 s.
+`compose(f, g)` walks g's segments keeping one pointer k into f's
+breakpoints and no other state: an f-breakpoint is pulled back through the
+g-segment it falls in, a g-breakpoint pushed through f's segment
+fb[k-1]..fb[k].  That is O(|f| + |g|) `Fraction` operations, then one
+minimizing pass.  `evaluate_word` composes the letter maps in the product
+tree of `words.normal_form`: O(log L) levels of compositions for L letters,
+each linear in its operands, where a left fold makes L compositions with a
+growing left factor.  On seeded n = 2 words with indices below 7 (medians,
+2-vCPU shared machine) it took 13 ms at L = 50, 57 ms at L = 200 and 230 ms
+at L = 800; a left fold of pointwise f(g(x)) compositions took 77 ms,
+590 ms and 7.2 s.
 """
 
 from __future__ import annotations
@@ -138,9 +140,8 @@ def invert_map(f: PLMap) -> PLMap:
 def compose(f: PLMap, g: PLMap) -> PLMap:
     """Exact composition f o g (apply g first), minimized.
 
-    One walk over g's segments with a pointer into f's breakpoints.  The
-    walk emits, in order of input, g's breakpoints and the g-preimages of
-    f's breakpoints, each with its image under f o g; an f-breakpoint that
+    The walk emits, in order of input, g's breakpoints and the g-preimages
+    of f's breakpoints with their images under f o g; an f-breakpoint that
     lands exactly on a g-breakpoint's image is emitted once.
     """
     if f.arity != g.arity:
@@ -148,39 +149,30 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     fb, gb = f.breakpoints, g.breakpoints
     points = [(_ZERO, _ZERO)]
     k = 1  # fb[k] is the first f-breakpoint not yet passed
-    u0, v0 = fb[0]
-    u1, v1 = fb[1]
-    f_slope = (v1 - v0) / (u1 - u0)
     for j in range(1, len(gb)):
         x0, y0 = gb[j - 1]
         x1, y1 = gb[j]
-        inverse_slope = (x1 - x0) / (y1 - y0)
-        while u1 < y1:  # f-breakpoints inside g's segment, by g's inverse
-            points.append((x0 + (u1 - y0) * inverse_slope, v1))
+        while fb[k][0] < y1:  # f-breakpoints inside g's segment, by g's inverse
+            u, v = fb[k]
+            points.append((x0 + (u - y0) * (x1 - x0) / (y1 - y0), v))
             k += 1
-            u0, v0 = u1, v1
-            u1, v1 = fb[k]
-            f_slope = (v1 - v0) / (u1 - u0)
+        (u0, v0), (u1, v1) = fb[k - 1], fb[k]  # f's segment holding y1
         if u1 == y1:  # coincident breakpoints: advance both walks
             points.append((x1, v1))
-            if k + 1 < len(fb):
-                k += 1
-                u0, v0 = u1, v1
-                u1, v1 = fb[k]
-                f_slope = (v1 - v0) / (u1 - u0)
+            k += 1  # past the last coincidence, (1, 1), k is not read
         else:
-            points.append((x1, v0 + (y1 - u0) * f_slope))
+            points.append((x1, v0 + (y1 - u0) * (v1 - v0) / (u1 - u0)))
     return plmap(f.arity, points)
 
 
 def _vine_points(n: int, carets: int) -> list[Fraction]:
     """Breakpoints of the subdivision cut by a right vine with `carets` carets."""
     points = [_ZERO]
-    lo, hi = _ZERO, _ONE
+    lo = _ZERO
     for _ in range(carets):
-        step = (hi - lo) / n
+        step = (_ONE - lo) / n
         points.extend(lo + r * step for r in range(1, n))
-        lo = hi - step
+        lo = _ONE - step
     points.append(_ONE)
     return points
 
@@ -197,12 +189,12 @@ def generator_map(n: int, i: int) -> PLMap:
     if i < 0:
         raise ValueError(f"generator index must be >= 0, got {i}")
     _check_budget(n, i)
-    q, _ = divmod(i, n - 1)
+    q = i // (n - 1)
     domain = _vine_points(n, q + 2)
     rng = _vine_points(n, q + 1)
     a, b = rng[i], rng[i + 1]
     step = (b - a) / n
-    rng = sorted(set(rng) | {a + t * step for t in range(1, n)})
+    rng[i + 1 : i + 1] = [a + t * step for t in range(1, n)]  # cut leaf i
     return plmap(n, list(zip(domain, rng)))
 
 

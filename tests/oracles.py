@@ -149,6 +149,28 @@ def pointwise_compose(f: PLMap, g: PLMap) -> PLMap:
     return plmap(f.arity, points)
 
 
+def set_sort_generator_map(n: int, i: int) -> PLMap:
+    """Reference x_i: the range vine's points and leaf i's n - 1 cut points
+    merged by sorting their set."""
+
+    def vine(carets):
+        points = [Fraction(0)]
+        lo, hi = Fraction(0), Fraction(1)
+        for _ in range(carets):
+            step = (hi - lo) / n
+            points.extend(lo + r * step for r in range(1, n))
+            lo = hi - step
+        points.append(Fraction(1))
+        return points
+
+    q, _ = divmod(i, n - 1)
+    domain, rng = vine(q + 2), vine(q + 1)
+    a, b = rng[i], rng[i + 1]
+    step = (b - a) / n
+    rng = sorted(set(rng) | {a + t * step for t in range(1, n)})
+    return plmap(n, list(zip(domain, rng)))
+
+
 def left_fold_evaluate(w: GroupWord) -> PLMap:
     """Reference word map: compose the letter maps left to right."""
     acc = identity_map(w.arity)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thompson_sigma import charspace
 from thompson_sigma.charspace import (
     character,
     chi1,
@@ -71,6 +72,17 @@ class TestBasics:
             parse_character(2, "a,b")
         with pytest.raises(ParseError):
             parse_character(2, "1/0,1")
+
+    def test_parse_refuses_exponents_before_fraction(self, monkeypatch):
+        assert parse_character(2, "0.5,-3").values == (Fraction(1, 2), Fraction(-3))
+
+        def no_fraction(*args):
+            raise AssertionError("Fraction saw an exponent")
+
+        monkeypatch.setattr(charspace, "Fraction", no_fraction)
+        for text in ("1e999999999,1", "2E5,0", "1,-1.5e-3"):
+            with pytest.raises(ParseError, match="exponent"):
+                parse_character(2, text)
 
     def test_sphere_point_normalization(self):
         assert sphere_point(character(2, (-2, 0))) == sphere_point(chi1(2))

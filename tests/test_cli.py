@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thompson_sigma.cli import main
+from thompson_sigma.lattices import MAX_LATTICES
 from thompson_sigma.plrep import MAX_PL_INDEX
 from thompson_sigma.words import MAX_TOKEN_DIGITS, MAX_WORD_LETTERS, parse_word
 
@@ -319,6 +320,44 @@ class TestExitCodes:
             assert (code, out) == (2, ""), word
             assert err == f"error: arity {over} exceeds the PL budget of {MAX_PL_INDEX}\n"
 
+    def test_domain_error_arity_budget_on_every_subcommand(self, capsys):
+        over = str(MAX_PL_INDEX + 1)
+        lattice = ",".join(["1"] * (MAX_PL_INDEX + 1))
+        for argv in (
+            ("normalize", "--n", over, "--word", "x0"),
+            ("mul", "--n", over, "--u", "x0", "--v", "x1"),
+            ("eq", "--n", over, "--u", "x0", "--v", "x1"),
+            ("eval-pl", "--n", over, "--word", "x0"),
+            ("sigma", "--n", over, "--chi", lattice),
+            ("classify-kernel", "--n", over, "--lattice", lattice),
+            ("auto-matrix", "--n", over, "--which", "A"),
+            ("orbit", "--n", over, "--chi", lattice),
+            ("subgroups", "--n", over, "--max-index", "1"),
+            ("cells", "--n", over, "--lattice", lattice),
+            ("bounds", "--n", over, "--lattice", lattice),
+            ("gradient", "--n", over, "--kind", "rg", "--chain", "scaling:2"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: arity {over} exceeds the PL budget of {MAX_PL_INDEX}\n", argv
+        code, out, _ = run(capsys, "auto-matrix", "--n", str(MAX_PL_INDEX), "--which", "A")
+        assert code == 0 and len(json.loads(out)) == MAX_PL_INDEX
+
+    def test_usage_error_exponent_notation(self, capsys):
+        for value in ("1e999999999", "2E5"):
+            for argv in (
+                ("sigma", "--n", "2", "--chi", f"{value},1"),
+                ("orbit", "--n", "2", "--chi", f"-1,{value}"),
+            ):
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (1, ""), argv
+                assert err.startswith("usage error: bad rational vector"), argv
+
+    def test_domain_error_enumeration_cap(self, capsys):
+        code, out, err = run(capsys, "subgroups", "--n", "5", "--max-index", "100")
+        assert (code, out) == (2, "")
+        assert err == f"error: enumeration exceeds cap of {MAX_LATTICES} lattices\n"
+
     def test_usage_error_bad_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("THOMPSON_SIGMA_MAX_INDEX", "abc")
         code, out, err = run(capsys, "subgroups", "--n", "2", "--max-index", "3")
@@ -336,7 +375,9 @@ _HUGE = "9" * 4301  # just past CPython's 4300-digit limit on `int` of a string
 _INTS = st.integers(0, 6).map(str) | st.sampled_from([" 3", "+2"])
 _BAD_INTS = st.sampled_from(["x", "-1", "", "1.5", "2/3", "1e2", "0x10", _HUGE, "-" + _HUGE])
 _RATIONALS = st.integers(-3, 3).map(str) | st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3))
-_BAD_RATIONALS = st.sampled_from(["1/0", "x", "3/-2", "/", "nan", "inf", "1/" + _HUGE, _HUGE + "/7"])
+_BAD_RATIONALS = st.sampled_from(
+    ["1/0", "x", "3/-2", "/", "nan", "inf", "1/" + _HUGE, _HUGE + "/7", "1e999999999", "2E5", "-1.5e-3"]
+)
 _LETTERS = st.builds("x{}^{}".format, st.integers(0, 6), st.integers(-2, 2))
 _BAD_LETTERS = st.sampled_from(["y0", "x", "x-1", "x1^", "x1^99999999999", "x" + _HUGE, "x1^-" + _HUGE])
 
@@ -393,7 +434,7 @@ _OPTIONS = {
         "--d0-override": _NUMBERS,
     },
 }
-_BAD_ARITIES = st.sampled_from(["1", "0", "-3", "two", "", _HUGE])
+_BAD_ARITIES = st.sampled_from(["1", "0", "-3", "two", "", _HUGE, str(MAX_PL_INDEX + 1), "1000000"])
 
 
 @st.composite

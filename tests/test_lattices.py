@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thompson_sigma import lattices
 from thompson_sigma.charspace import character, chi2
 from thompson_sigma.errors import DomainError, RankDeficientError, ResourceLimitError
 from thompson_sigma.lattices import (
+    MAX_LATTICES,
     ChainSpec,
     alpha,
     chain,
@@ -171,11 +173,35 @@ class TestEnumeration:
             enumerate_subgroups(2, 30, cap=10)
 
     def test_cap_boundary(self):
-        for n, max_index in ((2, 30), (3, 6)):
+        for n, max_index in ((2, 30), (3, 6), (4, 8), (5, 4)):
             everything = enumerate_subgroups(n, max_index)
             assert enumerate_subgroups(n, max_index, cap=len(everything)) == everything
             with pytest.raises(ResourceLimitError):
                 enumerate_subgroups(n, max_index, cap=len(everything) - 1)
+
+    def test_default_cap_refuses_before_any_lattice(self, monkeypatch):
+        def no_bases(*args):
+            raise AssertionError("lattice built past the cap")
+
+        monkeypatch.setattr(lattices, "_bases_of_index", no_bases)
+        # 4,606,849,681 and 1,704,708,877 lattices by the brute-force count
+        for n, max_index in ((5, 100), (8, 16), (2, 10**18)):
+            with pytest.raises(ResourceLimitError, match=f"cap of {MAX_LATTICES} lattices"):
+                enumerate_subgroups(n, max_index)
+
+    def test_basis_count_matches_brute_force(self):
+        def total(n, max_index):
+            return sum(brute_force_index_count(n, k) for k in range(1, max_index + 1))
+
+        for n in range(2, 6):
+            for max_index in range(1, 17):
+                exact = total(n, max_index)
+                assert lattices._basis_count(n, max_index, exact) == exact, (n, max_index)
+                caps = [exact - 1]
+                if n > 2 and max_index > 1:
+                    caps.append(total(n - 1, max_index))  # passed on the way to arity n
+                for cap in caps:
+                    assert lattices._basis_count(n, max_index, cap) > cap, (n, max_index, cap)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

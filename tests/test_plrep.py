@@ -22,7 +22,13 @@ from thompson_sigma.plrep import (
 )
 from thompson_sigma.words import identity_word, parse_word, word
 
-from oracles import is_power_of, left_fold_evaluate, pointwise_compose, pointwise_evaluate
+from oracles import (
+    is_power_of,
+    left_fold_evaluate,
+    pointwise_compose,
+    pointwise_evaluate,
+    set_sort_generator_map,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "plrep_golden.json"
 
@@ -209,6 +215,12 @@ class TestComposeOracle:
         f, g = generator_map(2, 0), generator_map(2, 1)
         assert coincident_breakpoints(f, g) == {Fraction(1, 2), Fraction(3, 4)}
         assert compose(f, g).breakpoints == pointwise_compose(f, g).breakpoints
+
+
+def test_generator_map_matches_set_and_sort():
+    for n in range(2, 7):
+        for i in range(65):
+            assert generator_map(n, i) == set_sort_generator_map(n, i), (n, i)
 
 
 class TestEvaluateWord:
