@@ -17,6 +17,17 @@ reports the computed value).  The group they generate permutes the
 character sphere preserving the Sigma complements; `d_orbit` explores
 those orbits.
 
+`d_orbit` walks primitive integer vectors, one per ray, instead of
+characters: the start point's denominators are cleared with one lcm and
+the result divided by its gcd.  A is a permutation matrix and C^2 = I, so
+both are unimodular and map a primitive vector to a primitive one (a
+common divisor of M v divides M^-1 M v = v); the walk needs no gcd and no
+division.  A has one nonzero entry per row and C at most two, so an image
+costs O(n) integer operations, and `Fraction` values appear only in the
+returned sphere points.  CLI `orbit` with chi = (1, ..., n), an orbit of
+2(n - 1) points, takes 0.007 / 0.008 / 0.024 / 0.12 / 0.36 s at
+n = 16 / 32 / 64 / 128 / 256 (medians of three runs, 2-vCPU machine).
+
 mu is not implemented on words: expressing mu(x_i) needs negative powers
 of phi on low-index generators, which the presentation does not supply.
 Only the abelianization-level matrix C is ever needed downstream.
@@ -26,9 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .charspace import Character, SpherePoint, sphere_point
-from .errors import DomainError, ResourceLimitError
+from .charspace import SpherePoint
+from .errors import DomainError, ResourceLimitError, ZeroCharacterError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -111,18 +123,6 @@ def mat_mul(a: CharacterMatrix, b: CharacterMatrix) -> CharacterMatrix:
     return CharacterMatrix(n, rows)
 
 
-def apply(mat: CharacterMatrix, chi: Character) -> Character:
-    """Matrix-vector product on the character's value vector."""
-    if mat.arity != chi.arity:
-        raise DomainError(f"matrix arity {mat.arity} vs character {chi.arity}")
-    n = mat.arity
-    values = tuple(
-        sum((mat.entries[i][j] * chi.values[j] for j in range(n)), start=Fraction(0))
-        for i in range(n)
-    )
-    return Character(n, values)
-
-
 def order_of(mat: CharacterMatrix, cap: int = 64) -> int | None:
     """Least k >= 1 with mat^k = identity, or None past the cap."""
     if cap < 1:
@@ -136,24 +136,50 @@ def order_of(mat: CharacterMatrix, cap: int = 64) -> int | None:
     return None
 
 
+def _ray(values) -> tuple[int, ...]:
+    """The primitive integer vector on the ray through a nonzero rational vector."""
+    den = lcm(*(q.denominator for q in values))
+    ints = [q.numerator * (den // q.denominator) for q in values]
+    g = gcd(*ints)
+    if g == 0:
+        raise ZeroCharacterError("zero character has no sphere point")
+    return tuple(x // g for x in ints)
+
+
+def _sparse_rows(mat: CharacterMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # the nonzero (column, entry) pairs of each row
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in mat.entries)
+
+
 def d_orbit(point: SpherePoint, cap: int = 1024) -> frozenset[SpherePoint]:
     """Orbit of a sphere point under the shift and flip matrices.
 
     Both generators have finite order, so closing under them alone closes
-    under the full group; the cap guards against runaway exploration.
+    under the full group; the cap guards against runaway exploration.  The
+    walk runs on primitive integer rays and builds the sphere points only
+    on return.  A hand-built point that is not normalized walks the ray
+    through its values: the result is the orbit of the normalized point and
+    does not contain the point itself.  Equality with the orbit of the
+    point is promised only for points that `sphere_point` produced.
     """
     n = point.arity
-    gens = (matrix_A(n), matrix_C(n))
-    seen = {point}
-    frontier = [point]
+    gens = (_sparse_rows(matrix_A(n)), _sparse_rows(matrix_C(n)))
+    start = _ray(point.values)
+    seen = {start}
+    frontier = [start]
     while frontier:
-        current = frontier.pop()
-        chi = Character(n, current.values)
-        for g in gens:
-            image = sphere_point(apply(g, chi))
+        v = frontier.pop()
+        for rows in gens:
+            image = tuple([sum([c * v[j] for j, c in row]) for row in rows])
             if image not in seen:
                 if len(seen) >= cap:
                     raise ResourceLimitError(f"orbit exceeds cap {cap}")
                 seen.add(image)
                 frontier.append(image)
-    return frozenset(seen)
+    return frozenset(SpherePoint(n, _on_sphere(v)) for v in seen)
+
+
+def _on_sphere(v: tuple[int, ...]) -> tuple[Fraction, ...]:
+    # the values divided by |first nonzero|, as `sphere_point` divides them
+    lead = abs(next(x for x in v if x))
+    return tuple(Fraction(x, lead) for x in v)

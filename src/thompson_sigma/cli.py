@@ -140,8 +140,8 @@ def _cmd_subgroups(args):
         raise DomainError(
             f"--max-index {args.max_index} exceeds {ENV_MAX_INDEX}={cap_text}"
         )
-    found = lattices.enumerate_subgroups(args.n, args.max_index)
-    return [[entry for row in lat.basis for entry in row] for lat in found]
+    bases = lattices.hnf_bases(args.n, args.max_index)
+    return [[entry for row in basis for entry in row] for basis in bases]
 
 
 def _cmd_cells(args):

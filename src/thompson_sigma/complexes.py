@@ -35,10 +35,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InvariantViolationError
+from .errors import DomainError, InvariantViolationError, ResourceLimitError
 from .lattices import SubgroupLattice, member
 
 DEFAULT_DIM_CAP = 16
+
+# `CellVector.prefix`, `chi_m` and `d_bound` refuse a dimension above this.
+# d_bound's chi values are m + 1 alternating sums, so their time grows as
+# m^2: CLI `bounds --n 2 --lattice 2,0,0,2 --m M` took 11 ms at M = 256,
+# 0.11 s at 1024, 0.46 s at 2000 and 1.6 s at 4000.  `cells --m M` prints
+# M + 1 counts, 6 KB at 1024 and 18.6 MB at two million (2-vCPU machine).
+MAX_DIM = 1024
+
+
+def _check_dim(m: int) -> None:
+    if m > MAX_DIM:
+        raise ResourceLimitError(f"dimension {m} exceeds the budget of {MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,8 @@ class CellVector:
         return 0
 
     def prefix(self, m: int) -> tuple[int, ...]:
-        """Values in dimensions 0..m."""
+        """Values in dimensions 0..m; m above MAX_DIM raises ResourceLimitError."""
+        _check_dim(m)
         return tuple(self.value(j) for j in range(m + 1))
 
     def reach(self) -> int:
@@ -195,10 +208,12 @@ def chi_m(r: CellVector, m: int) -> int:
 
     An upper bound for the partial Euler characteristic; a negative value
     would contradict the Novikov-ring nonnegativity certificate and is
-    reported as an invariant violation, not a result.
+    reported as an invariant violation, not a result.  m above MAX_DIM
+    raises ResourceLimitError.
     """
     if m < 0:
         raise ValueError(f"dimension must be >= 0, got {m}")
+    _check_dim(m)
     total = 0
     for i in range(m + 1):
         total = r.value(i) - total
@@ -244,7 +259,9 @@ def d_bound(
     n = 2: d(H) <= r(H, 1) from the exact cell counts (3 or 5).
     n >= 3 with e_1, ..., e_{n-1} all in L: d(H) <= 1 + d(M) = 1 + n.
     n >= 3 otherwise: d(H) <= n + 2 + d0, symbolic unless overridden.
+    A chi_upto above MAX_DIM raises ResourceLimitError for every n.
     """
+    _check_dim(chi_upto)
     n = lat.arity
     symbolic = def_lower = chi_values = None
     if n == 2:

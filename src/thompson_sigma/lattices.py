@@ -19,12 +19,13 @@ and transporting it along theta is the identity.  `restrict_character` is
 the companion move on characters.
 
 `enumerate_subgroups` lists all subgroups up to a given index exactly
-once, and `ChainSpec`/`chain` generate the subgroup chains the gradient
-series are evaluated on.
+once (`hnf_bases` streams their bases), and `ChainSpec`/`chain`
+generate the subgroup chains the gradient series are evaluated on.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -40,7 +41,7 @@ IntRows = tuple[tuple[int, ...], ...]
 MAX_LATTICES = 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubgroupLattice:
     """Full-rank sublattice of Z^n in canonical (lower-triangular) HNF."""
 
@@ -183,14 +184,13 @@ def _basis_count(n: int, max_index: int, cap: int) -> int:
     return sum(ways)
 
 
-def enumerate_subgroups(
-    n: int, max_index: int, *, cap: int = MAX_LATTICES
-) -> list[SubgroupLattice]:
-    """All HNF lattices of index <= max_index, each exactly once.
+def hnf_bases(n: int, max_index: int, *, cap: int = MAX_LATTICES) -> Iterator[IntRows]:
+    """The HNF bases of all lattices of index <= max_index, as an iterator.
 
-    Generated in (index, basis) order: index 1, 2, ..., and within one
-    index lexicographically by basis.  When there are more than `cap`
-    lattices, ResourceLimitError is raised before the first is built.
+    Yields each basis (a tuple of integer rows) exactly once, in (index,
+    basis) order: index 1, 2, ..., and within one index lexicographically.
+    The arguments and the cap are checked when this is called, before the
+    first basis: more than `cap` lattices raise ResourceLimitError.
     """
     if n < 2:
         raise ValueError(f"arity must be >= 2, got {n}")
@@ -198,11 +198,17 @@ def enumerate_subgroups(
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     if _basis_count(n, max_index, cap) > cap:
         raise ResourceLimitError(f"enumeration exceeds cap of {cap} lattices")
-    return [
-        SubgroupLattice(n, basis)
-        for k in range(1, max_index + 1)
-        for basis in _bases_of_index(n, (), k)
-    ]
+    return (basis for k in range(1, max_index + 1) for basis in _bases_of_index(n, (), k))
+
+
+def enumerate_subgroups(
+    n: int, max_index: int, *, cap: int = MAX_LATTICES
+) -> list[SubgroupLattice]:
+    """All HNF lattices of index <= max_index, each exactly once.
+
+    The lattices of `hnf_bases`, in its order and under its cap check.
+    """
+    return [SubgroupLattice(n, basis) for basis in hnf_bases(n, max_index, cap=cap)]
 
 
 @dataclass(frozen=True)

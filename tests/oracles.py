@@ -6,13 +6,12 @@ from math import comb
 
 from thompson_sigma.autos import (
     CharacterMatrix,
-    apply,
     identity_matrix,
     mat_mul,
     matrix_A,
     matrix_C,
 )
-from thompson_sigma.charspace import Character
+from thompson_sigma.charspace import Character, SpherePoint, sphere_point
 from thompson_sigma.complexes import CellVector, cell_vector
 from thompson_sigma.errors import (
     ArityMismatchError,
@@ -191,6 +190,39 @@ def phi_on_word(w: GroupWord, k: int = 1) -> GroupWord:
         for l in w.letters
     )
     return GroupWord(w.arity, letters)
+
+
+def apply(mat: CharacterMatrix, chi: Character) -> Character:
+    """Matrix-vector product on the character's value vector."""
+    if mat.arity != chi.arity:
+        raise DomainError(f"matrix arity {mat.arity} vs character {chi.arity}")
+    n = mat.arity
+    values = tuple(
+        sum((mat.entries[i][j] * chi.values[j] for j in range(n)), start=Fraction(0))
+        for i in range(n)
+    )
+    return Character(n, values)
+
+
+def fraction_orbit(point: SpherePoint, cap: int = 1024) -> frozenset[SpherePoint]:
+    """Reference orbit: a depth-first walk that applies the full shift and
+    flip matrices to Fraction values and normalizes each image with
+    `sphere_point`; more than `cap` points raise ResourceLimitError."""
+    n = point.arity
+    gens = (matrix_A(n), matrix_C(n))
+    seen = {point}
+    frontier = [point]
+    while frontier:
+        current = frontier.pop()
+        chi = Character(n, current.values)
+        for g in gens:
+            image = sphere_point(apply(g, chi))
+            if image not in seen:
+                if len(seen) >= cap:
+                    raise ResourceLimitError(f"orbit exceeds cap {cap}")
+                seen.add(image)
+                frontier.append(image)
+    return frozenset(seen)
 
 
 def mat_pow(mat: CharacterMatrix, k: int) -> CharacterMatrix:

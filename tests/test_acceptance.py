@@ -10,7 +10,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from thompson_sigma.autos import (
-    apply,
     d_orbit,
     identity_matrix,
     mat_mul,
@@ -49,7 +48,7 @@ from thompson_sigma.lattices import (
 from thompson_sigma.plrep import evaluate_word, maps_equal
 from thompson_sigma.words import are_equal, word
 
-from oracles import brute_force_index_count, divisor_sum
+from oracles import apply, brute_force_index_count, divisor_sum
 
 
 @contextmanager

@@ -1,12 +1,14 @@
 """Shift and flip matrices, their orders, word-level shift, orbits."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from thompson_sigma.autos import (
     CharacterMatrix,
-    apply,
+    _ray,
     d_orbit,
     delta_involution,
     identity_matrix,
@@ -16,11 +18,11 @@ from thompson_sigma.autos import (
     order_of,
     rho0_cycle_power,
 )
-from thompson_sigma.charspace import character, chi1, chi2, evaluate, sphere_point
-from thompson_sigma.errors import DomainError
+from thompson_sigma.charspace import SpherePoint, character, chi1, chi2, evaluate, sphere_point
+from thompson_sigma.errors import DomainError, ResourceLimitError, ZeroCharacterError
 from thompson_sigma.words import parse_word, word
 
-from oracles import mat_pow, phi_on_word, reduction_identity_check
+from oracles import apply, fraction_orbit, mat_pow, phi_on_word, reduction_identity_check
 
 
 def det(mat: CharacterMatrix) -> Fraction:
@@ -175,3 +177,85 @@ class TestOrbits:
             for p in complement:
                 hit |= d_orbit(p)
             assert hit == complement
+
+
+def _seeded_points(seed, count):
+    """Sphere points for n = 2..6 with values p/q, -6 <= p <= 6, 1 <= q <= 5."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        n = rng.randrange(2, 7)
+        values = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+        if any(values):
+            points.append(sphere_point(character(n, values)))
+    return points
+
+
+def _outcome(walk, point, cap):
+    try:
+        return walk(point, cap=cap)
+    except ResourceLimitError as exc:
+        return f"raised: {exc}"
+
+
+class TestOrbitOracle:
+    def test_default_cap(self):
+        for point in _seeded_points(9, 3000):
+            assert d_orbit(point) == fraction_orbit(point), point
+
+    def test_small_caps(self):
+        # the Fraction walk takes 45 s (2-vCPU machine) over every point at
+        # all twelve caps, so the points take the caps 1..12 in turn, 250 each
+        raised = set()
+        returned = set()
+        for k, point in enumerate(_seeded_points(10, 3000)):
+            cap = 1 + k % 12
+            got = _outcome(d_orbit, point, cap)
+            assert got == _outcome(fraction_orbit, point, cap), (point, cap)
+            (raised if isinstance(got, str) else returned).add(cap)
+        # orbits here have 1 to 10 points, so caps 1..9 see both outcomes
+        assert raised == set(range(1, 10))
+        assert returned == set(range(1, 13))
+
+
+class TestRayInvariant:
+    @staticmethod
+    def _image(mat, v):
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in mat.entries)
+
+    def test_generators_map_primitive_to_primitive(self):
+        rng = random.Random(11)
+        for n in range(2, 9):
+            for mat in (matrix_A(n), matrix_C(n)):
+                for _ in range(200):
+                    v = [rng.randint(-50, 50) for _ in range(n)]
+                    if gcd(*v) != 1:
+                        continue
+                    assert gcd(*self._image(mat, v)) == 1, (n, v)
+
+    def test_rows_are_sparse(self):
+        for n in range(2, 9):
+            assert all(sum(map(bool, row)) == 1 for row in matrix_A(n).entries)
+            assert all(1 <= sum(map(bool, row)) <= 2 for row in matrix_C(n).entries)
+
+    def test_ray_is_primitive_and_positive(self):
+        rng = random.Random(12)
+        for _ in range(500):
+            n = rng.randrange(2, 7)
+            values = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+            if not any(values):
+                continue
+            scale = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+            ray = _ray(tuple(scale * v for v in values))
+            assert gcd(*ray) == 1
+            assert sphere_point(character(n, ray)) == sphere_point(character(n, values))
+
+    def test_zero_has_no_ray(self):
+        with pytest.raises(ZeroCharacterError):
+            _ray((Fraction(0), Fraction(0)))
+
+    def test_hand_built_point_walks_its_ray(self):
+        raw = SpherePoint(3, (Fraction(2), Fraction(4), Fraction(6)))
+        orbit = d_orbit(raw)
+        assert orbit == d_orbit(sphere_point(character(3, raw.values)))
+        assert raw not in orbit

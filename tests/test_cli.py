@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thompson_sigma.cli import main
+from thompson_sigma.complexes import MAX_DIM
 from thompson_sigma.lattices import MAX_LATTICES
 from thompson_sigma.plrep import MAX_PL_INDEX
 from thompson_sigma.words import MAX_TOKEN_DIGITS, MAX_WORD_LETTERS, parse_word
@@ -283,6 +284,18 @@ class TestExitCodes:
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: word exceeds the budget"), argv
 
+    def test_domain_error_dimension_budget(self, capsys):
+        over = MAX_DIM + 1
+        for argv in (
+            ("cells", "--n", "2", "--lattice", "2,0,0,2", "--m", str(over)),
+            ("bounds", "--n", "2", "--lattice", "2,0,0,2", "--m", str(over)),
+            ("bounds", "--n", "3", "--lattice", "2,0,0,0,2,0,0,0,2", "--m", str(over)),
+            ("gradient", "--n", "2", "--kind", "chi", "--chain", "scaling:2", "--m", str(over)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: dimension {over} exceeds the budget of {MAX_DIM}\n", argv
+
     def test_usage_error_digit_budget(self, capsys):
         for digits in (MAX_TOKEN_DIGITS + 1, 5000):
             big = "9" * digits
@@ -390,6 +403,8 @@ def _joined(values, count, sep=","):
 # the arity n that returns them; (None, None) marks a flag without a value.
 _FLAG = (None, None)
 _NUMBERS = (_INTS, _BAD_INTS)
+# dimensions also just past complexes.MAX_DIM and far past it
+_DIMS = (_INTS | st.sampled_from([str(MAX_DIM + 1), "1" + "0" * 12]), _BAD_INTS)
 _WORDS = (
     st.integers(0, 5).flatmap(lambda k: _joined(_LETTERS, k, " ")),
     st.integers(1, 5).flatmap(lambda k: _joined(_LETTERS | _BAD_LETTERS, k, " ")),
@@ -414,16 +429,16 @@ _OPTIONS = {
     "mul": {"--u": _WORDS, "--v": _WORDS},
     "eq": {"--u": _WORDS, "--v": _WORDS},
     "eval-pl": {"--word": _WORDS},
-    "sigma": {"--chi": _characters, "--m": _NUMBERS, "--assume-sigma-m": _FLAG},
+    "sigma": {"--chi": _characters, "--m": _DIMS, "--assume-sigma-m": _FLAG},
     "classify-kernel": {"--lattice": _lattices, "--m-max": _NUMBERS, "--assume-sigma-m": _FLAG},
     "auto-matrix": {"--which": (st.sampled_from(["A", "C"]), st.sampled_from(["B", ""]))},
     "orbit": {"--chi": _characters, "--cap": (st.integers(1, 64).map(str), _BAD_INTS)},
     "subgroups": {"--max-index": _NUMBERS},
-    "cells": {"--lattice": _lattices, "--m": _NUMBERS},
-    "bounds": {"--lattice": _lattices, "--m": _NUMBERS, "--d0-override": _NUMBERS},
+    "cells": {"--lattice": _lattices, "--m": _DIMS},
+    "bounds": {"--lattice": _lattices, "--m": _DIMS, "--d0-override": _NUMBERS},
     "gradient": {
         "--kind": (st.sampled_from(["rg", "dg", "chi"]), st.just("xx")),
-        "--m": _NUMBERS,
+        "--m": _DIMS,
         "--chain": (
             st.builds("{}:{}".format, st.sampled_from(["scaling", "coordinate"]), st.integers(2, 5)),
             st.sampled_from(["coordinate:x", "scaling", ":", "scaling:1", "scaling:2:3", "explicit:1",

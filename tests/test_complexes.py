@@ -3,6 +3,7 @@
 import pytest
 
 from thompson_sigma.complexes import (
+    MAX_DIM,
     AffineTail,
     BoundReport,
     cell_vector,
@@ -16,7 +17,7 @@ from thompson_sigma.complexes import (
     ones_cells,
     stack_cells,
 )
-from thompson_sigma.errors import DomainError, InvariantViolationError
+from thompson_sigma.errors import DomainError, InvariantViolationError, ResourceLimitError
 from thompson_sigma.lattices import enumerate_subgroups, full_lattice, hnf
 
 from oracles import binomial_cells
@@ -159,6 +160,21 @@ class TestChiM:
     def test_negative_sum_is_invariant_violation(self):
         with pytest.raises(InvariantViolationError):
             chi_m(cell_vector((1, 3, 1)), 2)
+
+
+class TestDimensionBudget:
+    def test_refused_just_past_the_budget(self):
+        over = MAX_DIM + 1
+        message = f"dimension {over} exceeds the budget of {MAX_DIM}"
+        vec, _ = cells_for_subgroup_F(hnf([[2, 0], [0, 2]]))
+        for call in (
+            lambda: vec.prefix(over),
+            lambda: chi_m(vec, over),
+            lambda: d_bound(hnf([[2, 0], [0, 2]]), chi_upto=over),
+            lambda: d_bound(hnf([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), chi_upto=over),
+        ):
+            with pytest.raises(ResourceLimitError, match=message):
+                call()
 
 
 class TestDeficiency:

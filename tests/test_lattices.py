@@ -188,6 +188,8 @@ class TestEnumeration:
         for n, max_index in ((5, 100), (8, 16), (2, 10**18)):
             with pytest.raises(ResourceLimitError, match=f"cap of {MAX_LATTICES} lattices"):
                 enumerate_subgroups(n, max_index)
+            with pytest.raises(ResourceLimitError, match=f"cap of {MAX_LATTICES} lattices"):
+                lattices.hnf_bases(n, max_index)  # on the call, not on the first next()
 
     def test_basis_count_matches_brute_force(self):
         def total(n, max_index):
