@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .charspace import SpherePoint
@@ -151,19 +152,27 @@ def _sparse_rows(mat: CharacterMatrix) -> tuple[tuple[tuple[int, int], ...], ...
     return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in mat.entries)
 
 
+@lru_cache(maxsize=None)
+def _generator_rows(n: int):
+    # the sparse rows of A and C, built once per arity; all tuples, so no
+    # caller can change the cached value
+    return _sparse_rows(matrix_A(n)), _sparse_rows(matrix_C(n))
+
+
 def d_orbit(point: SpherePoint, cap: int = 1024) -> frozenset[SpherePoint]:
     """Orbit of a sphere point under the shift and flip matrices.
 
     Both generators have finite order, so closing under them alone closes
     under the full group; the cap guards against runaway exploration.  The
-    walk runs on primitive integer rays and builds the sphere points only
-    on return.  A hand-built point that is not normalized walks the ray
+    walk runs on primitive integer rays through the sparse rows of A and C,
+    which are built once per arity and cached, and builds the sphere points
+    only on return.  A hand-built point that is not normalized walks the ray
     through its values: the result is the orbit of the normalized point and
     does not contain the point itself.  Equality with the orbit of the
     point is promised only for points that `sphere_point` produced.
     """
     n = point.arity
-    gens = (_sparse_rows(matrix_A(n)), _sparse_rows(matrix_C(n)))
+    gens = _generator_rows(n)
     start = _ray(point.values)
     seen = {start}
     frontier = [start]

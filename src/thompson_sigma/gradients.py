@@ -11,7 +11,9 @@ index tends to infinity, which shows up as interval widths shrinking like
 All arithmetic is rational; no floating point anywhere.  The s = 0 row of
 a nested chain is the whole group, which contributes its own exact data:
 d = n minimal generators and, for n = 2, the classical complex with two
-cells in every positive dimension.
+cells in every positive dimension.  A scaling or coordinate chain whose
+last index has more than MAX_INDEX_DIGITS digits raises ResourceLimitError
+before the first row.
 """
 
 from __future__ import annotations
@@ -26,12 +28,19 @@ from .complexes import (
     d_bound,
     deficiency_bounds,
 )
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .lattices import ChainSpec, chain
 
 RANK = "rank"
 DEFICIENCY = "deficiency"
 CHI = "chi"
+
+# A series refuses a scaling or coordinate chain whose last index has more
+# decimal digits than this, before its first row.  It is CPython's default
+# limit for turning an int into a string, so every index of a row, and every
+# denominator (a divisor of the index), can be printed.
+MAX_INDEX_DIGITS = 4300
+_MAX_INDEX = 10**MAX_INDEX_DIGITS - 1
 
 
 @dataclass(frozen=True)
@@ -54,9 +63,20 @@ class GradientSeries:
 def _chain_terms(spec: ChainSpec, n: int, steps: int | None):
     if steps is None or steps < 1:
         raise ValueError("need a positive number of chain steps")
+    if spec.kind != "explicit":
+        _check_last_index(spec.p, (steps - 1) * (n if spec.kind == "scaling" else 1))
     for s in range(steps):
         lat = chain(spec, s, n)
         yield s, lat, lat.index()
+
+
+def _check_last_index(p: int, e: int) -> None:
+    # p^e >= 2^((bits(p) - 1) e), so a large exponent is refused without
+    # computing p^e; otherwise p^e has fewer than 2 * bits(_MAX_INDEX) bits
+    if (p.bit_length() - 1) * e > _MAX_INDEX.bit_length() or p**e > _MAX_INDEX:
+        raise ResourceLimitError(
+            f"the last chain index has more than {MAX_INDEX_DIGITS} digits"
+        )
 
 
 def rank_gradient_series(

@@ -47,6 +47,10 @@ MAX_WORD_LETTERS = 1 << 20
 # 4300 digits with a plain ValueError).
 MAX_TOKEN_DIGITS = 100
 
+# `rewrite_to_seminormal` refuses words of more letters than this (see its
+# docstring for the measured cost).
+MAX_REWRITE_LETTERS = 1 << 12
+
 # `normal_form` rewrites runs of this many letters left to right and
 # multiplies their forms.  On 1600-letter words runs of 32, 64 or 128
 # letters took 5.0-6.0 ms, runs of 16 or 256 letters 5.9-7.6 ms, and one
@@ -258,7 +262,19 @@ def rewrite_to_seminormal(
     in bulk.  The result depends on this left-to-right order: it is one of
     the element's seminormal forms, not the canonical one.  An input letter
     or a bumped index beyond `index_cap` raises ResourceLimitError.
+
+    A word of more than MAX_REWRITE_LETTERS = 4096 letters raises
+    ResourceLimitError before the rewrite starts.  Measured on a 2-vCPU
+    machine (three words each): random words at L = 4096 took 0.07-0.22 s,
+    the slowest shape seen, x0^-(L/2) x1^(L/2), 0.33-0.50 s; at L = 8192
+    the same took 0.45-0.66 s and 1.7-1.9 s, and random words at L = 12800
+    1.0-1.3 s, so the 2^20 letters `parse_word` admits would take hours.
     """
+    if len(w.letters) > MAX_REWRITE_LETTERS:
+        raise ResourceLimitError(
+            f"word of {len(w.letters)} letters exceeds the rewrite budget of"
+            f" {MAX_REWRITE_LETTERS}"
+        )
     _check_max((let.index for let in w.letters), index_cap)  # input letters too
     pos, neg = _rewrite(w.letters, w.arity, index_cap)
     return SeminormalForm(w.arity, tuple(pos), tuple(neg))

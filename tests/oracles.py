@@ -257,3 +257,20 @@ def reduction_identity_check(n: int, rho: Character) -> Character:
 def binomial_cells(k: int) -> CellVector:
     """The k-torus complex for Z^k: (k choose j) cells in dimension j."""
     return cell_vector(tuple(comb(k, j) for j in range(k + 1)))
+
+
+def per_m_chi_values(r: CellVector, m: int) -> tuple[int, ...]:
+    """(chi_0, ..., chi_m), each its own alternating sum, O(m^2) in all.
+
+    The first negative value raises InvariantViolationError with the
+    message of `chi_m`.
+    """
+    values = []
+    for k in range(m + 1):
+        total = sum(r.value(i) if (k - i) % 2 == 0 else -r.value(i) for i in range(k + 1))
+        if total < 0:
+            raise InvariantViolationError(
+                f"alternating cell sum {total} < 0 at m = {k} for {r}"
+            )
+        values.append(total)
+    return tuple(values)

@@ -8,7 +8,9 @@ import pytest
 
 from thompson_sigma.autos import (
     CharacterMatrix,
+    _generator_rows,
     _ray,
+    _sparse_rows,
     d_orbit,
     delta_involution,
     identity_matrix,
@@ -216,6 +218,30 @@ class TestOrbitOracle:
         # orbits here have 1 to 10 points, so caps 1..9 see both outcomes
         assert raised == set(range(1, 10))
         assert returned == set(range(1, 13))
+
+
+class TestGeneratorRowsCache:
+    def test_interleaved_arities(self):
+        # arities 2..6 in turn, so a cache answering with the rows of another
+        # arity, or rows built once and changed, gives a wrong orbit
+        by_arity = {n: [] for n in range(2, 7)}
+        for point in _seeded_points(13, 600):
+            by_arity[point.arity].append(point)
+        for k in range(min(map(len, by_arity.values()))):
+            for n in (2, 5, 3, 6, 4):
+                point = by_arity[n][k]
+                first = d_orbit(point)
+                assert first == fraction_orbit(point), point
+                assert d_orbit(point) == first, point
+
+    def test_rows_of_the_matrices_built_once(self):
+        for n in (2, 3, 4, 7, 12):
+            rows = _generator_rows(n)
+            assert rows == (_sparse_rows(matrix_A(n)), _sparse_rows(matrix_C(n)))
+            assert _generator_rows(n) is rows
+            # tuples throughout: no caller can change the cached value
+            assert all(isinstance(mat, tuple) for mat in rows)
+            assert all(isinstance(row, tuple) for mat in rows for row in mat)
 
 
 class TestRayInvariant:

@@ -1,21 +1,31 @@
 """CLI surface: outputs, determinism, exit codes, the enumeration cap."""
 
 import csv
+import hashlib
 import io
 import json
 import os
+import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thompson_sigma.cli import main
+from thompson_sigma.cli import _json_array, main
 from thompson_sigma.complexes import MAX_DIM
-from thompson_sigma.lattices import MAX_LATTICES
+from thompson_sigma.gradients import MAX_INDEX_DIGITS
+from thompson_sigma.lattices import MAX_LATTICES, hnf_bases
 from thompson_sigma.plrep import MAX_PL_INDEX
-from thompson_sigma.words import MAX_TOKEN_DIGITS, MAX_WORD_LETTERS, parse_word
+from thompson_sigma.words import (
+    MAX_REWRITE_LETTERS,
+    MAX_TOKEN_DIGITS,
+    MAX_WORD_LETTERS,
+    parse_word,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -141,6 +151,44 @@ class TestLatticeCommands:
             "[2, 0, 0, 0, 1, 0, 0, 0, 1], [2, 0, 0, 0, 1, 0, 1, 0, 1], "
             "[2, 0, 0, 1, 1, 0, 0, 0, 1], [2, 0, 0, 1, 1, 0, 1, 0, 1]]\n"
         )
+
+    def test_subgroups_streamed(self):
+        # 74,309 rows, written as they are made: held at once, the rows and
+        # their text peaked at 11.4 MB under tracemalloc
+        argv = ["subgroups", "--n", "2", "--max-index", "300"]
+        text = json.dumps([[x for row in b for x in row] for b in hnf_bases(2, 300)]) + "\n"
+        expected = hashlib.sha256(text.encode()).hexdigest(), len(text)
+        del text
+
+        class Sink:
+            # counts and hashes what it is given, keeps nothing
+            def __init__(self):
+                self.digest, self.chars = hashlib.sha256(), 0
+
+            def write(self, piece):
+                self.digest.update(piece.encode())
+                self.chars += len(piece)
+                return len(piece)
+
+            def flush(self):
+                pass
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (sink.digest.hexdigest(), sink.chars) == expected
+        assert peak < 3_000_000, peak
+
+    def test_json_array_pieces(self):
+        for count in (0, 1, 1023, 1024, 1025, 2048, 2049):
+            items = [[k, -k] for k in range(count)]
+            assert "".join(_json_array(iter(items))) == json.dumps(items), count
 
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("THOMPSON_SIGMA_MAX_INDEX", "5")
@@ -366,6 +414,65 @@ class TestExitCodes:
                 assert (code, out) == (1, ""), argv
                 assert err.startswith("usage error: bad rational vector"), argv
 
+    def test_domain_error_rewrite_budget(self, capsys):
+        at, over = f"x0^{MAX_REWRITE_LETTERS}", f"x0^{MAX_REWRITE_LETTERS + 1}"
+        code, out, _ = run(capsys, "mul", "--n", "2", "--u", at, "--v", at)
+        assert (code, out) == (0, " ".join(["x0"] * 2 * MAX_REWRITE_LETTERS) + "\n")
+        message = f"error: word of {MAX_REWRITE_LETTERS + 1} letters exceeds the rewrite budget of {MAX_REWRITE_LETTERS}\n"
+        with mock.patch("thompson_sigma.words._rewrite", side_effect=AssertionError):
+            assert run(capsys, "mul", "--n", "2", "--u", over, "--v", "x1") == (2, "", message)
+        argv = ("mul", "--n", "3", "--u", "x1", "--v", f"x2^-{MAX_REWRITE_LETTERS + 1}")
+        assert run(capsys, *argv) == (2, "", message)
+
+    def test_domain_error_chain_index_budget(self, capsys):
+        # refused before the first row: the chain is never built
+        message = f"error: the last chain index has more than {MAX_INDEX_DIGITS} digits\n"
+        for argv in (
+            ("gradient", "--n", "2", "--kind", "dg", "--chain", "scaling:5", "--steps", "3100"),
+            ("gradient", "--n", "2", "--kind", "rg", "--chain", "scaling:5", "--steps", "1000000"),
+            ("gradient", "--n", "2", "--kind", "chi", "--chain", "coordinate:10", "--steps", "4301"),
+            ("gradient", "--n", "3", "--kind", "rg", "--chain", "coordinate:10", "--steps", "4301",
+             "--format", "csv"),
+        ):
+            with mock.patch("thompson_sigma.gradients.chain", side_effect=AssertionError):
+                assert run(capsys, *argv) == (2, "", message), argv
+
+    def test_domain_error_output_digits(self, capsys):
+        # a ray of 5000-digit integers from 2500-digit inputs
+        chi = f"1/{'7' * 2500},{'3' * 2500},1"
+        assert run(capsys, "orbit", "--n", "3", "--chi", chi) == (
+            2, "", "error: an output number has more than 4300 digits\n"
+        )
+        code, out, err = run(capsys, "orbit", "--n", "2", "--chi", f"1/{'7' * 2000},1")
+        assert (code, err) == (0, "") and len(json.loads(out)) == 2
+
+    # At CPython's lowest digit limit, 640, cheap inputs pass it; at the
+    # default of 4300 `eval-pl` would need a word of 14,300 letters.
+    @pytest.fixture
+    def digit_limit_640(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    def test_domain_error_output_digits_eval_pl(self, capsys, digit_limit_640):
+        # x0^k has a breakpoint of denominator 2^k: 663 digits at k = 2200
+        assert run(capsys, "eval-pl", "--n", "2", "--word", "x0^2200") == (
+            2, "", "error: an output number has more than 640 digits\n"
+        )
+        code, out, _ = run(capsys, "eval-pl", "--n", "2", "--word", "x0^2000")
+        assert code == 0 and max(len(q) for row in json.loads(out) for q in row) == 603
+
+    def test_domain_error_output_digits_gradient(self, capsys, digit_limit_640):
+        # indices 10^s: the CSV row, the JSON fraction and, at --m 2 where
+        # chi/index = 1/(5 10^(s-1)), the JSON index itself pass the limit
+        for args in (("--kind", "rg", "--format", "csv"), ("--kind", "dg"), ("--kind", "chi", "--m", "2")):
+            argv = ("gradient", "--n", "2", "--chain", "coordinate:10", "--steps", "641", *args)
+            assert run(capsys, *argv) == (2, "", "error: an output number has more than 640 digits\n"), argv
+        code, out, _ = run(capsys, "gradient", "--n", "2", "--kind", "chi", "--m", "2",
+                           "--chain", "coordinate:10", "--steps", "640")
+        assert code == 0 and json.loads(out)["rows"][-1]["index"] == 10**639
+
     def test_domain_error_enumeration_cap(self, capsys):
         code, out, err = run(capsys, "subgroups", "--n", "5", "--max-index", "100")
         assert (code, out) == (2, "")
@@ -391,6 +498,8 @@ _RATIONALS = st.integers(-3, 3).map(str) | st.builds("{}/{}".format, st.integers
 _BAD_RATIONALS = st.sampled_from(
     ["1/0", "x", "3/-2", "/", "nan", "inf", "1/" + _HUGE, _HUGE + "/7", "1e999999999", "2E5", "-1.5e-3"]
 )
+# parse, but a ray through them can have more digits than CPython prints
+_BIG_RATIONALS = st.sampled_from(["1/" + "7" * 2500, "3" * 2500, "-" + "9" * 2500 + "/2"])
 _LETTERS = st.builds("x{}^{}".format, st.integers(0, 6), st.integers(-2, 2))
 _BAD_LETTERS = st.sampled_from(["y0", "x", "x-1", "x1^", "x1^99999999999", "x" + _HUGE, "x1^-" + _HUGE])
 
@@ -405,6 +514,8 @@ _FLAG = (None, None)
 _NUMBERS = (_INTS, _BAD_INTS)
 # dimensions also just past complexes.MAX_DIM and far past it
 _DIMS = (_INTS | st.sampled_from([str(MAX_DIM + 1), "1" + "0" * 12]), _BAD_INTS)
+# steps past gradients.MAX_INDEX_DIGITS for every chain drawn, refused at once
+_STEPS = (_INTS | st.sampled_from(["15000", "1000000"]), _BAD_INTS)
 _WORDS = (
     st.integers(0, 5).flatmap(lambda k: _joined(_LETTERS, k, " ")),
     st.integers(1, 5).flatmap(lambda k: _joined(_LETTERS | _BAD_LETTERS, k, " ")),
@@ -412,7 +523,8 @@ _WORDS = (
 
 
 def _characters(n):
-    return _joined(_RATIONALS, n), _joined(_BAD_RATIONALS | _RATIONALS, n) | _joined(_RATIONALS, n + 1)
+    good = _joined(_RATIONALS, n) | _joined(_RATIONALS | _BIG_RATIONALS, n)
+    return good, _joined(_BAD_RATIONALS | _RATIONALS, n) | _joined(_RATIONALS, n + 1)
 
 
 def _lattices(n):
@@ -444,7 +556,7 @@ _OPTIONS = {
             st.sampled_from(["coordinate:x", "scaling", ":", "scaling:1", "scaling:2:3", "explicit:1",
                              "spiral:2", "scaling:" + _HUGE]),
         ),
-        "--steps": _NUMBERS,
+        "--steps": _STEPS,
         "--format": (st.sampled_from(["json", "csv"]), st.just("xml")),
         "--d0-override": _NUMBERS,
     },

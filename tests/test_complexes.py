@@ -2,7 +2,10 @@
 
 import pytest
 
+from thompson_sigma import complexes
 from thompson_sigma.complexes import (
+    CASE_1_2_CELLS,
+    CASE_3_CELLS,
     MAX_DIM,
     AffineTail,
     BoundReport,
@@ -20,7 +23,7 @@ from thompson_sigma.complexes import (
 from thompson_sigma.errors import DomainError, InvariantViolationError, ResourceLimitError
 from thompson_sigma.lattices import enumerate_subgroups, full_lattice, hnf
 
-from oracles import binomial_cells
+from oracles import binomial_cells, per_m_chi_values
 
 
 def values(vec, upto):
@@ -224,6 +227,35 @@ class TestDBound:
 
     def test_report_type(self):
         assert isinstance(d_bound(full_lattice(2)), BoundReport)
+
+
+class TestChiValues:
+    # d_bound's one running sum against one alternating sum per m
+    def test_matches_per_m_sums_at_every_dimension(self):
+        for lat, cells in (
+            (hnf([[3, 0], [0, 1]]), CASE_1_2_CELLS),
+            (hnf([[2, 0], [0, 2]]), CASE_3_CELLS),
+        ):
+            assert cells_for_subgroup_F(lat)[0] == cells
+            expected = per_m_chi_values(cells, MAX_DIM)
+            for m in range(MAX_DIM + 1):
+                assert d_bound(lat, chi_upto=m).chi_values == expected[: m + 1], m
+
+    def test_first_negative_sum_raises_as_chi_m(self, monkeypatch):
+        vec = cell_vector((1, 0, 5))  # chi = 1, -1, 6
+        with pytest.raises(InvariantViolationError) as by_chi_m:
+            chi_m(vec, 1)
+        assert chi_m(vec, 2) == 6  # chi_m checks only its own m
+        with pytest.raises(InvariantViolationError) as by_oracle:
+            per_m_chi_values(vec, 2)
+        monkeypatch.setattr(complexes, "cells_for_subgroup_F", lambda lat: (vec, 3))
+        lat = hnf([[2, 0], [0, 2]])
+        assert d_bound(lat, chi_upto=0).chi_values == (1,)
+        for m in (1, 2, 5):
+            with pytest.raises(InvariantViolationError) as by_d_bound:
+                d_bound(lat, chi_upto=m)
+            assert str(by_d_bound.value) == str(by_chi_m.value) == str(by_oracle.value)
+        assert "at m = 1 " in str(by_chi_m.value)
 
 
 def test_chi_nonnegative_across_enumeration():

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from thompson_sigma.errors import DomainError
+from thompson_sigma import gradients
+from thompson_sigma.errors import DomainError, ResourceLimitError
 from thompson_sigma.gradients import (
+    MAX_INDEX_DIGITS,
     certify_convergence,
     chi_m_gradient_series,
     deficiency_gradient_series,
@@ -137,3 +139,49 @@ class TestCertification:
         empty = type(series)(series.kind, series.arity, None, ())
         with pytest.raises(DomainError):
             certify_convergence(empty, Fraction(1))
+
+
+class _RowsBegan(Exception):
+    pass
+
+
+class TestIndexBudget:
+    """The last index of a chain is checked before its first row."""
+
+    SERIES = (
+        rank_gradient_series,
+        deficiency_gradient_series,
+        lambda spec, n, steps: chi_m_gradient_series(spec, 2, n, steps),
+    )
+    # 2^e has more than MAX_INDEX_DIGITS digits from this exponent on
+    E0 = (10**MAX_INDEX_DIGITS).bit_length()
+    # (chain, steps whose last index has at most MAX_INDEX_DIGITS digits,
+    # steps whose last index has more), all at n = 2
+    EDGES = (
+        (ChainSpec("coordinate", p=10), 4300, 4301),  # 10^4299 and 10^4300
+        (ChainSpec("coordinate", p=2), E0, E0 + 1),
+        (ChainSpec("scaling", p=10**2150 - 1), 2, None),  # (10^2150 - 1)^2
+        (ChainSpec("scaling", p=10**2150), None, 2),  # 10^4300
+        (ChainSpec("scaling", p=5), 1, 3100),
+        (ChainSpec("scaling", p=5), None, 10**6),
+        (ChainSpec("coordinate", p=2**20000), 1, 2),
+    )
+
+    def test_refused_just_past_the_budget(self, monkeypatch):
+        def no_rows(*args):
+            raise _RowsBegan
+
+        monkeypatch.setattr(gradients, "chain", no_rows)
+        message = f"the last chain index has more than {MAX_INDEX_DIGITS} digits"
+        for spec, at, past in self.EDGES:
+            for series in self.SERIES:
+                if at is not None:
+                    with pytest.raises(_RowsBegan):
+                        series(spec, 2, at)
+                if past is not None:
+                    with pytest.raises(ResourceLimitError, match=message):
+                        series(spec, 2, past)
+
+    def test_last_row_at_the_budget(self):
+        series = deficiency_gradient_series(ChainSpec("coordinate", p=10**1433), 2, steps=4)
+        assert series.rows[-1].index == 10**4299

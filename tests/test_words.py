@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from oracles import fixpoint_reduce, sequential_multiply
 from thompson_sigma import plrep
 from thompson_sigma.errors import ArityMismatchError, ParseError, ResourceLimitError
+from thompson_sigma import words
 from thompson_sigma.words import (
     _LEAF,
+    MAX_REWRITE_LETTERS,
     MAX_TOKEN_DIGITS,
     MAX_WORD_LETTERS,
     GroupWord,
@@ -173,6 +175,20 @@ class TestSeminormal:
         ):
             with pytest.raises(ResourceLimitError, match="index 100000 exceeds rewriting cap 50"):
                 call()
+
+
+    def test_rewrite_budget(self, monkeypatch):
+        at, over = word(2, [(0, 1)] * MAX_REWRITE_LETTERS), word(2, [(0, 1)] * (MAX_REWRITE_LETTERS + 1))
+        assert rewrite_to_seminormal(at).positive == (0,) * MAX_REWRITE_LETTERS
+        assert normal_form(over).positive == (0,) * (MAX_REWRITE_LETTERS + 1)  # not budgeted
+
+        def no_rewrite(*args):
+            raise AssertionError("the rewrite started")
+
+        monkeypatch.setattr(words, "_rewrite", no_rewrite)
+        message = f"word of {MAX_REWRITE_LETTERS + 1} letters exceeds the rewrite budget of {MAX_REWRITE_LETTERS}"
+        with pytest.raises(ResourceLimitError, match=message):
+            rewrite_to_seminormal(over)
 
 
 class TestMultiplyInvert:
