@@ -11,11 +11,10 @@ vectors these give integer matrices
     (C v)_0 = -v_0, (C v)_i = v_{delta(i)} - v_0
 
 C has order 2 and swaps the two exceptional characters chi1 <-> chi2; A
-has order n - 1 (the computed order of the displayed matrix; callers
-comparing against the claimed order n should use `order_of`, which
-reports the computed value).  The group they generate permutes the
-character sphere preserving the Sigma complements; `d_orbit` explores
-those orbits.
+has order n - 1 (the computed order of the displayed matrix, not the
+claimed order n; the tests compute it by repeated multiplication).  The
+group they generate permutes the character sphere preserving the Sigma
+complements; `d_orbit` explores those orbits.
 
 `d_orbit` walks primitive integer vectors, one per ray, instead of
 characters: the start point's denominators are cleared with one lcm and
@@ -41,7 +40,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .charspace import SpherePoint
-from .errors import DomainError, ResourceLimitError, ZeroCharacterError
+from .errors import ResourceLimitError, ZeroCharacterError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -105,36 +104,6 @@ def matrix_C(n: int) -> CharacterMatrix:
         row[delta[i]] += 1
         rows.append(row)
     return CharacterMatrix(n, tuple(tuple(r) for r in rows))
-
-
-def identity_matrix(n: int) -> CharacterMatrix:
-    return CharacterMatrix(
-        n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    )
-
-
-def mat_mul(a: CharacterMatrix, b: CharacterMatrix) -> CharacterMatrix:
-    if a.arity != b.arity:
-        raise DomainError(f"matrix sizes {a.arity} vs {b.arity}")
-    n = a.arity
-    rows = tuple(
-        tuple(sum(a.entries[i][k] * b.entries[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    return CharacterMatrix(n, rows)
-
-
-def order_of(mat: CharacterMatrix, cap: int = 64) -> int | None:
-    """Least k >= 1 with mat^k = identity, or None past the cap."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    ident = identity_matrix(mat.arity)
-    acc = mat
-    for k in range(1, cap + 1):
-        if acc == ident:
-            return k
-        acc = mat_mul(acc, mat)
-    return None
 
 
 def _ray(values) -> tuple[int, ...]:

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import rank
-from .errors import ArityMismatchError, ConjectureRequiredError, ParseError, ZeroCharacterError
-from .words import GroupWord, abelianize
+from .errors import ConjectureRequiredError, ParseError, ZeroCharacterError
 
 RationalVector = tuple[Fraction, ...]
 
@@ -112,15 +111,6 @@ def sphere_point(chi: Character) -> SpherePoint:
     lead = next(v for v in chi.values if v != 0)
     scale = abs(lead)
     return SpherePoint(chi.arity, tuple(v / scale for v in chi.values))
-
-
-def evaluate(chi: Character, w: GroupWord) -> Fraction:
-    """chi(w), i.e. the scalar product of the value vector with abelianize(w)."""
-    if chi.arity != w.arity:
-        raise ArityMismatchError(f"arity {chi.arity} vs {w.arity}")
-    return sum(
-        (v * a for v, a in zip(chi.values, abelianize(w))), start=Fraction(0)
-    )
 
 
 def in_sigma1(chi: Character) -> bool:

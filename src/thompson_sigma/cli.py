@@ -7,7 +7,8 @@ conjecture flag or an enumeration cap.
 
 Each command returns its output, a string, a JSON payload, or an iterator
 of text pieces that `main` writes as they are made (`subgroups`, whose
-rows would otherwise be held all at once); `main` prints it once.
+rows would otherwise be held all at once); `main` prints it once.  Each
+command imports only the layer modules it calls.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from . import autos, charspace, complexes, gradients, lattices, plrep, words
 from .errors import DomainError, ParseError, ResourceLimitError
 
 ENV_MAX_INDEX = "THOMPSON_SIGMA_MAX_INDEX"
@@ -84,6 +84,8 @@ def arity(text: str) -> int:
     An n above plrep.MAX_PL_INDEX raises ResourceLimitError, which argparse
     does not catch, so every subcommand exits 2 on it.
     """
+    from . import plrep
+
     n = _at_least(2, text)
     plrep._check_budget(n, 0)
     return n
@@ -100,34 +102,46 @@ def nonnegative(text: str) -> int:
 
 
 def _cmd_normalize(args):
+    from . import words
+
     w = words.parse_word(args.n, args.word)
     return words.format_word(words.normal_form(w).to_word())
 
 
 def _cmd_mul(args):
+    from . import words
+
     u = words.rewrite_to_seminormal(words.parse_word(args.n, args.u))
     v = words.rewrite_to_seminormal(words.parse_word(args.n, args.v))
     return words.format_word(words.multiply(u, v).to_word())
 
 
 def _cmd_eq(args):
+    from . import words
+
     u = words.parse_word(args.n, args.u)
     v = words.parse_word(args.n, args.v)
     return {"equal": words.are_equal(u, v)}
 
 
 def _cmd_eval_pl(args):
+    from . import plrep, words
+
     w = words.parse_word(args.n, args.word)
     return _printed(plrep.evaluate_word(w).to_quadruples)
 
 
 def _cmd_sigma(args):
+    from . import charspace
+
     chi = charspace.parse_character(args.n, args.chi)
     result = charspace.in_sigma_m(chi, args.m, assume_conjecture=args.assume_sigma_m)
     return {"inSigma": result}
 
 
 def _cmd_classify_kernel(args):
+    from . import charspace
+
     rows = _parse_lattice(args.n, args.lattice)
     report = charspace.kernel_finiteness(
         rows, m_max=args.m_max, assume_conjecture=args.assume_sigma_m
@@ -143,11 +157,15 @@ def _cmd_classify_kernel(args):
 
 
 def _cmd_auto_matrix(args):
+    from . import autos
+
     mat = autos.matrix_A(args.n) if args.which == "A" else autos.matrix_C(args.n)
     return [list(row) for row in mat.entries]
 
 
 def _cmd_orbit(args):
+    from . import autos, charspace
+
     chi = charspace.parse_character(args.n, args.chi)
     orbit = autos.d_orbit(charspace.sphere_point(chi), cap=args.cap)
     points = sorted(p.values for p in orbit)
@@ -155,6 +173,8 @@ def _cmd_orbit(args):
 
 
 def _cmd_subgroups(args):
+    from . import lattices
+
     cap_text = os.environ.get(ENV_MAX_INDEX)
     try:
         cap = None if cap_text is None else int(cap_text)
@@ -169,20 +189,24 @@ def _cmd_subgroups(args):
 
 
 def _cmd_cells(args):
+    from . import complexes, lattices
+
     lat = lattices.hnf(_parse_lattice(args.n, args.lattice), arity=args.n)
     vec, case = complexes.cells_for_subgroup_F(lat)
+    m = complexes.DEFAULT_DIM_CAP if args.m is None else args.m
     return {
-        "counts": list(vec.prefix(args.m)),
+        "counts": list(vec.prefix(m)),
         "tail": None if vec.tail is None else dataclasses.asdict(vec.tail),
         "case": case,
     }
 
 
 def _cmd_bounds(args):
+    from . import complexes, lattices
+
     lat = lattices.hnf(_parse_lattice(args.n, args.lattice), arity=args.n)
-    report = complexes.d_bound(
-        lat, d0_override=args.d0_override, chi_upto=args.m
-    )
+    m = complexes.DEFAULT_DIM_CAP if args.m is None else args.m
+    report = complexes.d_bound(lat, d0_override=args.d0_override, chi_upto=m)
     return {
         "dUpper": report.d_upper
         if report.d_upper is not None
@@ -197,6 +221,8 @@ def _cmd_bounds(args):
 
 
 def _parse_chain(text: str) -> lattices.ChainSpec:
+    from . import lattices
+
     kind, _, param = text.partition(":")
     try:
         return lattices.ChainSpec(kind, p=int(param))
@@ -205,6 +231,8 @@ def _parse_chain(text: str) -> lattices.ChainSpec:
 
 
 def _cmd_gradient(args):
+    from . import gradients
+
     spec = _parse_chain(args.chain)
     if args.kind == "rg":
         series = gradients.rank_gradient_series(
@@ -282,13 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("subgroups", _cmd_subgroups, help="all subgroup lattices up to an index")
     p.add_argument("--max-index", type=positive, required=True)
 
+    # --m of cells and bounds defaults to complexes.DEFAULT_DIM_CAP, read when
+    # the command runs so that building the parser loads no layer
     p = add("cells", _cmd_cells, help="exact cell counts for an n = 2 subgroup")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--m", type=nonnegative, default=complexes.DEFAULT_DIM_CAP)
+    p.add_argument("--m", type=nonnegative)
 
     p = add("bounds", _cmd_bounds, help="generator and deficiency bounds")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--m", type=nonnegative, default=complexes.DEFAULT_DIM_CAP)
+    p.add_argument("--m", type=nonnegative)
     p.add_argument("--d0-override", type=positive)
 
     p = add("gradient", _cmd_gradient, help="gradient series along a chain")

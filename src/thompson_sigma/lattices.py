@@ -81,10 +81,6 @@ def hnf(rows, arity: int | None = None) -> SubgroupLattice:
     return SubgroupLattice(n, tuple(tuple(r) for r in basis))
 
 
-def full_lattice(n: int) -> SubgroupLattice:
-    return hnf([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
 def index(lat: SubgroupLattice) -> int:
     """[Z^n : L] = |det|, the product of the HNF pivots."""
     return lat.index()

@@ -128,10 +128,6 @@ def word(arity: int, letters: Iterable[tuple[int, int]]) -> GroupWord:
     return GroupWord(arity, tuple(GeneratorLetter(i, e) for i, e in letters))
 
 
-def identity_word(arity: int) -> GroupWord:
-    return GroupWord(arity, ())
-
-
 def parse_word(arity: int, text: str) -> GroupWord:
     """Parse whitespace-separated tokens `x<k>`, `x<k>^-1`, `x<k>^<e>`.
 

@@ -4,13 +4,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
-from thompson_sigma.autos import (
-    CharacterMatrix,
-    identity_matrix,
-    mat_mul,
-    matrix_A,
-    matrix_C,
-)
+from thompson_sigma.autos import CharacterMatrix, matrix_A, matrix_C
 from thompson_sigma.charspace import Character, SpherePoint, sphere_point
 from thompson_sigma.complexes import CellVector, cell_vector
 from thompson_sigma.errors import (
@@ -19,6 +13,7 @@ from thompson_sigma.errors import (
     InvariantViolationError,
     ResourceLimitError,
 )
+from thompson_sigma.lattices import SubgroupLattice, hnf
 from thompson_sigma.plrep import PLMap, generator_map, identity_map, invert_map, plmap
 from thompson_sigma.words import (
     DEFAULT_INDEX_CAP,
@@ -27,7 +22,25 @@ from thompson_sigma.words import (
     SeminormalForm,
     _push_negative,
     _push_positive,
+    abelianize,
 )
+
+
+def identity_word(arity: int) -> GroupWord:
+    return GroupWord(arity, ())
+
+
+def evaluate(chi: Character, w: GroupWord) -> Fraction:
+    """chi(w), i.e. the scalar product of the value vector with abelianize(w)."""
+    if chi.arity != w.arity:
+        raise ArityMismatchError(f"arity {chi.arity} vs {w.arity}")
+    return sum(
+        (v * a for v, a in zip(chi.values, abelianize(w))), start=Fraction(0)
+    )
+
+
+def full_lattice(n: int) -> SubgroupLattice:
+    return hnf([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def brute_force_index_count(n: int, k: int) -> int:
@@ -223,6 +236,36 @@ def fraction_orbit(point: SpherePoint, cap: int = 1024) -> frozenset[SpherePoint
                 seen.add(image)
                 frontier.append(image)
     return frozenset(seen)
+
+
+def identity_matrix(n: int) -> CharacterMatrix:
+    return CharacterMatrix(
+        n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    )
+
+
+def mat_mul(a: CharacterMatrix, b: CharacterMatrix) -> CharacterMatrix:
+    if a.arity != b.arity:
+        raise DomainError(f"matrix sizes {a.arity} vs {b.arity}")
+    n = a.arity
+    rows = tuple(
+        tuple(sum(a.entries[i][k] * b.entries[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    return CharacterMatrix(n, rows)
+
+
+def order_of(mat: CharacterMatrix, cap: int = 64) -> int | None:
+    """Least k >= 1 with mat^k = identity, or None past the cap."""
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    ident = identity_matrix(mat.arity)
+    acc = mat
+    for k in range(1, cap + 1):
+        if acc == ident:
+            return k
+        acc = mat_mul(acc, mat)
+    return None
 
 
 def mat_pow(mat: CharacterMatrix, k: int) -> CharacterMatrix:

@@ -9,14 +9,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from thompson_sigma.autos import (
-    d_orbit,
-    identity_matrix,
-    mat_mul,
-    matrix_A,
-    matrix_C,
-    order_of,
-)
+from thompson_sigma.autos import d_orbit, matrix_A, matrix_C
 from thompson_sigma.charspace import (
     character,
     chi1,
@@ -48,7 +41,14 @@ from thompson_sigma.lattices import (
 from thompson_sigma.plrep import evaluate_word, maps_equal
 from thompson_sigma.words import are_equal, word
 
-from oracles import apply, brute_force_index_count, divisor_sum
+from oracles import (
+    apply,
+    brute_force_index_count,
+    divisor_sum,
+    identity_matrix,
+    mat_mul,
+    order_of,
+)
 
 
 @contextmanager

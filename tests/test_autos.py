@@ -13,18 +13,25 @@ from thompson_sigma.autos import (
     _sparse_rows,
     d_orbit,
     delta_involution,
-    identity_matrix,
-    mat_mul,
     matrix_A,
     matrix_C,
-    order_of,
     rho0_cycle_power,
 )
-from thompson_sigma.charspace import SpherePoint, character, chi1, chi2, evaluate, sphere_point
+from thompson_sigma.charspace import SpherePoint, character, chi1, chi2, sphere_point
 from thompson_sigma.errors import DomainError, ResourceLimitError, ZeroCharacterError
 from thompson_sigma.words import parse_word, word
 
-from oracles import apply, fraction_orbit, mat_pow, phi_on_word, reduction_identity_check
+from oracles import (
+    apply,
+    evaluate,
+    fraction_orbit,
+    identity_matrix,
+    mat_mul,
+    mat_pow,
+    order_of,
+    phi_on_word,
+    reduction_identity_check,
+)
 
 
 def det(mat: CharacterMatrix) -> Fraction:

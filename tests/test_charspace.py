@@ -11,7 +11,6 @@ from thompson_sigma.charspace import (
     character,
     chi1,
     chi2,
-    evaluate,
     in_sigma1,
     in_sigma_m,
     kernel_finiteness,
@@ -25,6 +24,8 @@ from thompson_sigma.errors import (
     ZeroCharacterError,
 )
 from thompson_sigma.words import parse_word
+
+from oracles import evaluate
 
 
 def grid_characters(n, span):

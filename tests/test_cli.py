@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thompson_sigma.cli import _json_array, main
-from thompson_sigma.complexes import MAX_DIM
+from thompson_sigma.complexes import DEFAULT_DIM_CAP, MAX_DIM
 from thompson_sigma.gradients import MAX_INDEX_DIGITS
 from thompson_sigma.lattices import MAX_LATTICES, hnf_bases
 from thompson_sigma.plrep import MAX_PL_INDEX
@@ -222,6 +222,16 @@ class TestLatticeCommands:
         assert got["dUpper"] == 5
         assert got["chiValues"] == [1, 4, 8, 12, 16]
         assert got["defLower"] == -7
+
+    @pytest.mark.parametrize("command", ["cells", "bounds"])
+    def test_default_m_is_dim_cap(self, capsys, command):
+        argv = [command, "--n", "2", "--lattice", "2,0,0,1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        got = json.loads(out)
+        key = "counts" if command == "cells" else "chiValues"
+        assert len(got[key]) == DEFAULT_DIM_CAP + 1
+        assert run(capsys, *argv, "--m", str(DEFAULT_DIM_CAP)) == (0, out, "")
 
     def test_rank_deficient_lattice_is_domain_error(self, capsys):
         code, _, err = run(capsys, "cells", "--n", "2", "--lattice", "1,1,2,2")

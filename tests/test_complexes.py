@@ -21,9 +21,9 @@ from thompson_sigma.complexes import (
     stack_cells,
 )
 from thompson_sigma.errors import DomainError, InvariantViolationError, ResourceLimitError
-from thompson_sigma.lattices import enumerate_subgroups, full_lattice, hnf
+from thompson_sigma.lattices import enumerate_subgroups, hnf
 
-from oracles import binomial_cells, per_m_chi_values
+from oracles import binomial_cells, full_lattice, per_m_chi_values
 
 
 def values(vec, upto):

@@ -16,7 +16,6 @@ from thompson_sigma.lattices import (
     alpha,
     chain,
     enumerate_subgroups,
-    full_lattice,
     hnf,
     index,
     intersect_with_M,
@@ -25,7 +24,7 @@ from thompson_sigma.lattices import (
 )
 from thompson_sigma.words import abelianize, word
 
-from oracles import brute_force_index_count, divisor_sum
+from oracles import brute_force_index_count, divisor_sum, full_lattice
 
 
 class TestHNF:

@@ -1,8 +1,17 @@
 """The package's public surface."""
 
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import thompson_sigma
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_all_names_no_module():
@@ -12,3 +21,57 @@ def test_all_names_no_module():
         if not name.startswith("_") and not isinstance(getattr(thompson_sigma, name), types.ModuleType)
     }
     assert sorted(thompson_sigma.__all__) == sorted(public)
+
+
+class TestSurface:
+    def test_names_are_their_home_objects(self):
+        for name in thompson_sigma.__all__:
+            obj = getattr(thompson_sigma, name)
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from thompson_sigma import *", namespace)
+        assert set(thompson_sigma.__all__) <= set(namespace)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            thompson_sigma.no_such_name  # noqa: B018
+
+
+def _loaded_after(code):
+    # the package's modules in sys.modules after `code` runs in a fresh interpreter
+    script = code + "\nimport json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('thompson_sigma')]))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    return {name.removeprefix("thompson_sigma.") for name in loaded}
+
+
+class TestImportFootprint:
+    def test_package_loads_no_layer(self):
+        assert _loaded_after("import thompson_sigma") == {"thompson_sigma"}
+
+    def test_words_alone(self):
+        assert _loaded_after("import thompson_sigma.words") == {"thompson_sigma", "words", "errors"}
+
+    def test_charspace_needs_no_words(self):
+        assert _loaded_after("import thompson_sigma.charspace") == {
+            "thompson_sigma", "charspace", "_linalg", "errors",
+        }
+
+    def test_normalize_loads_word_layers_only(self):
+        code = "from thompson_sigma import cli\nassert cli.main(['normalize', '--n', '2', '--word', 'x1 x0']) == 0"
+        assert _loaded_after(code) == {"thompson_sigma", "cli", "errors", "plrep", "words"}
+
+    def test_sigma_loads_no_lattice_layers(self):
+        code = "from thompson_sigma import cli\nassert cli.main(['sigma', '--n', '2', '--chi', '-1,0']) == 0"
+        assert _loaded_after(code) == {
+            "thompson_sigma", "cli", "errors", "plrep", "words", "charspace", "_linalg",
+        }
+
+    def test_name_loads_its_home_module(self):
+        code = "import thompson_sigma\nthompson_sigma.sphere_point"
+        assert _loaded_after(code) == {"thompson_sigma", "charspace", "_linalg", "errors"}

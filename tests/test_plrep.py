@@ -20,9 +20,10 @@ from thompson_sigma.plrep import (
     maps_equal,
     plmap,
 )
-from thompson_sigma.words import identity_word, parse_word, word
+from thompson_sigma.words import parse_word, word
 
 from oracles import (
+    identity_word,
     is_power_of,
     left_fold_evaluate,
     pointwise_compose,

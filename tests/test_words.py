@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fixpoint_reduce, sequential_multiply
+from oracles import fixpoint_reduce, identity_word, sequential_multiply
 from thompson_sigma import plrep
 from thompson_sigma.errors import ArityMismatchError, ParseError, ResourceLimitError
 from thompson_sigma import words
@@ -22,7 +22,6 @@ from thompson_sigma.words import (
     are_equal,
     concat,
     format_word,
-    identity_word,
     invert,
     multiply,
     normal_form,
