@@ -40,7 +40,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .charspace import SpherePoint
-from .errors import ResourceLimitError, ZeroCharacterError
+from .errors import ORBIT_CAP, ZeroCharacterError, refuse_above
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -66,12 +66,7 @@ def delta_involution(n: int) -> dict[int, int]:
     """
     if n == 2:
         return {1: 1}
-    out = {}
-    for i in range(1, n - 2):
-        out[i] = n - i - 2
-    out[n - 2] = n - 1
-    out[n - 1] = n - 2
-    return out
+    return {i: n - i - 2 for i in range(1, n - 2)} | {n - 2: n - 1, n - 1: n - 2}
 
 
 def rho0_cycle_power(n: int, i: int, k: int) -> int:
@@ -85,11 +80,8 @@ def matrix_A(n: int) -> CharacterMatrix:
     """Action of the shift on value vectors: fixes slot 0, cycles the rest."""
     if n < 2:
         raise ValueError(f"arity must be >= 2, got {n}")
-    rows = [[1 if j == 0 else 0 for j in range(n)]]
-    for i in range(1, n):
-        target = rho0_cycle_power(n, i, 1)
-        rows.append([1 if j == target else 0 for j in range(n)])
-    return CharacterMatrix(n, tuple(tuple(r) for r in rows))
+    targets = [0] + [rho0_cycle_power(n, i, 1) for i in range(1, n)]
+    return CharacterMatrix(n, tuple(tuple(int(j == t) for j in range(n)) for t in targets))
 
 
 def matrix_C(n: int) -> CharacterMatrix:
@@ -128,7 +120,7 @@ def _generator_rows(n: int):
     return _sparse_rows(matrix_A(n)), _sparse_rows(matrix_C(n))
 
 
-def d_orbit(point: SpherePoint, cap: int = 1024) -> frozenset[SpherePoint]:
+def d_orbit(point: SpherePoint, cap: int = ORBIT_CAP) -> frozenset[SpherePoint]:
     """Orbit of a sphere point under the shift and flip matrices.
 
     Both generators have finite order, so closing under them alone closes
@@ -151,7 +143,7 @@ def d_orbit(point: SpherePoint, cap: int = 1024) -> frozenset[SpherePoint]:
             image = tuple([sum([c * v[j] for j, c in row]) for row in rows])
             if image not in seen:
                 if len(seen) >= cap:
-                    raise ResourceLimitError(f"orbit exceeds cap {cap}")
+                    refuse_above("orbit size", len(seen) + 1, cap)
                 seen.add(image)
                 frontier.append(image)
     return frozenset(SpherePoint(n, _on_sphere(v)) for v in seen)

@@ -3,7 +3,7 @@
 Output is deterministic JSON (or CSV for gradient series) so scripts and
 the acceptance harness can compare bytes.  Rationals are rendered "p/q".
 Exit codes: 0 success, 1 usage errors, 2 domain errors such as a missing
-conjecture flag or an enumeration cap.
+conjecture flag or a budget of `errors.BUDGETS`.
 
 Each command returns its output, a string, a JSON payload, or an iterator
 of text pieces that `main` writes as they are made (`subgroups`, whose
@@ -21,7 +21,8 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from .errors import DomainError, ParseError, ResourceLimitError
+from .errors import MAX_LATTICE_ENTRIES, MAX_PL_INDEX, ORBIT_CAP, refuse_above
+from .errors import DomainError, ParseError
 
 ENV_MAX_INDEX = "THOMPSON_SIGMA_MAX_INDEX"
 
@@ -38,10 +39,8 @@ def _printed(render):
     # digits than its limit into a string, with a plain ValueError
     try:
         return render()
-    except ValueError as exc:
-        raise ResourceLimitError(
-            f"an output number has more than {sys.get_int_max_str_digits()} digits"
-        ) from exc
+    except ValueError:
+        refuse_above("output number digit count", None, sys.get_int_max_str_digits())
 
 
 def _frac(q: Fraction) -> str:
@@ -60,8 +59,11 @@ def _json_array(items):
 
 
 def _parse_lattice(n: int, text: str) -> list[list[int]]:
+    tokens = text.split(",")
+    if len(tokens) > MAX_LATTICE_ENTRIES:
+        refuse_above("lattice entry count", len(tokens), MAX_LATTICE_ENTRIES)
     try:
-        flat = [int(tok) for tok in text.split(",")]
+        flat = [int(tok) for tok in tokens]
     except ValueError as exc:
         raise ParseError(f"bad lattice entry: {exc}") from exc
     if not flat or len(flat) % n:
@@ -81,13 +83,12 @@ def _at_least(low: int, text: str) -> int:
 def arity(text: str) -> int:
     """argparse type of --n: an integer n >= 2 within the PL budget.
 
-    An n above plrep.MAX_PL_INDEX raises ResourceLimitError, which argparse
+    An n above MAX_PL_INDEX raises ResourceLimitError, which argparse
     does not catch, so every subcommand exits 2 on it.
     """
-    from . import plrep
-
     n = _at_least(2, text)
-    plrep._check_budget(n, 0)
+    if n > MAX_PL_INDEX:
+        refuse_above("arity", n, MAX_PL_INDEX)
     return n
 
 
@@ -149,9 +150,7 @@ def _cmd_classify_kernel(args):
     return {
         "isFinitelyGenerated": report.is_finitely_generated,
         "maxCertifiedFType": report.max_certified_f_type,
-        "witness": None
-        if report.witness is None
-        else [_frac(v) for v in report.witness.values],
+        "witness": report.witness and [_frac(v) for v in report.witness.values],
         "assumedConjecture": report.assumed_conjecture,
     }
 
@@ -181,9 +180,7 @@ def _cmd_subgroups(args):
     except ValueError as exc:
         raise ParseError(f"{ENV_MAX_INDEX} must be an integer, got {cap_text!r}") from exc
     if cap is not None and args.max_index > cap:
-        raise DomainError(
-            f"--max-index {args.max_index} exceeds {ENV_MAX_INDEX}={cap_text}"
-        )
+        refuse_above("--max-index", args.max_index, f"{ENV_MAX_INDEX}={cap}")
     bases = lattices.hnf_bases(args.n, args.max_index)
     return _json_array([entry for row in basis for entry in row] for basis in bases)
 
@@ -208,15 +205,11 @@ def _cmd_bounds(args):
     m = complexes.DEFAULT_DIM_CAP if args.m is None else args.m
     report = complexes.d_bound(lat, d0_override=args.d0_override, chi_upto=m)
     return {
-        "dUpper": report.d_upper
-        if report.d_upper is not None
-        else report.d_upper_symbolic,
+        "dUpper": report.d_upper_symbolic if report.d_upper is None else report.d_upper,
         "caseTag": report.case_tag,
         "defLower": report.def_lower,
         "defUpper": report.def_upper,
-        "chiValues": None
-        if report.chi_values is None
-        else list(report.chi_values),
+        "chiValues": report.chi_values and list(report.chi_values),
     }
 
 
@@ -305,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("orbit", _cmd_orbit, help="orbit of a sphere point under shift and flip")
     p.add_argument("--chi", required=True)
-    p.add_argument("--cap", type=positive, default=1024)
+    p.add_argument("--cap", type=positive, default=ORBIT_CAP)
 
     p = add("subgroups", _cmd_subgroups, help="all subgroup lattices up to an index")
     p.add_argument("--max-index", type=positive, required=True)

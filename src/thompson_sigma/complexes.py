@@ -35,23 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InvariantViolationError, ResourceLimitError
+from .errors import MAX_DIM, DomainError, InvariantViolationError, refuse_above
 from .lattices import SubgroupLattice, member
 
 DEFAULT_DIM_CAP = 16
-
-# `CellVector.prefix`, `chi_m` and `d_bound` refuse a dimension above this.
-# d_bound's chi values are one running sum, so their time grows as m:
-# `d_bound(lat, chi_upto=1024)` takes 0.54 ms, and in-process CLI
-# `bounds --n 2 --lattice 2,0,0,2 --m M` 2.7-3.1 ms at M = 256 and 3.2-3.5 ms
-# at 1024, most of it building the parser.  `cells --m M` prints M + 1
-# counts, 6 KB at 1024 and 18.6 MB at two million (2-vCPU machine).
-MAX_DIM = 1024
-
-
-def _check_dim(m: int) -> None:
-    if m > MAX_DIM:
-        raise ResourceLimitError(f"dimension {m} exceeds the budget of {MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +71,8 @@ class CellVector:
 
     def prefix(self, m: int) -> tuple[int, ...]:
         """Values in dimensions 0..m; m above MAX_DIM raises ResourceLimitError."""
-        _check_dim(m)
+        if m > MAX_DIM:
+            refuse_above("dimension", m, MAX_DIM)
         return tuple(self.value(j) for j in range(m + 1))
 
     def reach(self) -> int:
@@ -104,9 +92,7 @@ def cell_vector(values, tail: AffineTail | None = None) -> CellVector:
     if tail is not None:
         for j in range(tail.start, len(counts)):
             if counts[j] != tail.value(j):
-                raise ValueError(
-                    f"explicit count {counts[j]} at dim {j} contradicts tail"
-                )
+                raise ValueError(f"explicit count {counts[j]} at dim {j} contradicts tail")
         if tail.slope == 0 and tail.offset == 0:
             tail = None
     if tail is not None:
@@ -214,7 +200,8 @@ def chi_m(r: CellVector, m: int) -> int:
     """
     if m < 0:
         raise ValueError(f"dimension must be >= 0, got {m}")
-    _check_dim(m)
+    if m > MAX_DIM:
+        refuse_above("dimension", m, MAX_DIM)
     *_, total = _alternating_sums(r, m)
     return _nonnegative(r, m, total)
 
@@ -275,7 +262,8 @@ def d_bound(
     n >= 3 otherwise: d(H) <= n + 2 + d0, symbolic unless overridden.
     A chi_upto above MAX_DIM raises ResourceLimitError for every n.
     """
-    _check_dim(chi_upto)
+    if chi_upto > MAX_DIM:
+        refuse_above("dimension", chi_upto, MAX_DIM)
     n = lat.arity
     symbolic = def_lower = chi_values = None
     if n == 2:

@@ -1,9 +1,16 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the budget table.
 
 Domain errors are conditions a caller can provoke with legal-looking but
 semantically bad input (mismatched arities, zero characters, rank-deficient
-lattices, exhausted resource caps).  The CLI maps them to exit code 2.
+lattices, exhausted budgets).  The CLI maps them to exit code 2, and
+ParseError to exit code 1.
+
+Every route ends at a budget: a fixed one of `BUDGETS`, or a call-time cap
+(`index_cap`, the orbit `cap`, THOMPSON_SIGMA_MAX_INDEX, CPython's limit on
+printed digits).  All refuse through `refuse_above`, in one message form.
 """
+
+from typing import NamedTuple, NoReturn
 
 
 class DomainError(Exception):
@@ -32,7 +39,7 @@ class RankDeficientError(DomainError):
 
 
 class ResourceLimitError(DomainError):
-    """A configured cap (index growth, enumeration size, orbit size) was hit."""
+    """A budget was passed: an entry of `BUDGETS` or a call-time cap."""
 
 
 class InvariantViolationError(Exception):
@@ -41,3 +48,77 @@ class InvariantViolationError(Exception):
 
 class ParseError(ValueError):
     """Malformed textual input (word syntax, character vectors, lattices)."""
+
+
+def refuse_above(what: str, value, limit, error: type = ResourceLimitError) -> NoReturn:
+    """Raise `error`: "<what> <value> exceeds the budget of <limit>".
+
+    Where the check decides without the value, pass None and the message
+    names `what` alone.
+    """
+    shown = what if value is None else f"{what} {value}"
+    raise error(f"{shown} exceeds the budget of {limit}")
+
+
+class Budget(NamedTuple):
+    limit: int
+    counts: str
+    error: type = ResourceLimitError  # ParseError exits 1, ResourceLimitError 2
+
+
+# The fixed budgets, with what they cost near the limit (2-vCPU machine).
+
+# `parse_word`, before the token that crosses it expands; 2^20 letters take
+# 0.19 s.
+MAX_WORD_LETTERS = 1 << 20
+
+# `parse_word`, before turning an index or exponent into an int (CPython's
+# `int` refuses strings of more than 4300 digits with a plain ValueError).
+MAX_TOKEN_DIGITS = 100
+
+# `rewrite_to_seminormal`, three words each: random words at L = 4096 took
+# 0.07-0.22 s, the slowest shape seen, x0^-(L/2) x1^(L/2), 0.33-0.50 s; at
+# L = 8192 the same took 0.45-0.66 s and 1.7-1.9 s, so the 2^20 letters
+# `parse_word` admits would take hours.
+MAX_REWRITE_LETTERS = 1 << 12
+
+# `generator_map`, `evaluate_word` and the CLI's --n.  The vines of x_i take
+# time about quadratic in i: for n = 2, 4 ms at i = 64, 19 ms at i = 256 and
+# 104 ms at i = 1024; and linear in n: x_0 took 12 ms at n = 256, 100 ms at
+# n = 2000 and 1.5 s at n = 20000.
+MAX_PL_INDEX = 256
+
+# The default cap of `hnf_bases` and `enumerate_subgroups`, before the first
+# lattice.  The tests and benchmarks make at most 84,552, at (3, 50); the
+# 1,047,476 of (2, 1128) are listed in 0.5 s.
+MAX_LATTICES = 1 << 20
+
+# `CellVector.prefix`, `chi_m` and `d_bound`: `d_bound(lat, chi_upto=1024)`
+# takes 0.54 ms, in-process CLI `bounds --n 2 --lattice 2,0,0,2 --m 1024`
+# 3.2-3.5 ms, and `cells --m M` prints 6 KB at 1024, 18.6 MB at two million.
+MAX_DIM = 1024
+
+# Gradient series, before the first row: CPython's default limit for turning
+# an int into a string, so every index and denominator of a row prints.
+MAX_INDEX_DIGITS = 4300
+
+# The CLI's --lattice, rows times n, before any elimination (its coefficients
+# grow on dense rows).  On seeded rows with entries in -9..9, three seeds
+# each, `bounds` took 0.92-1.03 s at 84 x 84, 0.52-0.90 s at the other
+# shapes of 7056 entries tried (126 x 56 to 98 x 72) and 1.4-1.7 s at
+# 96 x 96; `classify-kernel` took 0.76-0.82 s at 84 x 84.
+MAX_LATTICE_ENTRIES = 84 * 84
+
+BUDGETS = {
+    "MAX_WORD_LETTERS": Budget(MAX_WORD_LETTERS, "letters of a word"),
+    "MAX_TOKEN_DIGITS": Budget(MAX_TOKEN_DIGITS, "digits of a word token", ParseError),
+    "MAX_REWRITE_LETTERS": Budget(MAX_REWRITE_LETTERS, "letters of a word to rewrite"),
+    "MAX_PL_INDEX": Budget(MAX_PL_INDEX, "arity, and generator index of a PL map"),
+    "MAX_LATTICES": Budget(MAX_LATTICES, "lattices of an enumeration"),
+    "MAX_DIM": Budget(MAX_DIM, "dimension of cell counts and chi values"),
+    "MAX_INDEX_DIGITS": Budget(MAX_INDEX_DIGITS, "digits of a chain's last index"),
+    "MAX_LATTICE_ENTRIES": Budget(MAX_LATTICE_ENTRIES, "entries of a --lattice"),
+}
+
+# The default orbit cap, of `d_orbit` and of CLI `orbit --cap`.
+ORBIT_CAP = 1024

@@ -28,18 +28,13 @@ from .complexes import (
     d_bound,
     deficiency_bounds,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import MAX_INDEX_DIGITS, DomainError, refuse_above
 from .lattices import ChainSpec, chain
 
 RANK = "rank"
 DEFICIENCY = "deficiency"
 CHI = "chi"
 
-# A series refuses a scaling or coordinate chain whose last index has more
-# decimal digits than this, before its first row.  It is CPython's default
-# limit for turning an int into a string, so every index of a row, and every
-# denominator (a divisor of the index), can be printed.
-MAX_INDEX_DIGITS = 4300
 _MAX_INDEX = 10**MAX_INDEX_DIGITS - 1
 
 
@@ -63,20 +58,18 @@ class GradientSeries:
 def _chain_terms(spec: ChainSpec, n: int, steps: int | None):
     if steps is None or steps < 1:
         raise ValueError("need a positive number of chain steps")
-    if spec.kind != "explicit":
-        _check_last_index(spec.p, (steps - 1) * (n if spec.kind == "scaling" else 1))
+    e = (steps - 1) * (n if spec.kind == "scaling" else 1)
+    if spec.kind != "explicit" and _index_too_long(spec.p, e):
+        refuse_above("last chain index digit count", None, MAX_INDEX_DIGITS)
     for s in range(steps):
         lat = chain(spec, s, n)
         yield s, lat, lat.index()
 
 
-def _check_last_index(p: int, e: int) -> None:
-    # p^e >= 2^((bits(p) - 1) e), so a large exponent is refused without
+def _index_too_long(p: int, e: int) -> bool:
+    # p^e >= 2^((bits(p) - 1) e), so a large exponent is decided without
     # computing p^e; otherwise p^e has fewer than 2 * bits(_MAX_INDEX) bits
-    if (p.bit_length() - 1) * e > _MAX_INDEX.bit_length() or p**e > _MAX_INDEX:
-        raise ResourceLimitError(
-            f"the last chain index has more than {MAX_INDEX_DIGITS} digits"
-        )
+    return (p.bit_length() - 1) * e > _MAX_INDEX.bit_length() or p**e > _MAX_INDEX
 
 
 def rank_gradient_series(
@@ -121,9 +114,7 @@ def deficiency_gradient_series(
     rows = []
     for s, lat, idx in _chain_terms(spec, n, steps):
         lower, upper = deficiency_bounds(_subgroup_cells(lat, idx), n)
-        rows.append(
-            GradientRow(s, idx, Fraction(lower, idx), Fraction(upper, idx))
-        )
+        rows.append(GradientRow(s, idx, Fraction(lower, idx), Fraction(upper, idx)))
     return GradientSeries(DEFICIENCY, n, None, tuple(rows))
 
 

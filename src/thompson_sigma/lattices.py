@@ -32,13 +32,9 @@ from math import prod
 
 from ._linalg import eliminate, integer_kernel
 from .charspace import Character
-from .errors import DomainError, RankDeficientError, ResourceLimitError, ZeroCharacterError
+from .errors import MAX_LATTICES, DomainError, RankDeficientError, ZeroCharacterError, refuse_above
 
 IntRows = tuple[tuple[int, ...], ...]
-
-# `enumerate_subgroups` refuses more lattices than this by default.  The
-# largest enumeration of the tests and benchmarks makes 84,552, at (3, 50).
-MAX_LATTICES = 2**20
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,7 +189,7 @@ def hnf_bases(n: int, max_index: int, *, cap: int = MAX_LATTICES) -> Iterator[In
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     if _basis_count(n, max_index, cap) > cap:
-        raise ResourceLimitError(f"enumeration exceeds cap of {cap} lattices")
+        refuse_above("lattice count", None, cap)
     return (basis for k in range(1, max_index + 1) for basis in _bases_of_index(n, (), k))
 
 
@@ -235,14 +231,9 @@ def chain(spec: ChainSpec, s: int, n: int) -> SubgroupLattice:
     """The s-th term of the chain, s >= 0."""
     if s < 0:
         raise ValueError(f"chain position must be >= 0, got {s}")
-    if spec.kind == "scaling":
-        return hnf([[spec.p**s if i == j else 0 for j in range(n)] for i in range(n)])
-    if spec.kind == "coordinate":
-        rows = [[0] * n for _ in range(n)]
-        rows[0][0] = spec.p**s
-        for i in range(1, n):
-            rows[i][i] = 1
-        return hnf(rows)
+    if spec.kind != "explicit":
+        diagonal = [spec.p**s] + [spec.p**s if spec.kind == "scaling" else 1] * (n - 1)
+        return hnf([[d if i == j else 0 for j in range(n)] for i, d in enumerate(diagonal)])
     if s >= len(spec.terms):
         raise DomainError(f"explicit chain has only {len(spec.terms)} terms")
     term = spec.terms[s]

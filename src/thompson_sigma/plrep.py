@@ -42,29 +42,13 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .errors import ArityMismatchError, ResourceLimitError
+from .errors import MAX_PL_INDEX, ArityMismatchError, refuse_above
 from .words import GroupWord, _pairwise_product
 
 Breakpoint = tuple[Fraction, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-# `generator_map` and `evaluate_word` refuse an arity n or a generator
-# index above this.  Building the vines of x_i takes time about quadratic
-# in i: for n = 2, 4 ms at i = 64, 19 ms at i = 256 and 104 ms at i = 1024.
-# It is linear in n, as each caret cuts n - 1 points: x_0 took 12 ms at
-# n = 256, 100 ms at n = 2000 and 1.5 s at n = 20000 (2-vCPU machine).
-MAX_PL_INDEX = 256
-
-
-def _check_budget(n: int, i: int) -> None:
-    for what, value in (("arity", n), ("generator index", i)):
-        if value > MAX_PL_INDEX:
-            raise ResourceLimitError(
-                f"{what} {value} exceeds the PL budget of {MAX_PL_INDEX}"
-            )
-
 
 def _minimized(points: list[Breakpoint]) -> tuple[Breakpoint, ...]:
     out = [points[0]]
@@ -188,7 +172,10 @@ def generator_map(n: int, i: int) -> PLMap:
         raise ValueError(f"arity must be >= 2, got {n}")
     if i < 0:
         raise ValueError(f"generator index must be >= 0, got {i}")
-    _check_budget(n, i)
+    if n > MAX_PL_INDEX:
+        refuse_above("arity", n, MAX_PL_INDEX)
+    if i > MAX_PL_INDEX:
+        refuse_above("generator index", i, MAX_PL_INDEX)
     q = i // (n - 1)
     domain = _vine_points(n, q + 2)
     rng = _vine_points(n, q + 1)
@@ -204,7 +191,11 @@ def evaluate_word(w: GroupWord) -> PLMap:
     An arity or a letter index above MAX_PL_INDEX raises
     ResourceLimitError before any map is built.
     """
-    _check_budget(w.arity, max((let.index for let in w.letters), default=0))
+    top = max((let.index for let in w.letters), default=0)
+    if w.arity > MAX_PL_INDEX:
+        refuse_above("arity", w.arity, MAX_PL_INDEX)
+    if top > MAX_PL_INDEX:
+        refuse_above("generator index", top, MAX_PL_INDEX)
     maps = [
         invert_map(generator_map(w.arity, let.index))
         if let.exponent == -1

@@ -33,23 +33,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import ArityMismatchError, ParseError, ResourceLimitError
+from .errors import MAX_REWRITE_LETTERS, MAX_TOKEN_DIGITS, MAX_WORD_LETTERS, refuse_above
+from .errors import ArityMismatchError, ParseError
 
 DEFAULT_INDEX_CAP = 1 << 16
 
 _TOKEN_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
-
-# `parse_word` refuses words that expand to more letters than this.
-MAX_WORD_LETTERS = 1 << 20
-
-# `parse_word` refuses an index or exponent of more digits than this, before
-# turning it into an integer (CPython's `int` refuses strings of more than
-# 4300 digits with a plain ValueError).
-MAX_TOKEN_DIGITS = 100
-
-# `rewrite_to_seminormal` refuses words of more letters than this (see its
-# docstring for the measured cost).
-MAX_REWRITE_LETTERS = 1 << 12
 
 # `normal_form` rewrites runs of this many letters left to right and
 # multiplies their forms.  On 1600-letter words runs of 32, 64 or 128
@@ -142,16 +131,13 @@ def parse_word(arity: int, text: str) -> GroupWord:
         m = _TOKEN_RE.match(token)
         if not m:
             raise ParseError(f"bad word token {token!r}")
-        if max(len(m.group(1)), len((m.group(2) or "").lstrip("-"))) > MAX_TOKEN_DIGITS:
-            raise ParseError(
-                f"word token has more than {MAX_TOKEN_DIGITS} digits in its index or exponent"
-            )
+        digits = max(len(m.group(1)), len((m.group(2) or "").lstrip("-")))
+        if digits > MAX_TOKEN_DIGITS:
+            refuse_above("word token digit count", digits, MAX_TOKEN_DIGITS, ParseError)
         index = int(m.group(1))
         exp = 1 if m.group(2) is None else int(m.group(2))
         if len(letters) + abs(exp) > MAX_WORD_LETTERS:
-            raise ResourceLimitError(
-                f"word exceeds the budget of {MAX_WORD_LETTERS} letters"
-            )
+            refuse_above("word length", len(letters) + abs(exp), MAX_WORD_LETTERS)
         letters.extend([GeneratorLetter(index, 1 if exp >= 0 else -1)] * abs(exp))
     return GroupWord(arity, tuple(letters))
 
@@ -178,18 +164,11 @@ def concat(u: GroupWord, v: GroupWord) -> GroupWord:
     return GroupWord(u.arity, u.letters + v.letters)
 
 
-def _check_cap(index: int, cap: int) -> None:
-    if index > cap:
-        raise ResourceLimitError(
-            f"generator index {index} exceeds rewriting cap {cap}"
-        )
-
-
 def _check_max(indices: Iterable[int], cap: int) -> None:
     # Raise if the largest of `indices`, if any, exceeds the cap.
-    top = max(indices, default=None)
-    if top is not None:
-        _check_cap(top, cap)
+    top = max(indices, default=cap)
+    if top > cap:
+        refuse_above("generator index", top, cap)
 
 
 def _pass_smaller(neg: list[int], k: int, s: int, cap: int) -> tuple[int, int]:
@@ -201,8 +180,8 @@ def _pass_smaller(neg: list[int], k: int, s: int, cap: int) -> tuple[int, int]:
     while j and neg[j - 1] < bumped:
         bumped += s
         j -= 1
-    if bumped > cap and bumped != k:
-        _check_cap(k + s * max(1, (cap - k) // s + 1), cap)  # first bump past cap
+    if bumped > cap and bumped != k:  # name the first bump past cap
+        refuse_above("generator index", k + s * max(1, (cap - k) // s + 1), cap)
     return j, bumped
 
 
@@ -218,11 +197,11 @@ def _push_positive(pos: list[int], neg: list[int], k: int, n: int, cap: int):
         return
     if j:
         if neg[0] + s > cap:  # x_k passes the smallest first; name that one
-            _check_cap(min(q for q in neg[:j] if q + s > cap) + s, cap)
+            refuse_above("generator index", min(q for q in neg[:j] if q + s > cap) + s, cap)
         neg[:j] = [q + s for q in neg[:j]]
     i = bisect_right(pos, k)
-    if i < len(pos):
-        _check_cap(pos[-1] + s, cap)
+    if i < len(pos) and pos[-1] + s > cap:
+        refuse_above("generator index", pos[-1] + s, cap)
     pos[i:] = [k] + [p + s for p in pos[i:]]
 
 
@@ -259,18 +238,12 @@ def rewrite_to_seminormal(
     the element's seminormal forms, not the canonical one.  An input letter
     or a bumped index beyond `index_cap` raises ResourceLimitError.
 
-    A word of more than MAX_REWRITE_LETTERS = 4096 letters raises
-    ResourceLimitError before the rewrite starts.  Measured on a 2-vCPU
-    machine (three words each): random words at L = 4096 took 0.07-0.22 s,
-    the slowest shape seen, x0^-(L/2) x1^(L/2), 0.33-0.50 s; at L = 8192
-    the same took 0.45-0.66 s and 1.7-1.9 s, and random words at L = 12800
-    1.0-1.3 s, so the 2^20 letters `parse_word` admits would take hours.
+    A word of more than MAX_REWRITE_LETTERS letters raises
+    ResourceLimitError before the rewrite starts (its measured cost is in
+    `errors`).
     """
     if len(w.letters) > MAX_REWRITE_LETTERS:
-        raise ResourceLimitError(
-            f"word of {len(w.letters)} letters exceeds the rewrite budget of"
-            f" {MAX_REWRITE_LETTERS}"
-        )
+        refuse_above("rewrite length", len(w.letters), MAX_REWRITE_LETTERS)
     _check_max((let.index for let in w.letters), index_cap)  # input letters too
     pos, neg = _rewrite(w.letters, w.arity, index_cap)
     return SeminormalForm(w.arity, tuple(pos), tuple(neg))
@@ -356,10 +329,7 @@ def multiply(
     """
     if u.arity != v.arity:
         raise ArityMismatchError(f"arity {u.arity} vs {v.arity}")
-    _check_max(
-        u.positive[-1:] + u.negative[:1] + v.positive[-1:] + v.negative[:1],
-        index_cap,
-    )
+    _check_max(u.positive[-1:] + u.negative[:1] + v.positive[-1:] + v.negative[:1], index_cap)
     pos, neg = _merge(
         (u.positive, u.negative), (v.positive, v.negative), u.arity - 1, index_cap
     )
@@ -449,8 +419,6 @@ def are_equal(
     Decided by reducing u * v^-1 to normal form and checking emptiness;
     agreement with the PL-map oracle is part of the acceptance suite.
     """
-    if u.arity != v.arity:
-        raise ArityMismatchError(f"arity {u.arity} vs {v.arity}")
     return normal_form(concat(u, invert(v)), index_cap=index_cap).is_identity()
 
 

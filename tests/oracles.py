@@ -111,7 +111,7 @@ def sequential_multiply(
         raise ArityMismatchError(f"arity {u.arity} vs {v.arity}")
     top = max(u.positive + u.negative + v.positive + v.negative, default=None)
     if top is not None and top > index_cap:
-        raise ResourceLimitError(f"generator index {top} exceeds rewriting cap {index_cap}")
+        raise ResourceLimitError(f"generator index {top} exceeds the budget of {index_cap}")
     pos, neg = list(u.positive), list(u.negative)
     for k in v.positive:
         _push_positive(pos, neg, k, u.arity, index_cap)
@@ -232,7 +232,7 @@ def fraction_orbit(point: SpherePoint, cap: int = 1024) -> frozenset[SpherePoint
             image = sphere_point(apply(g, chi))
             if image not in seen:
                 if len(seen) >= cap:
-                    raise ResourceLimitError(f"orbit exceeds cap {cap}")
+                    raise ResourceLimitError(f"orbit size {len(seen) + 1} exceeds the budget of {cap}")
                 seen.add(image)
                 frontier.append(image)
     return frozenset(seen)

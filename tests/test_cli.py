@@ -16,16 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thompson_sigma.cli import _json_array, main
-from thompson_sigma.complexes import DEFAULT_DIM_CAP, MAX_DIM
-from thompson_sigma.gradients import MAX_INDEX_DIGITS
-from thompson_sigma.lattices import MAX_LATTICES, hnf_bases
-from thompson_sigma.plrep import MAX_PL_INDEX
-from thompson_sigma.words import (
+from thompson_sigma.complexes import DEFAULT_DIM_CAP
+from thompson_sigma.errors import (
+    BUDGETS,
+    MAX_DIM,
+    MAX_INDEX_DIGITS,
+    MAX_LATTICE_ENTRIES,
+    MAX_LATTICES,
+    MAX_PL_INDEX,
     MAX_REWRITE_LETTERS,
     MAX_TOKEN_DIGITS,
     MAX_WORD_LETTERS,
-    parse_word,
+    ParseError,
 )
+from thompson_sigma.lattices import hnf_bases
+from thompson_sigma.words import parse_word
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -194,7 +199,7 @@ class TestLatticeCommands:
         monkeypatch.setenv("THOMPSON_SIGMA_MAX_INDEX", "5")
         code, _, err = run(capsys, "subgroups", "--n", "2", "--max-index", "10")
         assert code == 2
-        assert "THOMPSON_SIGMA_MAX_INDEX" in err
+        assert err == "error: --max-index 10 exceeds the budget of THOMPSON_SIGMA_MAX_INDEX=5\n"
 
     def test_cells(self, capsys):
         code, out, _ = run(
@@ -340,7 +345,7 @@ class TestExitCodes:
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
-            assert err.startswith("error: word exceeds the budget"), argv
+            assert err == f"error: word length {over} exceeds the budget of {MAX_WORD_LETTERS}\n", argv
 
     def test_domain_error_dimension_budget(self, capsys):
         over = MAX_DIM + 1
@@ -365,7 +370,8 @@ class TestExitCodes:
             ):
                 code, out, err = run(capsys, *argv)
                 assert (code, out) == (1, ""), argv
-                assert err.startswith("usage error: word token has more than"), argv
+                message = f"word token digit count {digits} exceeds the budget of {MAX_TOKEN_DIGITS}"
+                assert err == f"usage error: {message}\n", argv
 
     def test_domain_error_below_digit_budget(self, capsys):
         # numbers the digit budget lets through still end in a budget error
@@ -382,14 +388,14 @@ class TestExitCodes:
         for word in (f"x{MAX_PL_INDEX + 1}", f"x0 x{MAX_PL_INDEX + 1}^-1 x0"):
             code, out, err = run(capsys, "eval-pl", "--n", "2", "--word", word)
             assert (code, out) == (2, ""), word
-            assert err == f"error: generator index {MAX_PL_INDEX + 1} exceeds the PL budget of {MAX_PL_INDEX}\n"
+            assert err == f"error: generator index {MAX_PL_INDEX + 1} exceeds the budget of {MAX_PL_INDEX}\n"
 
     def test_domain_error_pl_arity_budget(self, capsys):
         over = MAX_PL_INDEX + 1
         for word in ("x0", ""):
             code, out, err = run(capsys, "eval-pl", "--n", str(over), "--word", word)
             assert (code, out) == (2, ""), word
-            assert err == f"error: arity {over} exceeds the PL budget of {MAX_PL_INDEX}\n"
+            assert err == f"error: arity {over} exceeds the budget of {MAX_PL_INDEX}\n"
 
     def test_domain_error_arity_budget_on_every_subcommand(self, capsys):
         over = str(MAX_PL_INDEX + 1)
@@ -410,7 +416,7 @@ class TestExitCodes:
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
-            assert err == f"error: arity {over} exceeds the PL budget of {MAX_PL_INDEX}\n", argv
+            assert err == f"error: arity {over} exceeds the budget of {MAX_PL_INDEX}\n", argv
         code, out, _ = run(capsys, "auto-matrix", "--n", str(MAX_PL_INDEX), "--which", "A")
         assert code == 0 and len(json.loads(out)) == MAX_PL_INDEX
 
@@ -428,7 +434,7 @@ class TestExitCodes:
         at, over = f"x0^{MAX_REWRITE_LETTERS}", f"x0^{MAX_REWRITE_LETTERS + 1}"
         code, out, _ = run(capsys, "mul", "--n", "2", "--u", at, "--v", at)
         assert (code, out) == (0, " ".join(["x0"] * 2 * MAX_REWRITE_LETTERS) + "\n")
-        message = f"error: word of {MAX_REWRITE_LETTERS + 1} letters exceeds the rewrite budget of {MAX_REWRITE_LETTERS}\n"
+        message = f"error: rewrite length {MAX_REWRITE_LETTERS + 1} exceeds the budget of {MAX_REWRITE_LETTERS}\n"
         with mock.patch("thompson_sigma.words._rewrite", side_effect=AssertionError):
             assert run(capsys, "mul", "--n", "2", "--u", over, "--v", "x1") == (2, "", message)
         argv = ("mul", "--n", "3", "--u", "x1", "--v", f"x2^-{MAX_REWRITE_LETTERS + 1}")
@@ -436,7 +442,7 @@ class TestExitCodes:
 
     def test_domain_error_chain_index_budget(self, capsys):
         # refused before the first row: the chain is never built
-        message = f"error: the last chain index has more than {MAX_INDEX_DIGITS} digits\n"
+        message = f"error: last chain index digit count exceeds the budget of {MAX_INDEX_DIGITS}\n"
         for argv in (
             ("gradient", "--n", "2", "--kind", "dg", "--chain", "scaling:5", "--steps", "3100"),
             ("gradient", "--n", "2", "--kind", "rg", "--chain", "scaling:5", "--steps", "1000000"),
@@ -451,7 +457,7 @@ class TestExitCodes:
         # a ray of 5000-digit integers from 2500-digit inputs
         chi = f"1/{'7' * 2500},{'3' * 2500},1"
         assert run(capsys, "orbit", "--n", "3", "--chi", chi) == (
-            2, "", "error: an output number has more than 4300 digits\n"
+            2, "", "error: output number digit count exceeds the budget of 4300\n"
         )
         code, out, err = run(capsys, "orbit", "--n", "2", "--chi", f"1/{'7' * 2000},1")
         assert (code, err) == (0, "") and len(json.loads(out)) == 2
@@ -468,7 +474,7 @@ class TestExitCodes:
     def test_domain_error_output_digits_eval_pl(self, capsys, digit_limit_640):
         # x0^k has a breakpoint of denominator 2^k: 663 digits at k = 2200
         assert run(capsys, "eval-pl", "--n", "2", "--word", "x0^2200") == (
-            2, "", "error: an output number has more than 640 digits\n"
+            2, "", "error: output number digit count exceeds the budget of 640\n"
         )
         code, out, _ = run(capsys, "eval-pl", "--n", "2", "--word", "x0^2000")
         assert code == 0 and max(len(q) for row in json.loads(out) for q in row) == 603
@@ -478,7 +484,8 @@ class TestExitCodes:
         # chi/index = 1/(5 10^(s-1)), the JSON index itself pass the limit
         for args in (("--kind", "rg", "--format", "csv"), ("--kind", "dg"), ("--kind", "chi", "--m", "2")):
             argv = ("gradient", "--n", "2", "--chain", "coordinate:10", "--steps", "641", *args)
-            assert run(capsys, *argv) == (2, "", "error: an output number has more than 640 digits\n"), argv
+            message = "error: output number digit count exceeds the budget of 640\n"
+            assert run(capsys, *argv) == (2, "", message), argv
         code, out, _ = run(capsys, "gradient", "--n", "2", "--kind", "chi", "--m", "2",
                            "--chain", "coordinate:10", "--steps", "640")
         assert code == 0 and json.loads(out)["rows"][-1]["index"] == 10**639
@@ -486,7 +493,7 @@ class TestExitCodes:
     def test_domain_error_enumeration_cap(self, capsys):
         code, out, err = run(capsys, "subgroups", "--n", "5", "--max-index", "100")
         assert (code, out) == (2, "")
-        assert err == f"error: enumeration exceeds cap of {MAX_LATTICES} lattices\n"
+        assert err == f"error: lattice count exceeds the budget of {MAX_LATTICES}\n"
 
     def test_usage_error_bad_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("THOMPSON_SIGMA_MAX_INDEX", "abc")
@@ -499,6 +506,57 @@ class TestExitCodes:
         for lattice in ("1,1,1", "1,x", "1,,2"):
             code, _, _ = run(capsys, "classify-kernel", "--n", "2", "--lattice", lattice)
             assert code == 1, lattice
+
+    @pytest.mark.parametrize("command", ["cells", "bounds", "classify-kernel"])
+    def test_lattice_entry_budget(self, capsys, command):
+        # identity rows, cheap to eliminate, fill the budget exactly; one
+        # entry more is refused before the lattice layers see the rows
+        at = ",".join(["1,0,0,1"] * (MAX_LATTICE_ENTRIES // 4))
+        assert run(capsys, command, "--n", "2", "--lattice", at)[0] == 0
+        over = f"error: lattice entry count {MAX_LATTICE_ENTRIES + 1} exceeds the budget of {MAX_LATTICE_ENTRIES}\n"
+        with mock.patch("thompson_sigma.lattices.hnf", side_effect=AssertionError), \
+                mock.patch("thompson_sigma.charspace.kernel_finiteness", side_effect=AssertionError):
+            assert run(capsys, command, "--n", "2", "--lattice", at + ",1") == (2, "", over)
+
+
+# One argv per entry of errors.BUDGETS, at limit + 1: (argv, what the
+# refusal names, the value it names, or None where the check has none).
+# The n = 2 lattices of index <= 1128 number 1,047,476, of <= 1129 more
+# than MAX_LATTICES.
+_PAST_BUDGET = {
+    "MAX_WORD_LETTERS": (
+        ("normalize", "--n", "2", "--word", f"x1^{MAX_WORD_LETTERS + 1}"), "word length", MAX_WORD_LETTERS + 1,
+    ),
+    "MAX_TOKEN_DIGITS": (
+        ("normalize", "--n", "2", "--word", "x" + "9" * (MAX_TOKEN_DIGITS + 1)),
+        "word token digit count", MAX_TOKEN_DIGITS + 1,
+    ),
+    "MAX_REWRITE_LETTERS": (
+        ("mul", "--n", "2", "--u", f"x0^{MAX_REWRITE_LETTERS + 1}", "--v", "x1"),
+        "rewrite length", MAX_REWRITE_LETTERS + 1,
+    ),
+    "MAX_PL_INDEX": (("eval-pl", "--n", str(MAX_PL_INDEX + 1), "--word", "x0"), "arity", MAX_PL_INDEX + 1),
+    "MAX_LATTICES": (("subgroups", "--n", "2", "--max-index", "1129"), "lattice count", None),
+    "MAX_DIM": (("cells", "--n", "2", "--lattice", "2,0,0,2", "--m", str(MAX_DIM + 1)), "dimension", MAX_DIM + 1),
+    "MAX_INDEX_DIGITS": (
+        ("gradient", "--n", "2", "--kind", "dg", "--chain", "coordinate:10", "--steps", str(MAX_INDEX_DIGITS + 1)),
+        "last chain index digit count", None,
+    ),
+    "MAX_LATTICE_ENTRIES": (
+        ("bounds", "--n", "2", "--lattice", ",".join(["1"] * (MAX_LATTICE_ENTRIES + 1))),
+        "lattice entry count", MAX_LATTICE_ENTRIES + 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+def test_each_budget_refuses_past_its_limit(capsys, name):
+    # an entry without an argv above fails here, so no budget lands untested
+    argv, what, value = _PAST_BUDGET[name]
+    limit, _, error = BUDGETS[name]
+    code, prefix = (1, "usage error") if error is ParseError else (2, "error")
+    shown = what if value is None else f"{what} {value}"
+    assert run(capsys, *argv) == (code, "", f"{prefix}: {shown} exceeds the budget of {limit}\n")
 
 
 _HUGE = "9" * 4301  # just past CPython's 4300-digit limit on `int` of a string
@@ -522,9 +580,9 @@ def _joined(values, count, sep=","):
 # the arity n that returns them; (None, None) marks a flag without a value.
 _FLAG = (None, None)
 _NUMBERS = (_INTS, _BAD_INTS)
-# dimensions also just past complexes.MAX_DIM and far past it
+# dimensions also just past errors.MAX_DIM and far past it
 _DIMS = (_INTS | st.sampled_from([str(MAX_DIM + 1), "1" + "0" * 12]), _BAD_INTS)
-# steps past gradients.MAX_INDEX_DIGITS for every chain drawn, refused at once
+# steps past errors.MAX_INDEX_DIGITS for every chain drawn, refused at once
 _STEPS = (_INTS | st.sampled_from(["15000", "1000000"]), _BAD_INTS)
 _WORDS = (
     st.integers(0, 5).flatmap(lambda k: _joined(_LETTERS, k, " ")),
@@ -578,13 +636,15 @@ _BAD_ARITIES = st.sampled_from(["1", "0", "-3", "two", "", _HUGE, str(MAX_PL_IND
 def _invocations(draw):
     """(argv, THOMPSON_SIGMA_MAX_INDEX or None): a valid call, or one with one fault.
 
-    The fault is a malformed or dropped option, a junk argument, or a set
-    environment variable.
+    The fault is a malformed or dropped option, a junk argument, a set
+    environment variable, or the argv just past one entry of the budget table.
     """
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     n = draw(st.integers(2, 4))
     options = {**_OPTIONS[command], "--n": (st.just(str(n)), _BAD_ARITIES)}
-    fault = draw(st.sampled_from([*_OPTIONS[command], None, None, "--n", "junk", "env"]))
+    fault = draw(st.sampled_from([*_OPTIONS[command], None, None, "--n", "junk", "env", "budget"]))
+    if fault == "budget":
+        return list(draw(st.sampled_from([argv for argv, _, _ in _PAST_BUDGET.values()]))), None
     argv = [command]
     for flag, values in options.items():
         good, bad = values(n) if callable(values) else values

@@ -6,7 +6,6 @@ from thompson_sigma import complexes
 from thompson_sigma.complexes import (
     CASE_1_2_CELLS,
     CASE_3_CELLS,
-    MAX_DIM,
     AffineTail,
     BoundReport,
     cell_vector,
@@ -20,7 +19,7 @@ from thompson_sigma.complexes import (
     ones_cells,
     stack_cells,
 )
-from thompson_sigma.errors import DomainError, InvariantViolationError, ResourceLimitError
+from thompson_sigma.errors import MAX_DIM, DomainError, InvariantViolationError, ResourceLimitError
 from thompson_sigma.lattices import enumerate_subgroups, hnf
 
 from oracles import binomial_cells, full_lattice, per_m_chi_values
@@ -168,7 +167,7 @@ class TestChiM:
 class TestDimensionBudget:
     def test_refused_just_past_the_budget(self):
         over = MAX_DIM + 1
-        message = f"dimension {over} exceeds the budget of {MAX_DIM}"
+        message = f"^dimension {over} exceeds the budget of {MAX_DIM}$"
         vec, _ = cells_for_subgroup_F(hnf([[2, 0], [0, 2]]))
         for call in (
             lambda: vec.prefix(over),

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from thompson_sigma import gradients
-from thompson_sigma.errors import DomainError, ResourceLimitError
+from thompson_sigma.errors import MAX_INDEX_DIGITS, DomainError, ResourceLimitError
 from thompson_sigma.gradients import (
-    MAX_INDEX_DIGITS,
     certify_convergence,
     chi_m_gradient_series,
     deficiency_gradient_series,
@@ -172,7 +171,7 @@ class TestIndexBudget:
             raise _RowsBegan
 
         monkeypatch.setattr(gradients, "chain", no_rows)
-        message = f"the last chain index has more than {MAX_INDEX_DIGITS} digits"
+        message = f"^last chain index digit count exceeds the budget of {MAX_INDEX_DIGITS}$"
         for spec, at, past in self.EDGES:
             for series in self.SERIES:
                 if at is not None:

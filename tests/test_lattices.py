@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from thompson_sigma import lattices
 from thompson_sigma.charspace import character, chi2
-from thompson_sigma.errors import DomainError, RankDeficientError, ResourceLimitError
+from thompson_sigma.errors import MAX_LATTICES, DomainError, RankDeficientError, ResourceLimitError
 from thompson_sigma.lattices import (
-    MAX_LATTICES,
     ChainSpec,
     alpha,
     chain,
@@ -185,10 +184,16 @@ class TestEnumeration:
         monkeypatch.setattr(lattices, "_bases_of_index", no_bases)
         # 4,606,849,681 and 1,704,708,877 lattices by the brute-force count
         for n, max_index in ((5, 100), (8, 16), (2, 10**18)):
-            with pytest.raises(ResourceLimitError, match=f"cap of {MAX_LATTICES} lattices"):
+            message = f"^lattice count exceeds the budget of {MAX_LATTICES}$"
+            with pytest.raises(ResourceLimitError, match=message):
                 enumerate_subgroups(n, max_index)
-            with pytest.raises(ResourceLimitError, match=f"cap of {MAX_LATTICES} lattices"):
+            with pytest.raises(ResourceLimitError, match=message):
                 lattices.hnf_bases(n, max_index)  # on the call, not on the first next()
+
+    def test_first_index_past_the_default_cap(self):
+        # the `subgroups` argv of the CLI's budget table test
+        assert lattices._basis_count(2, 1128, MAX_LATTICES) == 1_047_476
+        assert lattices._basis_count(2, 1129, MAX_LATTICES) > MAX_LATTICES
 
     def test_basis_count_matches_brute_force(self):
         def total(n, max_index):

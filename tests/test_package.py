@@ -39,6 +39,15 @@ class TestSurface:
             thompson_sigma.no_such_name  # noqa: B018
 
 
+def test_budget_errors_built_only_in_errors():
+    # every refusal goes through errors.refuse_above, in its one message form
+    for path in sorted((SRC / "thompson_sigma").glob("*.py")):
+        if path.name != "errors.py":
+            text = path.read_text()
+            assert "ResourceLimitError(" not in text, path.name
+            assert "exceeds the budget" not in text, path.name
+
+
 def _loaded_after(code):
     # the package's modules in sys.modules after `code` runs in a fresh interpreter
     script = code + "\nimport json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('thompson_sigma')]))"
@@ -64,13 +73,11 @@ class TestImportFootprint:
 
     def test_normalize_loads_word_layers_only(self):
         code = "from thompson_sigma import cli\nassert cli.main(['normalize', '--n', '2', '--word', 'x1 x0']) == 0"
-        assert _loaded_after(code) == {"thompson_sigma", "cli", "errors", "plrep", "words"}
+        assert _loaded_after(code) == {"thompson_sigma", "cli", "errors", "words"}
 
     def test_sigma_loads_no_lattice_layers(self):
         code = "from thompson_sigma import cli\nassert cli.main(['sigma', '--n', '2', '--chi', '-1,0']) == 0"
-        assert _loaded_after(code) == {
-            "thompson_sigma", "cli", "errors", "plrep", "words", "charspace", "_linalg",
-        }
+        assert _loaded_after(code) == {"thompson_sigma", "cli", "errors", "charspace", "_linalg"}
 
     def test_name_loads_its_home_module(self):
         code = "import thompson_sigma\nthompson_sigma.sphere_point"

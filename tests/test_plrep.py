@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 
 from thompson_sigma import plrep
-from thompson_sigma.errors import ArityMismatchError, ResourceLimitError
+from thompson_sigma.errors import MAX_PL_INDEX, ArityMismatchError, ResourceLimitError
 from thompson_sigma.plrep import (
-    MAX_PL_INDEX,
     compose,
     evaluate_at,
     evaluate_word,
@@ -262,7 +261,7 @@ class TestIndexBudget:
 
         monkeypatch.setattr(plrep, "_vine_points", no_vine)
         for n in (2, 3):
-            with pytest.raises(ResourceLimitError, match=f"index {MAX_PL_INDEX + 1} exceeds"):
+            with pytest.raises(ResourceLimitError, match=f"^generator index {MAX_PL_INDEX + 1} exceeds the budget of {MAX_PL_INDEX}$"):
                 generator_map(n, MAX_PL_INDEX + 1)
 
     def test_evaluate_word_checks_before_any_map(self, monkeypatch):
@@ -271,7 +270,7 @@ class TestIndexBudget:
 
         monkeypatch.setattr(plrep, "generator_map", no_map)
         w = word(2, [(0, 1), (MAX_PL_INDEX + 1, -1), (1, 1)])
-        with pytest.raises(ResourceLimitError, match=f"PL budget of {MAX_PL_INDEX}"):
+        with pytest.raises(ResourceLimitError, match=f"^generator index {MAX_PL_INDEX + 1} exceeds the budget of {MAX_PL_INDEX}$"):
             evaluate_word(w)
 
     def test_arity(self, monkeypatch):
@@ -281,10 +280,10 @@ class TestIndexBudget:
             raise AssertionError("map built before the budget check")
 
         monkeypatch.setattr(plrep, "_vine_points", no_map)
-        with pytest.raises(ResourceLimitError, match=f"arity {MAX_PL_INDEX + 1} exceeds"):
+        with pytest.raises(ResourceLimitError, match=f"^arity {MAX_PL_INDEX + 1} exceeds the budget of {MAX_PL_INDEX}$"):
             generator_map(MAX_PL_INDEX + 1, 0)
         monkeypatch.setattr(plrep, "generator_map", no_map)
         monkeypatch.setattr(plrep, "identity_map", no_map)
         for letters in ([], [(0, 1), (1, -1)]):
-            with pytest.raises(ResourceLimitError, match=f"arity {MAX_PL_INDEX + 1} exceeds"):
+            with pytest.raises(ResourceLimitError, match=f"^arity {MAX_PL_INDEX + 1} exceeds the budget of {MAX_PL_INDEX}$"):
                 evaluate_word(word(MAX_PL_INDEX + 1, letters))

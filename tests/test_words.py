@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from oracles import fixpoint_reduce, identity_word, sequential_multiply
 from thompson_sigma import plrep
-from thompson_sigma.errors import ArityMismatchError, ParseError, ResourceLimitError
-from thompson_sigma import words
-from thompson_sigma.words import (
-    _LEAF,
+from thompson_sigma.errors import (
     MAX_REWRITE_LETTERS,
     MAX_TOKEN_DIGITS,
     MAX_WORD_LETTERS,
+    ArityMismatchError,
+    ParseError,
+    ResourceLimitError,
+)
+from thompson_sigma import words
+from thompson_sigma.words import (
+    _LEAF,
     GroupWord,
     SeminormalForm,
     abelianize,
@@ -145,7 +149,7 @@ class TestSeminormal:
         w = word(n, letters)
         sn = rewrite_to_seminormal(w, index_cap=highest)
         assert max(sn.positive + sn.negative) == highest
-        with pytest.raises(ResourceLimitError, match=f"index {highest} exceeds rewriting cap {highest - 1}"):
+        with pytest.raises(ResourceLimitError, match=f"^generator index {highest} exceeds the budget of {highest - 1}$"):
             rewrite_to_seminormal(w, index_cap=highest - 1)
         u = rewrite_to_seminormal(word(n, letters[:-1]))
         v = rewrite_to_seminormal(word(n, letters[-1:]))
@@ -156,10 +160,10 @@ class TestSeminormal:
     def test_index_cap_names_first_index_past_it(self):
         # the inverse tail x_4^-1 x_3^-1 bumps smallest first (n = 3) to
         # x_6^-1 x_5^-1: x_5^-1 is the first past 4
-        with pytest.raises(ResourceLimitError, match="index 5 exceeds rewriting cap 4"):
+        with pytest.raises(ResourceLimitError, match="^generator index 5 exceeds the budget of 4$"):
             rewrite_to_seminormal(w3((4, -1), (3, -1), (0, 1)), index_cap=4)
         # x_1 bumps to x_3, x_5, x_7 (n = 3): x_5 is the first past 4
-        with pytest.raises(ResourceLimitError, match="index 5 exceeds rewriting cap 4"):
+        with pytest.raises(ResourceLimitError, match="^generator index 5 exceeds the budget of 4$"):
             rewrite_to_seminormal(w3(*[(0, -1)] * 3, (1, 1)), index_cap=4)
 
     def test_input_letters_count_against_cap(self):
@@ -172,7 +176,7 @@ class TestSeminormal:
             lambda: multiply(sn, SeminormalForm(2, (), ()), index_cap=50),
             lambda: multiply(SeminormalForm(2, (), ()), sn, index_cap=50),
         ):
-            with pytest.raises(ResourceLimitError, match="index 100000 exceeds rewriting cap 50"):
+            with pytest.raises(ResourceLimitError, match="^generator index 100000 exceeds the budget of 50$"):
                 call()
 
 
@@ -185,7 +189,7 @@ class TestSeminormal:
             raise AssertionError("the rewrite started")
 
         monkeypatch.setattr(words, "_rewrite", no_rewrite)
-        message = f"word of {MAX_REWRITE_LETTERS + 1} letters exceeds the rewrite budget of {MAX_REWRITE_LETTERS}"
+        message = f"^rewrite length {MAX_REWRITE_LETTERS + 1} exceeds the budget of {MAX_REWRITE_LETTERS}$"
         with pytest.raises(ResourceLimitError, match=message):
             rewrite_to_seminormal(over)
 
@@ -478,7 +482,7 @@ class TestTextSyntax:
         # expands, so none of these builds a long word
         over = MAX_WORD_LETTERS + 1
         for text in (f"x1^{over}", f"x0^-{over}", f"x0 x1^{MAX_WORD_LETTERS}", f"x2^-1 x0^-{MAX_WORD_LETTERS}"):
-            with pytest.raises(ResourceLimitError, match=f"budget of {MAX_WORD_LETTERS} letters"):
+            with pytest.raises(ResourceLimitError, match=f"^word length {over} exceeds the budget of {MAX_WORD_LETTERS}$"):
                 parse_word(2, text)
 
     def test_digit_budget(self):
@@ -487,12 +491,13 @@ class TestTextSyntax:
         for digits in (MAX_TOKEN_DIGITS + 1, 5000):
             big = "9" * digits
             for text in (f"x{big}", f"x0 x{big}^-1", f"x1^{big}", f"x1^-{big}", f"x{'0' * digits}"):
-                with pytest.raises(ParseError, match=f"more than {MAX_TOKEN_DIGITS} digits"):
+                with pytest.raises(ParseError, match=f"^word token digit count {digits} exceeds the budget of {MAX_TOKEN_DIGITS}$"):
                     parse_word(2, text)
         at_budget = "1" + "0" * (MAX_TOKEN_DIGITS - 1)
         assert parse_word(2, f"x{at_budget}") == w2((10 ** (MAX_TOKEN_DIGITS - 1), 1))
         for text in (f"x1^{at_budget}", f"x1^-{at_budget}"):
-            with pytest.raises(ResourceLimitError, match="budget of"):
+            message = f"^word length {10 ** (MAX_TOKEN_DIGITS - 1)} exceeds the budget of {MAX_WORD_LETTERS}$"
+            with pytest.raises(ResourceLimitError, match=message):
                 parse_word(2, text)
 
     def test_format_round_trip(self):
