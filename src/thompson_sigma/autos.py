@@ -27,6 +27,9 @@ returned sphere points.  CLI `orbit` with chi = (1, ..., n), an orbit of
 2(n - 1) points, takes 0.007 / 0.008 / 0.024 / 0.12 / 0.36 s at
 n = 16 / 32 / 64 / 128 / 256 (medians of three runs, 2-vCPU machine).
 
+Sphere points are normalized only in `charspace`: `d_orbit` takes its start
+ray and its returned points from there, as `sphere_point` does.
+
 mu is not implemented on words: expressing mu(x_i) needs negative powers
 of phi on low-index generators, which the presentation does not supply.
 Only the abelianization-level matrix C is ever needed downstream.
@@ -35,12 +38,10 @@ Only the abelianization-level matrix C is ever needed downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 
-from .charspace import SpherePoint
-from .errors import ORBIT_CAP, ZeroCharacterError, refuse_above
+from .charspace import SpherePoint, _on_sphere, _ray
+from .errors import ORBIT_CAP, refuse_above
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -54,6 +55,8 @@ class CharacterMatrix:
 
     def __post_init__(self):
         n = self.arity
+        if n < 2:
+            raise ValueError(f"arity must be >= 2, got {n}")
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError(f"expected a {n}x{n} matrix")
 
@@ -78,16 +81,12 @@ def rho0_cycle_power(n: int, i: int, k: int) -> int:
 
 def matrix_A(n: int) -> CharacterMatrix:
     """Action of the shift on value vectors: fixes slot 0, cycles the rest."""
-    if n < 2:
-        raise ValueError(f"arity must be >= 2, got {n}")
     targets = [0] + [rho0_cycle_power(n, i, 1) for i in range(1, n)]
     return CharacterMatrix(n, tuple(tuple(int(j == t) for j in range(n)) for t in targets))
 
 
 def matrix_C(n: int) -> CharacterMatrix:
     """Action of the flip: (C v)_0 = -v_0, (C v)_i = v_{delta(i)} - v_0."""
-    if n < 2:
-        raise ValueError(f"arity must be >= 2, got {n}")
     delta = delta_involution(n)
     rows = [[-1 if j == 0 else 0 for j in range(n)]]
     for i in range(1, n):
@@ -96,16 +95,6 @@ def matrix_C(n: int) -> CharacterMatrix:
         row[delta[i]] += 1
         rows.append(row)
     return CharacterMatrix(n, tuple(tuple(r) for r in rows))
-
-
-def _ray(values) -> tuple[int, ...]:
-    """The primitive integer vector on the ray through a nonzero rational vector."""
-    den = lcm(*(q.denominator for q in values))
-    ints = [q.numerator * (den // q.denominator) for q in values]
-    g = gcd(*ints)
-    if g == 0:
-        raise ZeroCharacterError("zero character has no sphere point")
-    return tuple(x // g for x in ints)
 
 
 def _sparse_rows(mat: CharacterMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -130,8 +119,11 @@ def d_orbit(point: SpherePoint, cap: int = ORBIT_CAP) -> frozenset[SpherePoint]:
     only on return.  A hand-built point that is not normalized walks the ray
     through its values: the result is the orbit of the normalized point and
     does not contain the point itself.  Equality with the orbit of the
-    point is promised only for points that `sphere_point` produced.
+    point is promised only for points that `sphere_point` produced.  A cap
+    below 1 raises ValueError: the start point alone is already over it.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     n = point.arity
     gens = _generator_rows(n)
     start = _ray(point.values)
@@ -148,8 +140,3 @@ def d_orbit(point: SpherePoint, cap: int = ORBIT_CAP) -> frozenset[SpherePoint]:
                 frontier.append(image)
     return frozenset(SpherePoint(n, _on_sphere(v)) for v in seen)
 
-
-def _on_sphere(v: tuple[int, ...]) -> tuple[Fraction, ...]:
-    # the values divided by |first nonzero|, as `sphere_point` divides them
-    lead = abs(next(x for x in v if x))
-    return tuple(Fraction(x, lead) for x in v)

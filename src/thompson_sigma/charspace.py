@@ -6,8 +6,10 @@ abelianization Z^n, so it is stored as the rational value vector
 folding rule chi(x_i) = values[1 + (i-1) mod (n-1)] and never stored.
 
 The character sphere S(G) identifies positive rational multiples; the
-canonical representative divides by |first nonzero coordinate|.  Exactly
-two sphere points lie outside Sigma^1:
+canonical representative divides by |first nonzero coordinate|, and is
+made only here, from the primitive integer vector on the ray, for
+`sphere_point` and `autos.d_orbit`.  Exactly two sphere points lie
+outside Sigma^1:
 
     chi1 = (-1, 0, ..., 0)      chi2 = (1, 1, ..., 1)
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from ._linalg import rank
 from .errors import ConjectureRequiredError, ParseError, ZeroCharacterError
@@ -106,11 +109,24 @@ def chi2(n: int) -> Character:
 
 def sphere_point(chi: Character) -> SpherePoint:
     """Canonical positive-scaling representative of a nonzero character."""
-    if chi.is_zero():
+    return SpherePoint(chi.arity, _on_sphere(_ray(chi.values)))
+
+
+def _ray(values) -> tuple[int, ...]:
+    """The primitive integer vector on the ray through a nonzero rational vector."""
+    ratios = [q.as_integer_ratio() for q in values]
+    den = lcm(*(d for _, d in ratios))
+    ints = [p * (den // d) for p, d in ratios]
+    g = gcd(*ints)
+    if g == 0:
         raise ZeroCharacterError("zero character has no sphere point")
-    lead = next(v for v in chi.values if v != 0)
-    scale = abs(lead)
-    return SpherePoint(chi.arity, tuple(v / scale for v in chi.values))
+    return tuple(x // g for x in ints)
+
+
+def _on_sphere(v: tuple[int, ...]) -> RationalVector:
+    # the canonical point of a ray: its values divided by |first nonzero|
+    lead = abs(next(x for x in v if x))
+    return tuple(Fraction(x, lead) for x in v)
 
 
 def in_sigma1(chi: Character) -> bool:

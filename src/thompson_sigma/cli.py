@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from .errors import MAX_LATTICE_ENTRIES, MAX_PL_INDEX, ORBIT_CAP, refuse_above
+from .errors import DEFAULT_DIM_CAP, MAX_LATTICE_ENTRIES, MAX_PL_INDEX, ORBIT_CAP, refuse_above
 from .errors import DomainError, ParseError
 
 ENV_MAX_INDEX = "THOMPSON_SIGMA_MAX_INDEX"
@@ -190,9 +190,8 @@ def _cmd_cells(args):
 
     lat = lattices.hnf(_parse_lattice(args.n, args.lattice), arity=args.n)
     vec, case = complexes.cells_for_subgroup_F(lat)
-    m = complexes.DEFAULT_DIM_CAP if args.m is None else args.m
     return {
-        "counts": list(vec.prefix(m)),
+        "counts": list(vec.prefix(args.m)),
         "tail": None if vec.tail is None else dataclasses.asdict(vec.tail),
         "case": case,
     }
@@ -202,8 +201,7 @@ def _cmd_bounds(args):
     from . import complexes, lattices
 
     lat = lattices.hnf(_parse_lattice(args.n, args.lattice), arity=args.n)
-    m = complexes.DEFAULT_DIM_CAP if args.m is None else args.m
-    report = complexes.d_bound(lat, d0_override=args.d0_override, chi_upto=m)
+    report = complexes.d_bound(lat, d0_override=args.d0_override, chi_upto=args.m)
     return {
         "dUpper": report.d_upper_symbolic if report.d_upper is None else report.d_upper,
         "caseTag": report.case_tag,
@@ -236,27 +234,19 @@ def _cmd_gradient(args):
     else:
         series = gradients.chi_m_gradient_series(spec, args.m, args.n, args.steps)
 
-    def upper_text(row):
-        return _frac(row.upper) if row.upper is not None else row.upper_symbolic
-
-    def csv_line(row):
-        return f"{row.s},{row.index},{_frac(row.lower)},{upper_text(row)}"
-
+    rows = [
+        {
+            "s": row.s,
+            "index": row.index,
+            "lower": _frac(row.lower),
+            "upper": _frac(row.upper) if row.upper is not None else row.upper_symbolic,
+        }
+        for row in series.rows
+    ]
     if args.format == "csv":
-        return _printed(lambda: "\n".join(["s,index,lower,upper", *map(csv_line, series.rows)]))
-    return {
-        "kind": series.kind,
-        "m": series.m,
-        "rows": [
-            {
-                "s": row.s,
-                "index": row.index,
-                "lower": _frac(row.lower),
-                "upper": upper_text(row),
-            }
-            for row in series.rows
-        ],
-    }
+        lines = (",".join(map(str, row.values())) for row in rows)
+        return _printed(lambda: "\n".join(["s,index,lower,upper", *lines]))
+    return {"kind": series.kind, "m": series.m, "rows": rows}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,15 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("subgroups", _cmd_subgroups, help="all subgroup lattices up to an index")
     p.add_argument("--max-index", type=positive, required=True)
 
-    # --m of cells and bounds defaults to complexes.DEFAULT_DIM_CAP, read when
-    # the command runs so that building the parser loads no layer
     p = add("cells", _cmd_cells, help="exact cell counts for an n = 2 subgroup")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--m", type=nonnegative)
+    p.add_argument("--m", type=nonnegative, default=DEFAULT_DIM_CAP)
 
     p = add("bounds", _cmd_bounds, help="generator and deficiency bounds")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--m", type=nonnegative)
+    p.add_argument("--m", type=nonnegative, default=DEFAULT_DIM_CAP)
     p.add_argument("--d0-override", type=positive)
 
     p = add("gradient", _cmd_gradient, help="gradient series along a chain")

@@ -35,10 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MAX_DIM, DomainError, InvariantViolationError, refuse_above
+from .errors import DEFAULT_DIM_CAP, MAX_DIM, DomainError, InvariantViolationError, refuse_above
 from .lattices import SubgroupLattice, member
-
-DEFAULT_DIM_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -200,8 +198,6 @@ def chi_m(r: CellVector, m: int) -> int:
     """
     if m < 0:
         raise ValueError(f"dimension must be >= 0, got {m}")
-    if m > MAX_DIM:
-        refuse_above("dimension", m, MAX_DIM)
     *_, total = _alternating_sums(r, m)
     return _nonnegative(r, m, total)
 
@@ -209,8 +205,8 @@ def chi_m(r: CellVector, m: int) -> int:
 def _alternating_sums(r: CellVector, m: int):
     # chi_0, ..., chi_m, each from the one before: chi_i = r(i) - chi_{i-1}
     total = 0
-    for i in range(m + 1):
-        total = r.value(i) - total
+    for count in r.prefix(m):
+        total = count - total
         yield total
 
 

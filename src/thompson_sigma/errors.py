@@ -68,8 +68,11 @@ class Budget(NamedTuple):
 
 # The fixed budgets, with what they cost near the limit (2-vCPU machine).
 
-# `parse_word`, before the token that crosses it expands; 2^20 letters take
-# 0.19 s.
+# `parse_word`, before the token that crosses it expands.  In-process, the
+# token x0^1048576 parses in 0.19-0.21 s, and `normalize` of it takes 6.1-7.0 s;
+# `eq` of two 2^19-letter words 4.2-5.3 s; 2^18 one-letter tokens parse in
+# 0.8-1.0 s, 2^20 in 3.7-4.6 s (library only: a CLI argument is at most
+# 128 KiB).  Near-linear routes, so the limit bounds time, not a blow-up.
 MAX_WORD_LETTERS = 1 << 20
 
 # `parse_word`, before turning an index or exponent into an int (CPython's
@@ -122,3 +125,6 @@ BUDGETS = {
 
 # The default orbit cap, of `d_orbit` and of CLI `orbit --cap`.
 ORBIT_CAP = 1024
+
+# The default top dimension, of `d_bound` and of CLI `cells --m` and `bounds --m`.
+DEFAULT_DIM_CAP = 16

@@ -55,21 +55,32 @@ class GradientSeries:
     rows: tuple[GradientRow, ...]
 
 
-def _chain_terms(spec: ChainSpec, n: int, steps: int | None):
+def _series(kind: str, spec: ChainSpec, n: int, steps: int | None, m, bounds) -> GradientSeries:
+    # one row per chain term: bounds(lat, idx) gives its lower and upper
+    # values, and its upper_symbolic where the upper one is symbolic in d0
     if steps is None or steps < 1:
         raise ValueError("need a positive number of chain steps")
     e = (steps - 1) * (n if spec.kind == "scaling" else 1)
     if spec.kind != "explicit" and _index_too_long(spec.p, e):
         refuse_above("last chain index digit count", None, MAX_INDEX_DIGITS)
+    rows = []
     for s in range(steps):
         lat = chain(spec, s, n)
-        yield s, lat, lat.index()
+        idx = lat.index()
+        rows.append(GradientRow(s, idx, *bounds(lat, idx)))
+    return GradientSeries(kind, n, m, tuple(rows))
 
 
 def _index_too_long(p: int, e: int) -> bool:
     # p^e >= 2^((bits(p) - 1) e), so a large exponent is decided without
     # computing p^e; otherwise p^e has fewer than 2 * bits(_MAX_INDEX) bits
     return (p.bit_length() - 1) * e > _MAX_INDEX.bit_length() or p**e > _MAX_INDEX
+
+
+def _subgroup_cells(lat, idx):
+    if idx == 1:
+        return classical_f_cells()
+    return cells_for_subgroup_F(lat)[0]
 
 
 def rank_gradient_series(
@@ -85,24 +96,14 @@ def rank_gradient_series(
     For n >= 3 the generic upper bound is symbolic in d0 unless a numeric
     override is supplied.
     """
-    rows = []
-    for s, lat, idx in _chain_terms(spec, n, steps):
-        if idx == 1:
-            upper, symbolic = Fraction(n - 1, 1), None
-        else:
-            report = d_bound(lat, d0_override=d0_override, chi_upto=0)
-            if report.d_upper is not None:
-                upper, symbolic = Fraction(report.d_upper - 1, idx), None
-            else:
-                upper, symbolic = None, f"({n + 1}+d0)/{idx}"
-        rows.append(GradientRow(s, idx, Fraction(0), upper, symbolic))
-    return GradientSeries(RANK, n, None, tuple(rows))
 
+    def bounds(lat, idx):
+        d_upper = n if idx == 1 else d_bound(lat, d0_override=d0_override, chi_upto=0).d_upper
+        if d_upper is None:
+            return Fraction(0), None, f"({n + 1}+d0)/{idx}"
+        return Fraction(0), Fraction(d_upper - 1, idx)
 
-def _subgroup_cells(lat, idx):
-    if idx == 1:
-        return classical_f_cells()
-    return cells_for_subgroup_F(lat)[0]
+    return _series(RANK, spec, n, steps, None, bounds)
 
 
 def deficiency_gradient_series(
@@ -111,11 +112,12 @@ def deficiency_gradient_series(
     """Rows [def_lower, def_upper] / [G : H_s]; needs the n = 2 cell counts."""
     if n != 2:
         raise DomainError("deficiency gradient needs the n = 2 cell counts")
-    rows = []
-    for s, lat, idx in _chain_terms(spec, n, steps):
+
+    def bounds(lat, idx):
         lower, upper = deficiency_bounds(_subgroup_cells(lat, idx), n)
-        rows.append(GradientRow(s, idx, Fraction(lower, idx), Fraction(upper, idx)))
-    return GradientSeries(DEFICIENCY, n, None, tuple(rows))
+        return Fraction(lower, idx), Fraction(upper, idx)
+
+    return _series(DEFICIENCY, spec, n, steps, None, bounds)
 
 
 def chi_m_gradient_series(
@@ -126,11 +128,11 @@ def chi_m_gradient_series(
         raise DomainError("chi_m gradient needs the n = 2 cell counts")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    rows = []
-    for s, lat, idx in _chain_terms(spec, n, steps):
-        value = chi_m(_subgroup_cells(lat, idx), m)
-        rows.append(GradientRow(s, idx, Fraction(0), Fraction(value, idx)))
-    return GradientSeries(CHI, n, m, tuple(rows))
+
+    def bounds(lat, idx):
+        return Fraction(0), Fraction(chi_m(_subgroup_cells(lat, idx), m), idx)
+
+    return _series(CHI, spec, n, steps, m, bounds)
 
 
 def certify_convergence(

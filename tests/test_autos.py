@@ -9,7 +9,6 @@ import pytest
 from thompson_sigma.autos import (
     CharacterMatrix,
     _generator_rows,
-    _ray,
     _sparse_rows,
     d_orbit,
     delta_involution,
@@ -17,7 +16,7 @@ from thompson_sigma.autos import (
     matrix_C,
     rho0_cycle_power,
 )
-from thompson_sigma.charspace import SpherePoint, character, chi1, chi2, sphere_point
+from thompson_sigma.charspace import SpherePoint, _ray, character, chi1, chi2, sphere_point
 from thompson_sigma.errors import DomainError, ResourceLimitError, ZeroCharacterError
 from thompson_sigma.words import parse_word, word
 
@@ -110,6 +109,22 @@ class TestMatrixC:
             assert all(delta[delta[i]] == i for i in range(1, n))
 
 
+class TestArity:
+    def test_below_two_refused(self):
+        # the check lives in CharacterMatrix, so both builders meet it there
+        for n in (1, 0, -3):
+            message = f"^arity must be >= 2, got {n}$"
+            for build in (matrix_A, matrix_C):
+                with pytest.raises(ValueError, match=message):
+                    build(n)
+            with pytest.raises(ValueError, match=message):
+                CharacterMatrix(n, ((1,),) * max(n, 0))
+
+    def test_shape_still_checked(self):
+        with pytest.raises(ValueError, match="^expected a 2x2 matrix$"):
+            CharacterMatrix(2, ((1, 0),))
+
+
 class TestApplyAndConsistency:
     def test_identity_matrix(self):
         chi = character(3, (4, 5, 6))
@@ -186,6 +201,23 @@ class TestOrbits:
             for p in complement:
                 hit |= d_orbit(p)
             assert hit == complement
+
+
+class TestOrbitCap:
+    FIXED = sphere_point(character(2, (0, 1)))  # C fixes it: a one-point orbit
+    MOVING = sphere_point(character(2, (1, 2)))  # C sends it to (-1, 1)
+
+    def test_cap_below_one_refused(self):
+        for point in (self.FIXED, self.MOVING):
+            for cap in (0, -5):
+                with pytest.raises(ValueError, match=f"^cap must be >= 1, got {cap}$"):
+                    d_orbit(point, cap=cap)
+
+    def test_cap_one(self):
+        assert d_orbit(self.FIXED, cap=1) == {self.FIXED}
+        with pytest.raises(ResourceLimitError, match="^orbit size 2 exceeds the budget of 1$"):
+            d_orbit(self.MOVING, cap=1)
+        assert len(d_orbit(self.MOVING, cap=2)) == 2
 
 
 def _seeded_points(seed, count):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from thompson_sigma import gradients
+from thompson_sigma.complexes import cells_for_subgroup_F, chi_m, classical_f_cells, d_bound
 from thompson_sigma.errors import MAX_INDEX_DIGITS, DomainError, ResourceLimitError
 from thompson_sigma.gradients import (
     certify_convergence,
@@ -12,7 +13,7 @@ from thompson_sigma.gradients import (
     deficiency_gradient_series,
     rank_gradient_series,
 )
-from thompson_sigma.lattices import ChainSpec, hnf
+from thompson_sigma.lattices import ChainSpec, chain, hnf
 
 SCALING2 = ChainSpec("scaling", p=2)
 
@@ -100,6 +101,73 @@ class TestChiGradient:
         series = chi_m_gradient_series(SCALING2, 0, 2, steps=4)
         for row in series.rows:
             assert row.upper == Fraction(1, row.index)
+
+
+# cases 3, 1, 2 and 3 of the n = 2 cell counts, none of index 1
+EXPLICIT_TERMS = tuple(
+    hnf(rows) for rows in ([[2, 0], [0, 2]], [[3, 0], [0, 1]], [[1, -1], [0, 4]], [[5, 0], [0, 7]])
+)
+
+
+class TestRowsEqualTheirSources:
+    """Each row past the whole group is its subgroup's own data over the index."""
+
+    CHAINS = (
+        SCALING2,
+        ChainSpec("scaling", p=3),
+        ChainSpec("coordinate", p=2),
+        ChainSpec("coordinate", p=5),
+        ChainSpec("explicit", terms=EXPLICIT_TERMS),
+    )
+
+    @staticmethod
+    def _terms(spec, n, series):
+        for row in series.rows:
+            lat = chain(spec, row.s, n)
+            assert row.index == lat.index()
+            if row.index > 1:
+                yield row, lat
+
+    def test_n2_rows(self):
+        for spec in self.CHAINS:
+            for row, lat in self._terms(spec, 2, rank_gradient_series(spec, 2, 4)):
+                assert (row.lower, row.upper) == (0, Fraction(d_bound(lat).d_upper - 1, row.index))
+            for row, lat in self._terms(spec, 2, deficiency_gradient_series(spec, 2, 4)):
+                report = d_bound(lat)
+                assert row.lower == Fraction(report.def_lower, row.index)
+                assert row.upper == Fraction(report.def_upper, row.index)
+            for m in (0, 1, 2, 5):
+                for row, lat in self._terms(spec, 2, chi_m_gradient_series(spec, m, 2, 4)):
+                    value = chi_m(cells_for_subgroup_F(lat)[0], m)
+                    assert (row.lower, row.upper) == (0, Fraction(value, row.index))
+
+    def test_n3_rank_rows(self):
+        for spec in (ChainSpec("scaling", p=2), ChainSpec("coordinate", p=3)):
+            for override in (None, 1, 4):
+                series = rank_gradient_series(spec, 3, 4, d0_override=override)
+                for row, lat in self._terms(spec, 3, series):
+                    report = d_bound(lat, d0_override=override)
+                    assert row.lower == 0
+                    if report.d_upper is None:
+                        assert row.upper is None
+                        assert row.upper_symbolic == f"(4+d0)/{row.index}"
+                    else:
+                        assert row.upper == Fraction(report.d_upper - 1, row.index)
+                        assert row.upper_symbolic is None
+
+    def test_whole_group_row(self):
+        # d = n, and for n = 2 the classical complex 1, 2, 2, ..., not the
+        # cells of its lattice Z^2 (1, 3, 4, 4, ...)
+        assert classical_f_cells().prefix(5) == (1, 2, 2, 2, 2, 2)
+        for spec in (SCALING2, ChainSpec("coordinate", p=3)):
+            for n in (2, 3, 4):
+                first = rank_gradient_series(spec, n, 2, d0_override=1).rows[0]
+                assert (first.s, first.index, first.lower, first.upper) == (0, 1, 0, n - 1)
+            first = deficiency_gradient_series(spec, 2, 2).rows[0]
+            assert (first.lower, first.upper) == (1 - 1 + 2 - 2, 2)
+            for m in range(6):
+                first = chi_m_gradient_series(spec, m, 2, 2).rows[0]
+                assert (first.lower, first.upper) == (0, chi_m(classical_f_cells(), m)) == (0, 1)
 
 
 class TestCertification:

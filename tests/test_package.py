@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import thompson_sigma
+from thompson_sigma.errors import BUDGETS, ORBIT_CAP, ParseError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def test_all_names_no_module():
@@ -46,6 +49,22 @@ def test_budget_errors_built_only_in_errors():
             text = path.read_text()
             assert "ResourceLimitError(" not in text, path.name
             assert "exceeds the budget" not in text, path.name
+
+
+def test_readme_budget_table_is_the_budget_table():
+    # README's rows: | `NAME` | limit, as 2^k or decimal | counts | exit code |
+    text = README.read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (\S+) \| [^|]+ \| (\d) \|$", text, re.MULTILINE)
+    documented = {
+        name: (2 ** int(limit[2:]) if limit.startswith("2^") else int(limit), int(code))
+        for name, limit, code in rows
+    }
+    assert len(documented) == len(rows)
+    assert documented == {
+        name: (budget.limit, 1 if issubclass(budget.error, ParseError) else 2)
+        for name, budget in BUDGETS.items()
+    }
+    assert re.findall(r"`orbit --cap` \(default (\d+)\)", text) == [str(ORBIT_CAP)]
 
 
 def _loaded_after(code):
