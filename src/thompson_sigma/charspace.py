@@ -39,7 +39,7 @@ RationalVector = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class Character:
-    """Rational character of F_{n,infinity}, stored on x_0..x_{n-1}."""
+    """Rational character of F_{n,infinity}, stored on x_0..x_{n-1} as Fractions."""
 
     arity: int
     values: RationalVector
@@ -51,6 +51,10 @@ class Character:
             raise ValueError(
                 f"expected {self.arity} values, got {len(self.values)}"
             )
+        if not all(isinstance(v, (int, Fraction)) for v in self.values):
+            raise ValueError(f"character values must be ints or Fractions, got {self.values!r}")
+        values = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
+        object.__setattr__(self, "values", values)
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
@@ -97,14 +101,18 @@ def parse_character(arity: int, text: str) -> Character:
         raise ParseError(f"bad rational vector {text!r}: {exc}") from exc
 
 
+def _exceptional_rays(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return (-1,) + (0,) * (n - 1), (1,) * n  # the rays of chi1 and chi2
+
+
 def chi1(n: int) -> Character:
     """The character with chi(x_0) = -1 and chi(x_i) = 0 for i >= 1."""
-    return Character(n, (Fraction(-1),) + (Fraction(0),) * (n - 1))
+    return Character(n, _exceptional_rays(n)[0])
 
 
 def chi2(n: int) -> Character:
     """The character with chi(x_i) = 1 for all i."""
-    return Character(n, (Fraction(1),) * n)
+    return Character(n, _exceptional_rays(n)[1])
 
 
 def sphere_point(chi: Character) -> SpherePoint:
@@ -131,8 +139,7 @@ def _on_sphere(v: tuple[int, ...]) -> RationalVector:
 
 def in_sigma1(chi: Character) -> bool:
     """Membership of [chi] in Sigma^1: everything except [chi1] and [chi2]."""
-    p = sphere_point(chi)
-    return p != sphere_point(chi1(chi.arity)) and p != sphere_point(chi2(chi.arity))
+    return _ray(chi.values) not in _exceptional_rays(chi.arity)
 
 
 def _in_complement_wedge(values: RationalVector) -> bool:
@@ -210,14 +217,14 @@ def kernel_finiteness(
         return FinitenessReport(True, "infinity", None, False)
 
     # not finitely generated iff chi1 or chi2 annihilates L
-    for bad in ((-1,) + (0,) * (n - 1), (1,) * n):
+    for bad in _exceptional_rays(n):
         if all(sum(u * v for u, v in zip(row, bad)) == 0 for row in rows):
-            return FinitenessReport(False, 0, character(n, bad), False)
+            return FinitenessReport(False, 0, Character(n, bad), False)
 
     wedge_vec = _wedge_meet(n, rows)
     if wedge_vec is not None:
         # finitely generated, but some vanishing character leaves Sigma^2
-        return FinitenessReport(True, 1, character(n, wedge_vec), False)
+        return FinitenessReport(True, 1, Character(n, wedge_vec), False)
 
     if n == 2:
         return FinitenessReport(True, "infinity", None, False)

@@ -6,8 +6,8 @@ lattices, exhausted budgets).  The CLI maps them to exit code 2, and
 ParseError to exit code 1.
 
 Every route ends at a budget: a fixed one of `BUDGETS`, or a call-time cap
-(`index_cap`, the orbit `cap`, THOMPSON_SIGMA_MAX_INDEX, CPython's limit on
-printed digits).  All refuse through `refuse_above`, in one message form.
+(the orbit `cap`, THOMPSON_SIGMA_MAX_INDEX, CPython's limit on printed
+digits).  All refuse through `refuse_above`, in one message form.
 """
 
 from typing import NamedTuple, NoReturn
@@ -85,15 +85,19 @@ MAX_TOKEN_DIGITS = 100
 # `parse_word` admits would take hours.
 MAX_REWRITE_LETTERS = 1 << 12
 
+# `words`, on an input index or one a rewrite bumps to: in-process, `normalize`
+# of x0^-65535 x1^65535 (n = 2) reaches 65536 in 0.53-0.60 s.
+MAX_GENERATOR_INDEX = 1 << 16
+
 # `generator_map`, `evaluate_word` and the CLI's --n.  The vines of x_i take
 # time about quadratic in i: for n = 2, 4 ms at i = 64, 19 ms at i = 256 and
 # 104 ms at i = 1024; and linear in n: x_0 took 12 ms at n = 256, 100 ms at
 # n = 2000 and 1.5 s at n = 20000.
 MAX_PL_INDEX = 256
 
-# The default cap of `hnf_bases` and `enumerate_subgroups`, before the first
-# lattice.  The tests and benchmarks make at most 84,552, at (3, 50); the
-# 1,047,476 of (2, 1128) are listed in 0.5 s.
+# `hnf_bases` and `enumerate_subgroups`, before the first lattice.  The tests
+# and benchmarks make at most 84,552, at (3, 50); the 1,047,476 of (2, 1128)
+# are listed in 0.5 s.
 MAX_LATTICES = 1 << 20
 
 # `CellVector.prefix`, `chi_m` and `d_bound`: `d_bound(lat, chi_upto=1024)`
@@ -116,6 +120,7 @@ BUDGETS = {
     "MAX_WORD_LETTERS": Budget(MAX_WORD_LETTERS, "letters of a word"),
     "MAX_TOKEN_DIGITS": Budget(MAX_TOKEN_DIGITS, "digits of a word token", ParseError),
     "MAX_REWRITE_LETTERS": Budget(MAX_REWRITE_LETTERS, "letters of a word to rewrite"),
+    "MAX_GENERATOR_INDEX": Budget(MAX_GENERATOR_INDEX, "generator index of a word"),
     "MAX_PL_INDEX": Budget(MAX_PL_INDEX, "arity, and generator index of a PL map"),
     "MAX_LATTICES": Budget(MAX_LATTICES, "lattices of an enumeration"),
     "MAX_DIM": Budget(MAX_DIM, "dimension of cell counts and chi values"),

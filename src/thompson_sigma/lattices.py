@@ -176,31 +176,29 @@ def _basis_count(n: int, max_index: int, cap: int) -> int:
     return sum(ways)
 
 
-def hnf_bases(n: int, max_index: int, *, cap: int = MAX_LATTICES) -> Iterator[IntRows]:
+def hnf_bases(n: int, max_index: int) -> Iterator[IntRows]:
     """The HNF bases of all lattices of index <= max_index, as an iterator.
 
     Yields each basis (a tuple of integer rows) exactly once, in (index,
     basis) order: index 1, 2, ..., and within one index lexicographically.
-    The arguments and the cap are checked when this is called, before the
-    first basis: more than `cap` lattices raise ResourceLimitError.
+    The arguments and the budget are checked on the call, before the first
+    basis: more than MAX_LATTICES lattices raise ResourceLimitError.
     """
     if n < 2:
         raise ValueError(f"arity must be >= 2, got {n}")
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
-    if _basis_count(n, max_index, cap) > cap:
-        refuse_above("lattice count", None, cap)
+    if _basis_count(n, max_index, MAX_LATTICES) > MAX_LATTICES:
+        refuse_above("lattice count", None, MAX_LATTICES)
     return (basis for k in range(1, max_index + 1) for basis in _bases_of_index(n, (), k))
 
 
-def enumerate_subgroups(
-    n: int, max_index: int, *, cap: int = MAX_LATTICES
-) -> list[SubgroupLattice]:
+def enumerate_subgroups(n: int, max_index: int) -> list[SubgroupLattice]:
     """All HNF lattices of index <= max_index, each exactly once.
 
-    The lattices of `hnf_bases`, in its order and under its cap check.
+    The lattices of `hnf_bases`, in its order and under its budget check.
     """
-    return [SubgroupLattice(n, basis) for basis in hnf_bases(n, max_index, cap=cap)]
+    return [SubgroupLattice(n, basis) for basis in hnf_bases(n, max_index)]
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ enclosed indices down by n-1), which produces a canonical representative.
 Canonicity is certified against the exact piecewise-linear representation
 (`thompson_sigma.plrep`) rather than proved here.
 
-Index bumping can in principle grow without bound, so every rewriting entry
-point takes an `index_cap` (default 2**16) and raises ResourceLimitError
-beyond it.  All values are immutable; operations return fresh objects.
+Index bumping grows indices with the word's length, so every rewriting entry
+point raises ResourceLimitError for an index past MAX_GENERATOR_INDEX.  All
+values are immutable; operations return fresh objects.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import MAX_REWRITE_LETTERS, MAX_TOKEN_DIGITS, MAX_WORD_LETTERS, refuse_above
-from .errors import ArityMismatchError, ParseError
+from .errors import MAX_GENERATOR_INDEX, MAX_REWRITE_LETTERS, MAX_TOKEN_DIGITS, MAX_WORD_LETTERS
+from .errors import ArityMismatchError, ParseError, refuse_above
 
-DEFAULT_INDEX_CAP = 1 << 16
+DEFAULT_INDEX_CAP = MAX_GENERATOR_INDEX  # the name `perfbench/run.py` reads it under
 
 _TOKEN_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
@@ -164,14 +164,14 @@ def concat(u: GroupWord, v: GroupWord) -> GroupWord:
     return GroupWord(u.arity, u.letters + v.letters)
 
 
-def _check_max(indices: Iterable[int], cap: int) -> None:
-    # Raise if the largest of `indices`, if any, exceeds the cap.
-    top = max(indices, default=cap)
-    if top > cap:
-        refuse_above("generator index", top, cap)
+def _check_max(indices: Iterable[int]) -> None:
+    # Raise if the largest of `indices`, if any, is past the budget.
+    top = max(indices, default=MAX_GENERATOR_INDEX)
+    if top > MAX_GENERATOR_INDEX:
+        refuse_above("generator index", top, MAX_GENERATOR_INDEX)
 
 
-def _pass_smaller(neg: list[int], k: int, s: int, cap: int) -> tuple[int, int]:
+def _pass_smaller(neg: list[int], k: int, s: int) -> tuple[int, int]:
     # Move x_k^(+-1) left past the inverse letters smaller than it, which end
     # `neg`; passing each one bumps k by s = n-1.  Returns the number of
     # inverse letters not passed and the bumped index.
@@ -180,54 +180,52 @@ def _pass_smaller(neg: list[int], k: int, s: int, cap: int) -> tuple[int, int]:
     while j and neg[j - 1] < bumped:
         bumped += s
         j -= 1
-    if bumped > cap and bumped != k:  # name the first bump past cap
-        refuse_above("generator index", k + s * max(1, (cap - k) // s + 1), cap)
+    if bumped != k and bumped > MAX_GENERATOR_INDEX:  # name the first bump past it
+        _check_max([k + s * max(1, (MAX_GENERATOR_INDEX - k) // s + 1)])
     return j, bumped
 
 
-def _push_positive(pos: list[int], neg: list[int], k: int, n: int, cap: int):
+def _push_positive(pos: list[int], neg: list[int], k: int, n: int):
     # Move x_k left through the inverse part per the mixed rules: it bumps
     # past the smaller inverse letters, cancels an equal one, and bumps every
     # larger one once.  Then insert it into the positive part, bumping the
     # larger letters it passes (rule x_i x_j with i > j).
     s = n - 1
-    j, k = _pass_smaller(neg, k, s, cap)
+    j, k = _pass_smaller(neg, k, s)
     if j and neg[j - 1] == k:
         del neg[j - 1]
         return
     if j:
-        if neg[0] + s > cap:  # x_k passes the smallest first; name that one
-            refuse_above("generator index", min(q for q in neg[:j] if q + s > cap) + s, cap)
+        if neg[0] + s > MAX_GENERATOR_INDEX:  # x_k passes the smallest first; name that one
+            _check_max([min(q for q in neg[:j] if q + s > MAX_GENERATOR_INDEX) + s])
         neg[:j] = [q + s for q in neg[:j]]
     i = bisect_right(pos, k)
-    if i < len(pos) and pos[-1] + s > cap:
-        refuse_above("generator index", pos[-1] + s, cap)
+    if i < len(pos) and pos[-1] + s > MAX_GENERATOR_INDEX:
+        _check_max([pos[-1] + s])
     pos[i:] = [k] + [p + s for p in pos[i:]]
 
 
-def _push_negative(pos: list[int], neg: list[int], k: int, n: int, cap: int):
+def _push_negative(pos: list[int], neg: list[int], k: int, n: int):
     if not neg and pos and pos[-1] == k:
         pos.pop()
         return
-    j, k = _pass_smaller(neg, k, n - 1, cap)
+    j, k = _pass_smaller(neg, k, n - 1)
     neg.insert(j, k)
 
 
-def _rewrite(letters, n: int, cap: int) -> tuple[list[int], list[int]]:
+def _rewrite(letters, n: int) -> tuple[list[int], list[int]]:
     # Push the (index, exponent) letters one at a time, left to right.
     pos: list[int] = []
     neg: list[int] = []
     for index, exponent in letters:
         if exponent == 1:
-            _push_positive(pos, neg, index, n, cap)
+            _push_positive(pos, neg, index, n)
         else:
-            _push_negative(pos, neg, index, n, cap)
+            _push_negative(pos, neg, index, n)
     return pos, neg
 
 
-def rewrite_to_seminormal(
-    w: GroupWord, *, index_cap: int = DEFAULT_INDEX_CAP
-) -> SeminormalForm:
+def rewrite_to_seminormal(w: GroupWord) -> SeminormalForm:
     """Apply the oriented rules exhaustively; always terminates.
 
     Each new letter moves left through the inverse part and, if positive,
@@ -236,7 +234,7 @@ def rewrite_to_seminormal(
     A word of length L thus costs O(L^2) index increments, most of them done
     in bulk.  The result depends on this left-to-right order: it is one of
     the element's seminormal forms, not the canonical one.  An input letter
-    or a bumped index beyond `index_cap` raises ResourceLimitError.
+    or a bumped index beyond MAX_GENERATOR_INDEX raises ResourceLimitError.
 
     A word of more than MAX_REWRITE_LETTERS letters raises
     ResourceLimitError before the rewrite starts (its measured cost is in
@@ -244,17 +242,17 @@ def rewrite_to_seminormal(
     """
     if len(w.letters) > MAX_REWRITE_LETTERS:
         refuse_above("rewrite length", len(w.letters), MAX_REWRITE_LETTERS)
-    _check_max((let.index for let in w.letters), index_cap)  # input letters too
-    pos, neg = _rewrite(w.letters, w.arity, index_cap)
+    _check_max(let.index for let in w.letters)  # input letters too
+    pos, neg = _rewrite(w.letters, w.arity)
     return SeminormalForm(w.arity, tuple(pos), tuple(neg))
 
 
-def _merge(u, v, s: int, cap: int) -> tuple[list[int], list[int]]:
+def _merge(u, v, s: int) -> tuple[list[int], list[int]]:
     # The product of seminormal forms u = (positive, negative) and v, equal
     # to pushing v's letters onto u one at a time, in three linear walks;
     # s = n-1.  An index only grows until its letter cancels, so the pushes
     # raise exactly when a final index, or an index at which two letters
-    # cancel, exceeds the cap; the inputs are within it.
+    # cancel, is past the budget; the inputs are within it.
     upos, uneg = u
     vpos, vneg = v
     # 1. v's positive letters pass u's inverse letters, smallest first.  As
@@ -312,27 +310,23 @@ def _merge(u, v, s: int, cap: int) -> tuple[list[int], list[int]]:
         neg.append(k)
     neg += mid[t:]
     neg.reverse()
-    _check_max(pos[-1:] + neg[:1] + cancelled[-1:], cap)
+    _check_max(pos[-1:] + neg[:1] + cancelled[-1:])
     return pos, neg
 
 
-def multiply(
-    u: SeminormalForm, v: SeminormalForm, *, index_cap: int = DEFAULT_INDEX_CAP
-) -> SeminormalForm:
+def multiply(u: SeminormalForm, v: SeminormalForm) -> SeminormalForm:
     """Product of two seminormal forms, again in seminormal form.
 
     The result is the form `rewrite_to_seminormal` reaches by pushing v's
     letters onto u one at a time, computed by one linear merge in
     O(|u| + |v|) steps.  It raises ResourceLimitError in exactly the cases
     the pushes would: an input letter, or an index the pushes reach, beyond
-    `index_cap`; the message names the highest such index.
+    MAX_GENERATOR_INDEX; the message names the highest such index.
     """
     if u.arity != v.arity:
         raise ArityMismatchError(f"arity {u.arity} vs {v.arity}")
-    _check_max(u.positive[-1:] + u.negative[:1] + v.positive[-1:] + v.negative[:1], index_cap)
-    pos, neg = _merge(
-        (u.positive, u.negative), (v.positive, v.negative), u.arity - 1, index_cap
-    )
+    _check_max(u.positive[-1:] + u.negative[:1] + v.positive[-1:] + v.negative[:1])
+    pos, neg = _merge((u.positive, u.negative), (v.positive, v.negative), u.arity - 1)
     return SeminormalForm(u.arity, tuple(pos), tuple(neg))
 
 
@@ -383,9 +377,7 @@ def _pairwise_product(items: list, op):
     return items[0]
 
 
-def normal_form(
-    w: GroupWord, *, index_cap: int = DEFAULT_INDEX_CAP
-) -> SeminormalForm:
+def normal_form(w: GroupWord) -> SeminormalForm:
     """Seminormal form plus the matched-pair reduction; canonical per element.
 
     A word of at most `_LEAF` letters is rewritten left to right, as by
@@ -395,31 +387,28 @@ def normal_form(
     removes the matched pairs.  A word of length L costs O(L * _LEAF) for the
     runs and O(L log L) for the merges, against O(L^2) for the left-to-right
     rewrite.  The result does not depend on the route, as the normal form is
-    unique per element, but the intermediate indices do: the smallest
-    `index_cap` under which a long word passes can differ from that of
+    unique per element, but the intermediate indices do, and with them the
+    refusals: the highest index a long word reaches can differ from that of
     `rewrite_to_seminormal`.  On 300 seeded words of 70-400 letters it was
     the same for 268, lower for 31 and higher for 1, by -6.3% to +1.0%.
     """
     letters, n = w.letters, w.arity
-    _check_max((let.index for let in letters), index_cap)
+    _check_max(let.index for let in letters)
     forms = [  # an empty word is one empty run
-        _rewrite(letters[i : i + _LEAF], n, index_cap)
-        for i in range(0, len(letters) or 1, _LEAF)
+        _rewrite(letters[i : i + _LEAF], n) for i in range(0, len(letters) or 1, _LEAF)
     ]
-    pos, neg = _pairwise_product(forms, lambda u, v: _merge(u, v, n - 1, index_cap))
+    pos, neg = _pairwise_product(forms, lambda u, v: _merge(u, v, n - 1))
     _reduce(pos, neg, n)
     return SeminormalForm(n, tuple(pos), tuple(neg))
 
 
-def are_equal(
-    u: GroupWord, v: GroupWord, *, index_cap: int = DEFAULT_INDEX_CAP
-) -> bool:
+def are_equal(u: GroupWord, v: GroupWord) -> bool:
     """Word problem: do u and v represent the same element of F_{n,infinity}?
 
     Decided by reducing u * v^-1 to normal form and checking emptiness;
     agreement with the PL-map oracle is part of the acceptance suite.
     """
-    return normal_form(concat(u, invert(v)), index_cap=index_cap).is_identity()
+    return normal_form(concat(u, invert(v))).is_identity()
 
 
 def abelianize(w: GroupWord) -> tuple[int, ...]:

@@ -15,8 +15,8 @@ from thompson_sigma.errors import (
 )
 from thompson_sigma.lattices import SubgroupLattice, hnf
 from thompson_sigma.plrep import PLMap, generator_map, identity_map, invert_map, plmap
+from thompson_sigma import words
 from thompson_sigma.words import (
-    DEFAULT_INDEX_CAP,
     GeneratorLetter,
     GroupWord,
     SeminormalForm,
@@ -98,25 +98,25 @@ def fixpoint_reduce(pos: list[int], neg: list[int], n: int) -> None:
             break
 
 
-def sequential_multiply(
-    u: SeminormalForm, v: SeminormalForm, *, index_cap: int = DEFAULT_INDEX_CAP
-) -> SeminormalForm:
+def sequential_multiply(u: SeminormalForm, v: SeminormalForm) -> SeminormalForm:
     """Reference product: push v's letters onto u one at a time.
 
     The positive letters go first, smallest first, then the inverse letters,
     largest first, each by the pushes of `rewrite_to_seminormal`.  Input
-    letters beyond `index_cap` raise, as in `words.multiply`.
+    letters, and the pushes, are held to `words.MAX_GENERATOR_INDEX` as it
+    stands at the call, as in `words.multiply`.
     """
     if u.arity != v.arity:
         raise ArityMismatchError(f"arity {u.arity} vs {v.arity}")
     top = max(u.positive + u.negative + v.positive + v.negative, default=None)
-    if top is not None and top > index_cap:
-        raise ResourceLimitError(f"generator index {top} exceeds the budget of {index_cap}")
+    budget = words.MAX_GENERATOR_INDEX
+    if top is not None and top > budget:
+        raise ResourceLimitError(f"generator index {top} exceeds the budget of {budget}")
     pos, neg = list(u.positive), list(u.negative)
     for k in v.positive:
-        _push_positive(pos, neg, k, u.arity, index_cap)
+        _push_positive(pos, neg, k, u.arity)
     for k in v.negative:
-        _push_negative(pos, neg, k, u.arity, index_cap)
+        _push_negative(pos, neg, k, u.arity)
     return SeminormalForm(u.arity, tuple(pos), tuple(neg))
 
 
@@ -220,7 +220,10 @@ def apply(mat: CharacterMatrix, chi: Character) -> Character:
 def fraction_orbit(point: SpherePoint, cap: int = 1024) -> frozenset[SpherePoint]:
     """Reference orbit: a depth-first walk that applies the full shift and
     flip matrices to Fraction values and normalizes each image with
-    `sphere_point`; more than `cap` points raise ResourceLimitError."""
+    `sphere_point`; more than `cap` points raise ResourceLimitError, and a
+    cap below 1 raises ValueError, as in `autos.d_orbit`."""
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     n = point.arity
     gens = (matrix_A(n), matrix_C(n))
     seen = {point}

@@ -258,6 +258,12 @@ class TestOrbitOracle:
         assert raised == set(range(1, 10))
         assert returned == set(range(1, 13))
 
+    def test_cap_below_one_refused_as_by_d_orbit(self):
+        for point in (TestOrbitCap.FIXED, TestOrbitCap.MOVING):
+            for cap in (0, -5):
+                with pytest.raises(ValueError, match=f"^cap must be >= 1, got {cap}$"):
+                    fraction_orbit(point, cap=cap)
+
 
 class TestGeneratorRowsCache:
     def test_interleaved_arities(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from thompson_sigma import charspace
 from thompson_sigma.charspace import (
+    Character,
     character,
     chi1,
     chi2,
@@ -48,6 +49,20 @@ class TestBasics:
         assert chi2(2).values == (1, 1)
         assert chi1(3).values == (-1, 0, 0)
         assert tuple(a + b for a, b in zip(chi1(4).values, chi2(4).values)) == (0, 1, 1, 1)
+
+    def test_constructor_stores_fractions(self):
+        assert Character(2, (1, 2)) == character(2, (1, 2))
+        chi = Character(3, [Fraction(1, 2), -3, 0])
+        assert chi.values == (Fraction(1, 2), Fraction(-3), Fraction(0))
+        assert all(type(v) is Fraction for v in chi.values)
+
+    def test_constructor_refuses_floats_and_strings(self):
+        # floats would decide Sigma membership and sphere points in binary
+        # arithmetic; text is for `character` and `parse_character`
+        for values in ((0.5, 1.0), (0.1, 0.3), (1, 2.0), ("1", 2), ("1/2", "3")):
+            with pytest.raises(ValueError, match="^character values must be ints or Fractions, got "):
+                Character(2, values)
+        assert sphere_point(character(2, ("1/10", "3/10"))).values == (1, 3)
 
     def test_extension_rule(self):
         chi = character(3, (5, 7, 11))

@@ -20,6 +20,7 @@ from thompson_sigma.complexes import DEFAULT_DIM_CAP
 from thompson_sigma.errors import (
     BUDGETS,
     MAX_DIM,
+    MAX_GENERATOR_INDEX,
     MAX_INDEX_DIGITS,
     MAX_LATTICE_ENTRIES,
     MAX_LATTICES,
@@ -71,6 +72,18 @@ class TestWordCommands:
         assert quads[0] == ["0", "1", "0", "1"]
         assert quads[-1] == ["1", "1", "1", "1"]
         assert ["1", "2", "1", "4"] in quads
+
+    def test_generator_index_budget_at_its_limit(self, capsys):
+        assert MAX_GENERATOR_INDEX == 65536
+        assert run(capsys, "normalize", "--n", "2", "--word", "x65536") == (0, "x65536\n", "")
+        past = "error: generator index {} exceeds the budget of 65536\n"
+        assert run(capsys, "normalize", "--n", "2", "--word", "x65537") == (2, "", past.format(65537))
+        # at n = 256, x1 passing k letters x0^-1 becomes x_{1 + 255 k}: 65536 at k = 257
+        assert run(capsys, "mul", "--n", "256", "--u", "x0^-257", "--v", "x1") == (
+            0, "x65536" + " x0^-1" * 257 + "\n", ""
+        )
+        for argv in (("mul", "--u", "x0^-258", "--v", "x1"), ("eq", "--u", "x0^-258 x1", "--v", "x1")):
+            assert run(capsys, *argv[:1], "--n", "256", *argv[1:]) == (2, "", past.format(65791)), argv
 
 
 class TestSigmaCommands:
@@ -534,6 +547,9 @@ _PAST_BUDGET = {
     "MAX_REWRITE_LETTERS": (
         ("mul", "--n", "2", "--u", f"x0^{MAX_REWRITE_LETTERS + 1}", "--v", "x1"),
         "rewrite length", MAX_REWRITE_LETTERS + 1,
+    ),
+    "MAX_GENERATOR_INDEX": (
+        ("normalize", "--n", "2", "--word", f"x{MAX_GENERATOR_INDEX + 1}"), "generator index", MAX_GENERATOR_INDEX + 1,
     ),
     "MAX_PL_INDEX": (("eval-pl", "--n", str(MAX_PL_INDEX + 1), "--word", "x0"), "arity", MAX_PL_INDEX + 1),
     "MAX_LATTICES": (("subgroups", "--n", "2", "--max-index", "1129"), "lattice count", None),

@@ -166,16 +166,20 @@ class TestEnumeration:
             assert hnf(lat.basis) == lat
             assert index(lat) <= 6
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(lattices, "MAX_LATTICES", 10)
         with pytest.raises(ResourceLimitError):
-            enumerate_subgroups(2, 30, cap=10)
+            enumerate_subgroups(2, 30)
 
-    def test_cap_boundary(self):
+    def test_cap_boundary(self, monkeypatch):
         for n, max_index in ((2, 30), (3, 6), (4, 8), (5, 4)):
+            monkeypatch.setattr(lattices, "MAX_LATTICES", MAX_LATTICES)
             everything = enumerate_subgroups(n, max_index)
-            assert enumerate_subgroups(n, max_index, cap=len(everything)) == everything
+            monkeypatch.setattr(lattices, "MAX_LATTICES", len(everything))
+            assert enumerate_subgroups(n, max_index) == everything
+            monkeypatch.setattr(lattices, "MAX_LATTICES", len(everything) - 1)
             with pytest.raises(ResourceLimitError):
-                enumerate_subgroups(n, max_index, cap=len(everything) - 1)
+                enumerate_subgroups(n, max_index)
 
     def test_default_cap_refuses_before_any_lattice(self, monkeypatch):
         def no_bases(*args):

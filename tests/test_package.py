@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import thompson_sigma
+from thompson_sigma import errors, words
 from thompson_sigma.errors import BUDGETS, ORBIT_CAP, ParseError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -65,6 +66,12 @@ def test_readme_budget_table_is_the_budget_table():
         for name, budget in BUDGETS.items()
     }
     assert re.findall(r"`orbit --cap` \(default (\d+)\)", text) == [str(ORBIT_CAP)]
+
+
+def test_index_budget_alias():
+    # `perfbench/run.py`, the only reader of this name, takes the budget
+    # from it for `words.index_headroom`
+    assert words.DEFAULT_INDEX_CAP == errors.MAX_GENERATOR_INDEX
 
 
 def _loaded_after(code):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fixpoint_reduce, identity_word, sequential_multiply
-from thompson_sigma import plrep
+from thompson_sigma import errors, plrep
 from thompson_sigma.errors import (
     MAX_REWRITE_LETTERS,
     MAX_TOKEN_DIGITS,
@@ -43,15 +43,18 @@ def w3(*pairs):
     return word(3, pairs)
 
 
-def lowest_passing_cap(f, low):
-    """Smallest cap >= low under which f(cap) raises no ResourceLimitError.
+def lowest_passing_cap(monkeypatch, f, low):
+    """Smallest cap >= low under which f() raises no ResourceLimitError,
+    with the cap set as `words.MAX_GENERATOR_INDEX`.
 
     Passing is monotone in the cap, so gallop up from `low`, then bisect.
+    The budget is left at the last cap tried.
     """
 
     def passes(cap):
+        monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", cap)
         try:
-            f(cap)
+            f()
         except ResourceLimitError:
             return False
         return True
@@ -124,11 +127,12 @@ class TestSeminormal:
             letters = [(rng.randrange(0, 9), rng.choice((1, -1))) for _ in range(20)]
             rewrite_to_seminormal(word(n, letters))  # must halt
 
-    def test_index_cap(self):
+    def test_index_cap(self, monkeypatch):
         # a single high letter bumped past the cap by a stream of x_0
         letters = [(1, 1)] + [(0, 1)] * 60
+        monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", 50)
         with pytest.raises(ResourceLimitError):
-            rewrite_to_seminormal(w2(*letters), index_cap=50)
+            rewrite_to_seminormal(w2(*letters))
 
     # One word per bump site, its last letter doing all of the bumping:
     # (n, letters, highest index reached).
@@ -144,37 +148,41 @@ class TestSeminormal:
     }
 
     @pytest.mark.parametrize("site", CAP_SITES)
-    def test_index_cap_boundary(self, site):
+    def test_index_cap_boundary(self, site, monkeypatch):
         n, letters, highest = self.CAP_SITES[site]
         w = word(n, letters)
-        sn = rewrite_to_seminormal(w, index_cap=highest)
-        assert max(sn.positive + sn.negative) == highest
-        with pytest.raises(ResourceLimitError, match=f"^generator index {highest} exceeds the budget of {highest - 1}$"):
-            rewrite_to_seminormal(w, index_cap=highest - 1)
         u = rewrite_to_seminormal(word(n, letters[:-1]))
         v = rewrite_to_seminormal(word(n, letters[-1:]))
-        assert multiply(u, v, index_cap=highest) == sn
+        monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", highest)
+        sn = rewrite_to_seminormal(w)
+        assert max(sn.positive + sn.negative) == highest
+        assert multiply(u, v) == sn
+        monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", highest - 1)
+        with pytest.raises(ResourceLimitError, match=f"^generator index {highest} exceeds the budget of {highest - 1}$"):
+            rewrite_to_seminormal(w)
         with pytest.raises(ResourceLimitError):
-            multiply(u, v, index_cap=highest - 1)
+            multiply(u, v)
 
-    def test_index_cap_names_first_index_past_it(self):
+    def test_index_cap_names_first_index_past_it(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", 4)
         # the inverse tail x_4^-1 x_3^-1 bumps smallest first (n = 3) to
         # x_6^-1 x_5^-1: x_5^-1 is the first past 4
         with pytest.raises(ResourceLimitError, match="^generator index 5 exceeds the budget of 4$"):
-            rewrite_to_seminormal(w3((4, -1), (3, -1), (0, 1)), index_cap=4)
+            rewrite_to_seminormal(w3((4, -1), (3, -1), (0, 1)))
         # x_1 bumps to x_3, x_5, x_7 (n = 3): x_5 is the first past 4
         with pytest.raises(ResourceLimitError, match="^generator index 5 exceeds the budget of 4$"):
-            rewrite_to_seminormal(w3(*[(0, -1)] * 3, (1, 1)), index_cap=4)
+            rewrite_to_seminormal(w3(*[(0, -1)] * 3, (1, 1)))
 
-    def test_input_letters_count_against_cap(self):
+    def test_input_letters_count_against_cap(self, monkeypatch):
         w = word(2, [(100000, 1)])
         sn = SeminormalForm(2, (100000,), ())
+        monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", 50)
         for call in (
-            lambda: rewrite_to_seminormal(w, index_cap=50),
-            lambda: normal_form(w, index_cap=50),
-            lambda: are_equal(w, w, index_cap=50),
-            lambda: multiply(sn, SeminormalForm(2, (), ()), index_cap=50),
-            lambda: multiply(SeminormalForm(2, (), ()), sn, index_cap=50),
+            lambda: rewrite_to_seminormal(w),
+            lambda: normal_form(w),
+            lambda: are_equal(w, w),
+            lambda: multiply(sn, SeminormalForm(2, (), ())),
+            lambda: multiply(SeminormalForm(2, (), ()), sn),
         ):
             with pytest.raises(ResourceLimitError, match="^generator index 100000 exceeds the budget of 50$"):
                 call()
@@ -236,7 +244,7 @@ class TestMultiplyInvert:
 class TestMultiplyOracle:
     """multiply equals pushing v's letters onto u one at a time."""
 
-    def test_matches_sequential_pushes(self):
+    def test_matches_sequential_pushes(self, monkeypatch):
         rng = random.Random(4096)
         raised = cancelled = 0
 
@@ -254,21 +262,21 @@ class TestMultiplyOracle:
             lv = letters(rng.randrange(rng.choice((6, 30, 80))))
             if t % 3 == 0 and lu:  # v starts with the inverse of u's tail
                 lv = [(i, -e) for i, e in reversed(lu[-rng.randrange(1, len(lu) + 1) :])] + lv
+            monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", errors.MAX_GENERATOR_INDEX)
             u = rewrite_to_seminormal(word(n, lu))
             v = rewrite_to_seminormal(word(n, lv))
             inputs = max(u.positive + u.negative + v.positive + v.negative, default=0)
-            highest = lowest_passing_cap(
-                lambda cap: sequential_multiply(u, v, index_cap=cap), inputs
-            )
+            highest = lowest_passing_cap(monkeypatch, lambda: sequential_multiply(u, v), inputs)
             cap = rng.choice((highest, highest - 1, rng.randrange(highest + 2)))
+            monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", cap)
             try:
-                expected = sequential_multiply(u, v, index_cap=cap)
+                expected = sequential_multiply(u, v)
             except ResourceLimitError:
                 with pytest.raises(ResourceLimitError):
-                    multiply(u, v, index_cap=cap)
+                    multiply(u, v)
                 raised += 1
                 continue
-            assert multiply(u, v, index_cap=cap) == expected
+            assert multiply(u, v) == expected
             cancelled += size(expected) < size(u) + size(v)
         # both outcomes occur often, and so do cancellations
         assert raised > 1500 and 6000 - raised > 1500 and cancelled > 1000, (raised, cancelled)
@@ -422,42 +430,47 @@ class TestLongWords:
         assert chunk_counts == {0, 1}  # odd and even numbers of runs
 
     @staticmethod
-    def route(w, cap):
+    def route(w):
         # the documented route: runs of _LEAF letters rewritten left to
         # right, their forms multiplied pairwise, level by level
         forms = [
-            rewrite_to_seminormal(word(w.arity, w.letters[i : i + _LEAF]), index_cap=cap)
+            rewrite_to_seminormal(word(w.arity, w.letters[i : i + _LEAF]))
             for i in range(0, len(w), _LEAF)
         ]
         while len(forms) > 1:
             odd = forms[-1:] if len(forms) % 2 else []
-            forms = [
-                sequential_multiply(a, b, index_cap=cap) for a, b in zip(forms[::2], forms[1::2])
-            ] + odd
+            forms = [sequential_multiply(a, b) for a, b in zip(forms[::2], forms[1::2])] + odd
         return forms[0]
 
-    def test_index_cap_boundary(self):
+    def test_index_cap_boundary(self, monkeypatch):
         rng = random.Random(400)
         for t in range(40):
             top = rng.choice((3, 8, 20))
             letters = [(rng.randrange(top + 1), rng.choice((1, -1))) for _ in range(rng.randrange(70, 401))]
             w = word(2 + t % 4, letters)
-            highest = lowest_passing_cap(lambda cap: self.route(w, cap), max(i for i, _ in letters))
-            assert normal_form(w, index_cap=highest) == normal_form(w)
+            monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", errors.MAX_GENERATOR_INDEX)
+            unbounded = normal_form(w)
+            highest = lowest_passing_cap(monkeypatch, lambda: self.route(w), max(i for i, _ in letters))
+            monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", highest)
+            assert normal_form(w) == unbounded
+            monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", highest - 1)
             with pytest.raises(ResourceLimitError):
-                normal_form(w, index_cap=highest - 1)
+                normal_form(w)
 
-    def test_index_cap_boundary_of_balanced_product(self):
+    def test_index_cap_boundary_of_balanced_product(self, monkeypatch):
         # four runs, each padded in front with cancelling x_0 x_0^-1 pairs;
         # the pairwise product reaches x_6, while multiplying the runs left
         # to right, or rewriting the whole word, reaches x_9
         runs = ([(4, -1), (0, 1)], [(5, -1), (4, -1)], [(0, -1), (4, -1)], [(4, 1), (1, 1)])
         pad = [(0, 1), (0, -1)] * (_LEAF // 2 - 1)
         w = word(2, [let for run in runs for let in pad + run])
-        assert normal_form(w, index_cap=6) == normal_form(w)
+        unbounded = normal_form(w)
+        monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", 6)
+        assert normal_form(w) == unbounded
+        monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", 5)
         with pytest.raises(ResourceLimitError):
-            normal_form(w, index_cap=5)
-        assert lowest_passing_cap(lambda cap: rewrite_to_seminormal(w, index_cap=cap), 5) == 9
+            normal_form(w)
+        assert lowest_passing_cap(monkeypatch, lambda: rewrite_to_seminormal(w), 5) == 9
 
 
 class TestTextSyntax:
