@@ -15,15 +15,17 @@ Everything is exact: integers, `fractions.Fraction`, no floating point.
 
 Importing the package loads none of these modules: each public name below
 imports its home module on first use (PEP 562), so a caller of the word
-problem never pays for lattices or gradients.
+problem never pays for lattices or gradients.  `cli` calls the layers
+through these names only, so each command loads just the layers it calls.
 """
 
 import importlib
 
 _NAMES = {
+    "autos": ("d_orbit", "matrix_A", "matrix_C"),
     "charspace": (
         "Character", "FinitenessReport", "SpherePoint", "character", "chi1", "chi2",
-        "in_sigma1", "in_sigma_m", "kernel_finiteness", "sphere_point",
+        "in_sigma1", "in_sigma_m", "kernel_finiteness", "parse_character", "sphere_point",
     ),
     "complexes": (
         "AffineTail", "BoundReport", "CellVector", "cell_vector",
@@ -36,7 +38,7 @@ _NAMES = {
     ),
     "lattices": (
         "ChainSpec", "SubgroupLattice", "alpha", "chain", "enumerate_subgroups", "hnf",
-        "index", "intersect_with_M", "restrict_character",
+        "hnf_bases", "index", "intersect_with_M", "restrict_character",
     ),
     "plrep": ("PLMap", "compose", "evaluate_word", "generator_map", "invert_map", "maps_equal"),
     "words": (

@@ -85,7 +85,8 @@ class FinitenessReport:
 
 
 def character(arity: int, values) -> Character:
-    return Character(arity, tuple(Fraction(v) for v in values))
+    """A Character from ints, Fractions or rational strings like "1/10" (no floats)."""
+    return Character(arity, tuple(Fraction(v) if isinstance(v, str) else v for v in values))
 
 
 def parse_character(arity: int, text: str) -> Character:

@@ -1,14 +1,16 @@
-"""Command-line interface: one subcommand per library surface.
+"""Exact computation in the generalized Thompson groups F_{n,inf}, n >= 2.
 
-Output is deterministic JSON (or CSV for gradient series) so scripts and
-the acceptance harness can compare bytes.  Rationals are rendered "p/q".
-Exit codes: 0 success, 1 usage errors, 2 domain errors such as a missing
-conjecture flag or a budget of `errors.BUDGETS`.
+Each subcommand computes one object: the normal form, product or equality
+of words; the PL map of a word; Sigma^m membership of a character and the
+finiteness type of a kernel; the shift and flip matrices and sphere-point
+orbits; the subgroup lattices up to an index, their cell counts and their
+generator and deficiency bounds; gradient series along a subgroup chain.
 
-Each command returns its output, a string, a JSON payload, or an iterator
-of text pieces that `main` writes as they are made (`subgroups`, whose
-rows would otherwise be held all at once); `main` prints it once.  Each
-command imports only the layer modules it calls.
+Output goes to stdout: a word for normalize and mul, CSV rows for
+gradient --format csv, one line of JSON otherwise, rationals as "p/q".
+Exit codes: 0 success; 1 usage error (bad flags or malformed values);
+2 domain error (a missing conjecture flag, a rank-deficient lattice or a
+passed budget).  Errors print one line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import os
 import sys
 from fractions import Fraction
 from itertools import islice
+
+import thompson_sigma as ts
 
 from .errors import DEFAULT_DIM_CAP, MAX_LATTICE_ENTRIES, MAX_PL_INDEX, ORBIT_CAP, refuse_above
 from .errors import DomainError, ParseError
@@ -102,49 +106,41 @@ def nonnegative(text: str) -> int:
     return _at_least(0, text)
 
 
+# Each command returns its output: a string, a JSON payload, or an iterator of
+# text pieces that `main` writes as they come (`subgroups`).  Commands reach the
+# layers through `ts`, whose names import their module on first use, so each
+# command loads only the layers it calls.
 def _cmd_normalize(args):
-    from . import words
-
-    w = words.parse_word(args.n, args.word)
-    return words.format_word(words.normal_form(w).to_word())
+    w = ts.parse_word(args.n, args.word)
+    return ts.format_word(ts.normal_form(w).to_word())
 
 
 def _cmd_mul(args):
-    from . import words
-
-    u = words.rewrite_to_seminormal(words.parse_word(args.n, args.u))
-    v = words.rewrite_to_seminormal(words.parse_word(args.n, args.v))
-    return words.format_word(words.multiply(u, v).to_word())
+    u = ts.rewrite_to_seminormal(ts.parse_word(args.n, args.u))
+    v = ts.rewrite_to_seminormal(ts.parse_word(args.n, args.v))
+    return ts.format_word(ts.multiply(u, v).to_word())
 
 
 def _cmd_eq(args):
-    from . import words
-
-    u = words.parse_word(args.n, args.u)
-    v = words.parse_word(args.n, args.v)
-    return {"equal": words.are_equal(u, v)}
+    u = ts.parse_word(args.n, args.u)
+    v = ts.parse_word(args.n, args.v)
+    return {"equal": ts.are_equal(u, v)}
 
 
 def _cmd_eval_pl(args):
-    from . import plrep, words
-
-    w = words.parse_word(args.n, args.word)
-    return _printed(plrep.evaluate_word(w).to_quadruples)
+    w = ts.parse_word(args.n, args.word)
+    return _printed(ts.evaluate_word(w).to_quadruples)
 
 
 def _cmd_sigma(args):
-    from . import charspace
-
-    chi = charspace.parse_character(args.n, args.chi)
-    result = charspace.in_sigma_m(chi, args.m, assume_conjecture=args.assume_sigma_m)
+    chi = ts.parse_character(args.n, args.chi)
+    result = ts.in_sigma_m(chi, args.m, assume_conjecture=args.assume_sigma_m)
     return {"inSigma": result}
 
 
 def _cmd_classify_kernel(args):
-    from . import charspace
-
     rows = _parse_lattice(args.n, args.lattice)
-    report = charspace.kernel_finiteness(
+    report = ts.kernel_finiteness(
         rows, m_max=args.m_max, assume_conjecture=args.assume_sigma_m
     )
     return {
@@ -156,24 +152,18 @@ def _cmd_classify_kernel(args):
 
 
 def _cmd_auto_matrix(args):
-    from . import autos
-
-    mat = autos.matrix_A(args.n) if args.which == "A" else autos.matrix_C(args.n)
+    mat = ts.matrix_A(args.n) if args.which == "A" else ts.matrix_C(args.n)
     return [list(row) for row in mat.entries]
 
 
 def _cmd_orbit(args):
-    from . import autos, charspace
-
-    chi = charspace.parse_character(args.n, args.chi)
-    orbit = autos.d_orbit(charspace.sphere_point(chi), cap=args.cap)
+    chi = ts.parse_character(args.n, args.chi)
+    orbit = ts.d_orbit(ts.sphere_point(chi), cap=args.cap)
     points = sorted(p.values for p in orbit)
     return [[_frac(v) for v in values] for values in points]
 
 
 def _cmd_subgroups(args):
-    from . import lattices
-
     cap_text = os.environ.get(ENV_MAX_INDEX)
     try:
         cap = None if cap_text is None else int(cap_text)
@@ -181,15 +171,13 @@ def _cmd_subgroups(args):
         raise ParseError(f"{ENV_MAX_INDEX} must be an integer, got {cap_text!r}") from exc
     if cap is not None and args.max_index > cap:
         refuse_above("--max-index", args.max_index, f"{ENV_MAX_INDEX}={cap}")
-    bases = lattices.hnf_bases(args.n, args.max_index)
+    bases = ts.hnf_bases(args.n, args.max_index)
     return _json_array([entry for row in basis for entry in row] for basis in bases)
 
 
 def _cmd_cells(args):
-    from . import complexes, lattices
-
-    lat = lattices.hnf(_parse_lattice(args.n, args.lattice), arity=args.n)
-    vec, case = complexes.cells_for_subgroup_F(lat)
+    lat = ts.hnf(_parse_lattice(args.n, args.lattice), arity=args.n)
+    vec, case = ts.cells_for_subgroup_F(lat)
     return {
         "counts": list(vec.prefix(args.m)),
         "tail": None if vec.tail is None else dataclasses.asdict(vec.tail),
@@ -198,10 +186,8 @@ def _cmd_cells(args):
 
 
 def _cmd_bounds(args):
-    from . import complexes, lattices
-
-    lat = lattices.hnf(_parse_lattice(args.n, args.lattice), arity=args.n)
-    report = complexes.d_bound(lat, d0_override=args.d0_override, chi_upto=args.m)
+    lat = ts.hnf(_parse_lattice(args.n, args.lattice), arity=args.n)
+    report = ts.d_bound(lat, d0_override=args.d0_override, chi_upto=args.m)
     return {
         "dUpper": report.d_upper_symbolic if report.d_upper is None else report.d_upper,
         "caseTag": report.case_tag,
@@ -211,28 +197,24 @@ def _cmd_bounds(args):
     }
 
 
-def _parse_chain(text: str) -> lattices.ChainSpec:
-    from . import lattices
-
+def _parse_chain(text: str) -> ts.ChainSpec:
     kind, _, param = text.partition(":")
     try:
-        return lattices.ChainSpec(kind, p=int(param))
+        return ts.ChainSpec(kind, p=int(param))
     except ValueError as exc:
         raise ParseError(f"argument --chain: {exc}") from exc
 
 
 def _cmd_gradient(args):
-    from . import gradients
-
     spec = _parse_chain(args.chain)
     if args.kind == "rg":
-        series = gradients.rank_gradient_series(
+        series = ts.rank_gradient_series(
             spec, args.n, args.steps, d0_override=args.d0_override
         )
     elif args.kind == "dg":
-        series = gradients.deficiency_gradient_series(spec, args.n, args.steps)
+        series = ts.deficiency_gradient_series(spec, args.n, args.steps)
     else:
-        series = gradients.chi_m_gradient_series(spec, args.m, args.n, args.steps)
+        series = ts.chi_m_gradient_series(spec, args.m, args.n, args.steps)
 
     rows = [
         {
@@ -250,7 +232,9 @@ def _cmd_gradient(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="thompson-sigma", description=__doc__)
+    parser = _Parser(
+        prog="thompson-sigma", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

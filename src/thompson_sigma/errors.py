@@ -95,6 +95,14 @@ MAX_GENERATOR_INDEX = 1 << 16
 # n = 2000 and 1.5 s at n = 20000.
 MAX_PL_INDEX = 256
 
+# `evaluate_word`, after the arity and index checks: the sum over a word's
+# letters x_i^(+-1) of i // (n - 1) + 2, which bounds the exponent of n in the
+# denominators of every product, times the bit length of n.  Time grows about
+# as its square: at the limit, x0^(+-4096) took 4.3-5.7 s at n = 3 (the slowest
+# shape), 1.9-2.4 s at n = 2 and 0.8-3.9 s at n = 4..256, random words 0.5-1.1 s;
+# x0^15000 at n = 2 (work 60,000) took 14.6 s before the output-digit refusal.
+MAX_PL_WORK = 1 << 14
+
 # `hnf_bases` and `enumerate_subgroups`, before the first lattice.  The tests
 # and benchmarks make at most 84,552, at (3, 50); the 1,047,476 of (2, 1128)
 # are listed in 0.5 s.
@@ -122,6 +130,7 @@ BUDGETS = {
     "MAX_REWRITE_LETTERS": Budget(MAX_REWRITE_LETTERS, "letters of a word to rewrite"),
     "MAX_GENERATOR_INDEX": Budget(MAX_GENERATOR_INDEX, "generator index of a word"),
     "MAX_PL_INDEX": Budget(MAX_PL_INDEX, "arity, and generator index of a PL map"),
+    "MAX_PL_WORK": Budget(MAX_PL_WORK, "carets of a word's letter vines, times n's bit length"),
     "MAX_LATTICES": Budget(MAX_LATTICES, "lattices of an enumeration"),
     "MAX_DIM": Budget(MAX_DIM, "dimension of cell counts and chi values"),
     "MAX_INDEX_DIGITS": Budget(MAX_INDEX_DIGITS, "digits of a chain's last index"),

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .errors import MAX_PL_INDEX, ArityMismatchError, refuse_above
+from .errors import MAX_PL_INDEX, MAX_PL_WORK, ArityMismatchError, refuse_above
 from .words import GroupWord, _pairwise_product
 
 Breakpoint = tuple[Fraction, Fraction]
@@ -188,14 +188,17 @@ def generator_map(n: int, i: int) -> PLMap:
 def evaluate_word(w: GroupWord) -> PLMap:
     """Image of a word under the representation; empty word -> identity.
 
-    An arity or a letter index above MAX_PL_INDEX raises
-    ResourceLimitError before any map is built.
+    An arity or a letter index above MAX_PL_INDEX, or a word whose PL work
+    passes MAX_PL_WORK, raises ResourceLimitError before any map is built.
     """
     top = max((let.index for let in w.letters), default=0)
     if w.arity > MAX_PL_INDEX:
         refuse_above("arity", w.arity, MAX_PL_INDEX)
     if top > MAX_PL_INDEX:
         refuse_above("generator index", top, MAX_PL_INDEX)
+    work = sum(let.index // (w.arity - 1) + 2 for let in w.letters) * w.arity.bit_length()
+    if work > MAX_PL_WORK:
+        refuse_above("PL work", work, MAX_PL_WORK)
     maps = [
         invert_map(generator_map(w.arity, let.index))
         if let.exponent == -1

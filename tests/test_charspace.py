@@ -64,6 +64,14 @@ class TestBasics:
                 Character(2, values)
         assert sphere_point(character(2, ("1/10", "3/10"))).values == (1, 3)
 
+    def test_character_refuses_floats(self):
+        # Fraction(0.1) is the binary float, so its ray is not (1, 3)
+        for values in ((0.1, 0.3), (1, 2.0), (Fraction(1, 2), 0.5)):
+            with pytest.raises(ValueError, match="^character values must be ints or Fractions, got "):
+                character(2, values)
+        assert character(2, ("1/10", Fraction(3, 10))) == character(2, (Fraction(1, 10), "3/10"))
+        assert character(2, [3, Fraction(-1, 2)]).values == (3, Fraction(-1, 2))
+
     def test_extension_rule(self):
         chi = character(3, (5, 7, 11))
         assert chi.value_at(3) == 7  # x_3 folds onto x_1

@@ -25,6 +25,7 @@ from thompson_sigma.errors import (
     MAX_LATTICE_ENTRIES,
     MAX_LATTICES,
     MAX_PL_INDEX,
+    MAX_PL_WORK,
     MAX_REWRITE_LETTERS,
     MAX_TOKEN_DIGITS,
     MAX_WORD_LETTERS,
@@ -40,6 +41,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_help_describes_the_tool(capsys):
+    # what the tool computes, its output and its exit codes, and no notes on
+    # how the module is built
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    out, err = capsys.readouterr()
+    assert (done.value.code, err) == (0, "")
+    assert out.startswith("usage: thompson-sigma ")
+    assert "generalized Thompson groups F_{n,inf}" in out
+    assert 'rationals as "p/q"' in out
+    assert "Exit codes: 0 success; 1 usage error" in out and "2 domain error" in out
+    assert "import" not in out and "`main`" not in out
 
 
 class TestGoldens:
@@ -403,6 +418,12 @@ class TestExitCodes:
             assert (code, out) == (2, ""), word
             assert err == f"error: generator index {MAX_PL_INDEX + 1} exceeds the budget of {MAX_PL_INDEX}\n"
 
+    def test_domain_error_pl_work_budget(self, capsys):
+        # x0^15000 at n = 2: 15000 letters of 2 carets, times the bit length 2
+        message = f"error: PL work 60000 exceeds the budget of {MAX_PL_WORK}\n"
+        with mock.patch("thompson_sigma.plrep.generator_map", side_effect=AssertionError):
+            assert run(capsys, "eval-pl", "--n", "2", "--word", "x0^15000") == (2, "", message)
+
     def test_domain_error_pl_arity_budget(self, capsys):
         over = MAX_PL_INDEX + 1
         for word in ("x0", ""):
@@ -552,6 +573,10 @@ _PAST_BUDGET = {
         ("normalize", "--n", "2", "--word", f"x{MAX_GENERATOR_INDEX + 1}"), "generator index", MAX_GENERATOR_INDEX + 1,
     ),
     "MAX_PL_INDEX": (("eval-pl", "--n", str(MAX_PL_INDEX + 1), "--word", "x0"), "arity", MAX_PL_INDEX + 1),
+    "MAX_PL_WORK": (
+        # n = 16: 1637 letters x0 of 2 carets and one x15 of 3, times the bit length 5
+        ("eval-pl", "--n", "16", "--word", "x0^1637 x15"), "PL work", MAX_PL_WORK + 1,
+    ),
     "MAX_LATTICES": (("subgroups", "--n", "2", "--max-index", "1129"), "lattice count", None),
     "MAX_DIM": (("cells", "--n", "2", "--lattice", "2,0,0,2", "--m", str(MAX_DIM + 1)), "dimension", MAX_DIM + 1),
     "MAX_INDEX_DIGITS": (

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import json
 import os
 import re
@@ -74,6 +75,29 @@ def test_index_budget_alias():
     assert words.DEFAULT_INDEX_CAP == errors.MAX_GENERATOR_INDEX
 
 
+def test_cli_calls_layers_through_the_surface():
+    # cli.py imports no layer module; every layer call is `ts.<public name>`
+    tree = ast.parse((SRC / "thompson_sigma" / "cli.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(node in tree.body for node in imports)  # no function-local import
+    modules = {
+        name
+        for node in imports
+        for name in (
+            ["." * node.level + (node.module or "")]
+            if isinstance(node, ast.ImportFrom)
+            else [alias.name for alias in node.names]
+        )
+    }
+    assert {m for m in modules if m.startswith((".", "thompson_sigma"))} == {"thompson_sigma", ".errors"}
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "ts"
+    }
+    assert used and used <= set(thompson_sigma.__all__), used - set(thompson_sigma.__all__)
+
+
 def _loaded_after(code):
     # the package's modules in sys.modules after `code` runs in a fresh interpreter
     script = code + "\nimport json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('thompson_sigma')]))"
@@ -104,6 +128,17 @@ class TestImportFootprint:
     def test_sigma_loads_no_lattice_layers(self):
         code = "from thompson_sigma import cli\nassert cli.main(['sigma', '--n', '2', '--chi', '-1,0']) == 0"
         assert _loaded_after(code) == {"thompson_sigma", "cli", "errors", "charspace", "_linalg"}
+
+    def test_orbit_and_auto_matrix_load_autos_and_charspace(self):
+        for argv in (["orbit", "--n", "2", "--chi", "-1,0"], ["auto-matrix", "--n", "3", "--which", "C"]):
+            code = f"from thompson_sigma import cli\nassert cli.main({argv!r}) == 0"
+            assert _loaded_after(code) == {
+                "thompson_sigma", "cli", "errors", "autos", "charspace", "_linalg",
+            }, argv
+
+    def test_subgroups_loads_lattices_and_charspace(self):
+        code = "from thompson_sigma import cli\nassert cli.main(['subgroups', '--n', '2', '--max-index', '3']) == 0"
+        assert _loaded_after(code) == {"thompson_sigma", "cli", "errors", "lattices", "charspace", "_linalg"}
 
     def test_name_loads_its_home_module(self):
         code = "import thompson_sigma\nthompson_sigma.sphere_point"

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from thompson_sigma import plrep
-from thompson_sigma.errors import MAX_PL_INDEX, ArityMismatchError, ResourceLimitError
+from thompson_sigma.errors import MAX_PL_INDEX, MAX_PL_WORK, ArityMismatchError, ResourceLimitError
 from thompson_sigma.plrep import (
     compose,
     evaluate_at,
@@ -272,6 +272,20 @@ class TestIndexBudget:
         w = word(2, [(0, 1), (MAX_PL_INDEX + 1, -1), (1, 1)])
         with pytest.raises(ResourceLimitError, match=f"^generator index {MAX_PL_INDEX + 1} exceeds the budget of {MAX_PL_INDEX}$"):
             evaluate_word(w)
+
+    def test_work_budget_checks_before_any_map(self, monkeypatch):
+        # n = 2: each x254 counts its 256 carets times the bit length 2
+        letters = [(254, 1)] * (MAX_PL_WORK // 512)
+        at = word(2, letters)
+        assert evaluate_word(at).breakpoints == left_fold_evaluate(at).breakpoints
+
+        def no_map(*args):
+            raise AssertionError("map built before the budget check")
+
+        monkeypatch.setattr(plrep, "generator_map", no_map)
+        past = word(2, [*letters, (0, -1)])
+        with pytest.raises(ResourceLimitError, match=f"^PL work {MAX_PL_WORK + 4} exceeds the budget of {MAX_PL_WORK}$"):
+            evaluate_word(past)
 
     def test_arity(self, monkeypatch):
         assert evaluate_word(word(MAX_PL_INDEX, [(1, 1)])) == generator_map(MAX_PL_INDEX, 1)
