@@ -69,30 +69,30 @@ class Budget(NamedTuple):
 # The fixed budgets, with what they cost near the limit (2-vCPU machine).
 
 # `parse_word`, before the token that crosses it expands.  In-process, the
-# token x0^1048576 parses in 0.19-0.21 s, and `normalize` of it takes 6.1-7.0 s;
-# `eq` of two 2^19-letter words 4.2-5.3 s; 2^18 one-letter tokens parse in
-# 0.8-1.0 s, 2^20 in 3.7-4.6 s (library only: a CLI argument is at most
-# 128 KiB).  Near-linear routes, so the limit bounds time, not a blow-up.
+# token x0^1048576 parses in 0.15-0.19 s, `normalize` of it takes 4.9-5.2 s,
+# `eq` of x0^262144 x1^262144 and x0^262144 x2^262144 3.0-3.6 s; 2^18 and 2^20
+# one-letter tokens parse in 0.18-0.19 and 0.70-0.77 s (library only: a CLI
+# argument is at most 128 KiB).  Near-linear, so the limit bounds time.
 MAX_WORD_LETTERS = 1 << 20
 
 # `parse_word`, before turning an index or exponent into an int (CPython's
 # `int` refuses strings of more than 4300 digits with a plain ValueError).
 MAX_TOKEN_DIGITS = 100
 
-# `rewrite_to_seminormal`, three words each: random words at L = 4096 took
-# 0.07-0.22 s, the slowest shape seen, x0^-(L/2) x1^(L/2), 0.33-0.50 s; at
-# L = 8192 the same took 0.45-0.66 s and 1.7-1.9 s, so the 2^20 letters
+# `rewrite_to_seminormal`: random words at L = 4096 (three, n = 2..4) took
+# 0.06-0.15 s, the slowest shape seen, x0^-(L/2) x1^(L/2), 0.43-0.48 s; at
+# L = 8192 the same took 0.33-0.78 s and 1.7-1.9 s, so the 2^20 letters
 # `parse_word` admits would take hours.
 MAX_REWRITE_LETTERS = 1 << 12
 
 # `words`, on an input index or one a rewrite bumps to: in-process, `normalize`
-# of x0^-65535 x1^65535 (n = 2) reaches 65536 in 0.53-0.60 s.
+# of x0^-65535 x1^65535 (n = 2) reaches 65536 in 0.54-0.55 s.
 MAX_GENERATOR_INDEX = 1 << 16
 
-# `generator_map`, `evaluate_word` and the CLI's --n.  The vines of x_i take
-# time about quadratic in i: for n = 2, 4 ms at i = 64, 19 ms at i = 256 and
-# 104 ms at i = 1024; and linear in n: x_0 took 12 ms at n = 256, 100 ms at
-# n = 2000 and 1.5 s at n = 20000.
+# `generator_map`, `evaluate_word` and the CLI's --n.  A map takes about 20 us
+# anywhere within the limit, but its denominators n^(i // (n - 1) + 2) grow
+# every composition: a fresh `eval-pl --n 256 --word x256` takes about 0.1 s,
+# a 908-letter random word below x256 at n = 256 0.46 s in-process.
 MAX_PL_INDEX = 256
 
 # `evaluate_word`, after the arity and index checks: the sum over a word's

@@ -11,11 +11,12 @@ vines": a vine with k carets repeatedly cuts the last subinterval into n
 equal parts, k times.  Writing ell_0, ell_1, ... for the resulting leaf
 intervals in order, the generator x_i maps the (q+2)-caret vine
 subdivision onto the (q+1)-caret vine subdivision with leaf ell_i cut
-into n equal parts, where i = q(n-1) + r.  Words evaluate with the
-leftmost letter outermost: W(l_1 ... l_k) = M_{l_1} o ... o M_{l_k}, and
-under this convention the defining relations x_j^-1 x_i x_j = x_{i+n-1}
-(i > j) hold exactly; the relation suite in the tests is the contract
-for this choice.
+into n equal parts, where i = q(n-1) + r.  `generator_map` builds it in
+closed form from leaf i's left end and width: five breakpoints, slopes 1,
+1/n, 1, n (x_0 lacks the first piece).  Words evaluate with the leftmost
+letter outermost: W(l_1 ... l_k) = M_{l_1} o ... o M_{l_k}, and under this
+convention the defining relations x_j^-1 x_i x_j = x_{i+n-1} (i > j) hold
+exactly; the relation suite in the tests is the contract for this choice.
 
 Breakpoint lists are minimized after every operation (collinear interior
 points dropped), so two maps are equal as functions iff their breakpoint
@@ -149,18 +150,6 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     return plmap(f.arity, points)
 
 
-def _vine_points(n: int, carets: int) -> list[Fraction]:
-    """Breakpoints of the subdivision cut by a right vine with `carets` carets."""
-    points = [_ZERO]
-    lo = _ZERO
-    for _ in range(carets):
-        step = (_ONE - lo) / n
-        points.extend(lo + r * step for r in range(1, n))
-        lo = _ONE - step
-    points.append(_ONE)
-    return points
-
-
 @lru_cache(maxsize=None)
 def generator_map(n: int, i: int) -> PLMap:
     """The PL realization of the generator x_i, any i >= 0.
@@ -176,13 +165,19 @@ def generator_map(n: int, i: int) -> PLMap:
         refuse_above("arity", n, MAX_PL_INDEX)
     if i > MAX_PL_INDEX:
         refuse_above("generator index", i, MAX_PL_INDEX)
-    q = i // (n - 1)
-    domain = _vine_points(n, q + 2)
-    rng = _vine_points(n, q + 1)
-    a, b = rng[i], rng[i + 1]
-    step = (b - a) / n
-    rng[i + 1 : i + 1] = [a + t * step for t in range(1, n)]  # cut leaf i
-    return plmap(n, list(zip(domain, rng)))
+    # Leaf i of the (q+1)-caret vine is [a, a + w].  The map is the identity
+    # up to a and then has slopes 1/n, 1 and n; its breakpoints follow from
+    # matching the two subdivisions leaf by leaf.
+    q, r = divmod(i, n - 1)
+    w = Fraction(1, n ** (q + 1))
+    a = 1 - (n - r) * w
+    points = [(_ZERO, _ZERO), (a, a)] if a else [(_ZERO, _ZERO)]
+    points += [
+        (1 - w, a + (n - 1 - r) * w / n),
+        (1 - w + (r + 1) * w / n, a + w),
+        (_ONE, _ONE),
+    ]
+    return PLMap(n, tuple(points))
 
 
 def evaluate_word(w: GroupWord) -> PLMap:

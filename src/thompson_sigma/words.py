@@ -31,6 +31,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import gt, lt
 from typing import Iterable, NamedTuple
 
 from .errors import MAX_GENERATOR_INDEX, MAX_REWRITE_LETTERS, MAX_TOKEN_DIGITS, MAX_WORD_LETTERS
@@ -41,10 +42,10 @@ DEFAULT_INDEX_CAP = MAX_GENERATOR_INDEX  # the name `perfbench/run.py` reads it 
 _TOKEN_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
 # `normal_form` rewrites runs of this many letters left to right and
-# multiplies their forms.  On 1600-letter words runs of 32, 64 or 128
-# letters took 5.0-6.0 ms, runs of 16 or 256 letters 5.9-7.6 ms, and one
-# run of the whole word 24 ms; on words of up to 200 letters no run length
-# was consistently faster.
+# multiplies their forms.  On 1600-letter words (n = 2..4) runs of 32 or 64
+# letters took 2.3-2.4 ms, of 16 or 128 letters 2.4-2.7 ms, of 256 letters
+# 3.4-3.6 ms, and one run of the whole word 12.5-13.7 ms; on 50-200 letters
+# runs of 32, 64 or 128 letters were within 10% of each other.
 _LEAF = 64
 
 
@@ -98,9 +99,9 @@ class SeminormalForm:
 
     def __post_init__(self):
         p, q = self.positive, self.negative
-        if any(p[i] > p[i + 1] for i in range(len(p) - 1)):
+        if any(map(gt, p, p[1:])):
             raise ValueError(f"positive part not sorted: {p}")
-        if any(q[i] < q[i + 1] for i in range(len(q) - 1)):
+        if any(map(lt, q, q[1:])):
             raise ValueError(f"negative part not sorted: {q}")
 
     def is_identity(self) -> bool:
@@ -127,18 +128,21 @@ def parse_word(arity: int, text: str) -> GroupWord:
     than MAX_TOKEN_DIGITS digits raises ParseError.
     """
     letters: list[GeneratorLetter] = []
+    tokens: dict[str, tuple[GeneratorLetter, int]] = {}  # token -> (letter, count)
     for token in text.split():
-        m = _TOKEN_RE.match(token)
-        if not m:
-            raise ParseError(f"bad word token {token!r}")
-        digits = max(len(m.group(1)), len((m.group(2) or "").lstrip("-")))
-        if digits > MAX_TOKEN_DIGITS:
-            refuse_above("word token digit count", digits, MAX_TOKEN_DIGITS, ParseError)
-        index = int(m.group(1))
-        exp = 1 if m.group(2) is None else int(m.group(2))
-        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
-            refuse_above("word length", len(letters) + abs(exp), MAX_WORD_LETTERS)
-        letters.extend([GeneratorLetter(index, 1 if exp >= 0 else -1)] * abs(exp))
+        if token not in tokens:
+            m = _TOKEN_RE.match(token)
+            if not m:
+                raise ParseError(f"bad word token {token!r}")
+            digits = max(len(m.group(1)), len((m.group(2) or "").lstrip("-")))
+            if digits > MAX_TOKEN_DIGITS:
+                refuse_above("word token digit count", digits, MAX_TOKEN_DIGITS, ParseError)
+            exp = 1 if m.group(2) is None else int(m.group(2))
+            tokens[token] = GeneratorLetter(int(m.group(1)), 1 if exp >= 0 else -1), abs(exp)
+        letter, count = tokens[token]
+        if len(letters) + count > MAX_WORD_LETTERS:
+            refuse_above("word length", len(letters) + count, MAX_WORD_LETTERS)
+        letters += [letter] * count
     return GroupWord(arity, tuple(letters))
 
 
@@ -171,57 +175,47 @@ def _check_max(indices: Iterable[int]) -> None:
         refuse_above("generator index", top, MAX_GENERATOR_INDEX)
 
 
-def _pass_smaller(neg: list[int], k: int, s: int) -> tuple[int, int]:
-    # Move x_k^(+-1) left past the inverse letters smaller than it, which end
-    # `neg`; passing each one bumps k by s = n-1.  Returns the number of
-    # inverse letters not passed and the bumped index.
-    j = len(neg)
-    bumped = k
-    while j and neg[j - 1] < bumped:
-        bumped += s
-        j -= 1
-    if bumped != k and bumped > MAX_GENERATOR_INDEX:  # name the first bump past it
-        _check_max([k + s * max(1, (MAX_GENERATOR_INDEX - k) // s + 1)])
-    return j, bumped
-
-
-def _push_positive(pos: list[int], neg: list[int], k: int, n: int):
-    # Move x_k left through the inverse part per the mixed rules: it bumps
-    # past the smaller inverse letters, cancels an equal one, and bumps every
-    # larger one once.  Then insert it into the positive part, bumping the
-    # larger letters it passes (rule x_i x_j with i > j).
-    s = n - 1
-    j, k = _pass_smaller(neg, k, s)
-    if j and neg[j - 1] == k:
-        del neg[j - 1]
-        return
-    if j:
-        if neg[0] + s > MAX_GENERATOR_INDEX:  # x_k passes the smallest first; name that one
-            _check_max([min(q for q in neg[:j] if q + s > MAX_GENERATOR_INDEX) + s])
-        neg[:j] = [q + s for q in neg[:j]]
-    i = bisect_right(pos, k)
-    if i < len(pos) and pos[-1] + s > MAX_GENERATOR_INDEX:
-        _check_max([pos[-1] + s])
-    pos[i:] = [k] + [p + s for p in pos[i:]]
-
-
-def _push_negative(pos: list[int], neg: list[int], k: int, n: int):
-    if not neg and pos and pos[-1] == k:
-        pos.pop()
-        return
-    j, k = _pass_smaller(neg, k, n - 1)
-    neg.insert(j, k)
-
-
 def _rewrite(letters, n: int) -> tuple[list[int], list[int]]:
-    # Push the (index, exponent) letters one at a time, left to right.
+    # Push the (index, exponent) letters one at a time, left to right, onto
+    # the positive part `pos` and the inverse part `neg`; s = n-1.  A letter
+    # x_k^(+-1) first passes the inverse letters smaller than it, which end
+    # `neg`, each pass bumping k by s.  An inverse letter stays there, or
+    # cancels the last positive letter if `neg` is empty.  A positive letter
+    # cancels an equal inverse letter, or bumps the larger ones once and goes
+    # into `pos`, bumping the larger letters it passes.  Each budget check
+    # names the first index past the budget; the input letters are within it.
+    s = n - 1
+    top = MAX_GENERATOR_INDEX
     pos: list[int] = []
     neg: list[int] = []
-    for index, exponent in letters:
-        if exponent == 1:
-            _push_positive(pos, neg, index, n)
+    for k, exponent in letters:
+        j = len(neg)
+        if j and neg[-1] < k:
+            k0 = k
+            while j and neg[j - 1] < k:
+                k += s
+                j -= 1
+            if k > top:
+                refuse_above("generator index", k0 + s * ((top - k0) // s + 1), top)
+        if exponent == -1:
+            if not neg and pos and pos[-1] == k:
+                pos.pop()
+            else:
+                neg.insert(j, k)
+        elif j and neg[j - 1] == k:
+            del neg[j - 1]
         else:
-            _push_negative(pos, neg, index, n)
+            if j:
+                if neg[0] + s > top:  # k passes the smallest first; name that one
+                    refuse_above("generator index", min(q for q in neg[:j] if q + s > top) + s, top)
+                neg[:j] = [q + s for q in neg[:j]]
+            if not pos or pos[-1] <= k:
+                pos.append(k)
+            elif pos[-1] + s > top:
+                refuse_above("generator index", pos[-1] + s, top)
+            else:
+                i = bisect_right(pos, k)
+                pos[i:] = [k] + [p + s for p in pos[i:]]
     return pos, neg
 
 
@@ -242,7 +236,7 @@ def rewrite_to_seminormal(w: GroupWord) -> SeminormalForm:
     """
     if len(w.letters) > MAX_REWRITE_LETTERS:
         refuse_above("rewrite length", len(w.letters), MAX_REWRITE_LETTERS)
-    _check_max(let.index for let in w.letters)  # input letters too
+    _check_max(max(w.letters, default=())[:1])  # the largest letter's index is the largest
     pos, neg = _rewrite(w.letters, w.arity)
     return SeminormalForm(w.arity, tuple(pos), tuple(neg))
 
@@ -265,13 +259,14 @@ def _merge(u, v, s: int) -> tuple[list[int], list[int]]:
     cancelled: list[int] = []  # indices at which a pair cancelled, rising
     i = off = shift = 0
     for b in vpos:
-        k = b + shift
-        while i < m and low[i] + off < k:
+        key = b + shift - off  # k less the offset, to compare with low[i]
+        while i < m and low[i] < key:
             passed.append(low[i] + off)
             i += 1
-            k += s
+            key += s
+        k = key + off
         shift = k - b  # s times the letters passed so far
-        if i < m and low[i] + off == k:
+        if i < m and low[i] == key:
             i += 1
             cancelled.append(k)
         else:
@@ -336,37 +331,38 @@ def _reduce(pos: list[int], neg: list[int], n: int):
     # the enclosed letters then conjugate down by n-1.  One pass from the
     # middle outwards, largest indices first: a removal shifts everything it
     # encloses alike, so a blocked pair stays blocked and no new pair appears.
-    # A kept letter is stored as index + (n-1)*r, r the pairs removed so far,
-    # so subtracting (n-1)*r at the end gives every final index.  The letter
-    # kept last has the smallest current index among those kept; at a pair
-    # x_i ... x_i^-1 that index is above i, or equal to i when a pair at i
-    # was just kept, whose blocker then blocks this pair too.
+    # A kept letter is stored as index + sr, sr = (n-1) times the pairs
+    # removed so far, so subtracting sr at the end gives every final index.
+    # The letter kept last has the smallest current index among those kept;
+    # at a pair x_i ... x_i^-1 that index is above i, or equal to i when a
+    # pair at i was just kept, whose blocker then blocks this pair too.
     s = n - 1
     a, b = len(pos), 0
     inner_pos: list[int] = []  # kept letters of pos, right to left
     inner_neg: list[int] = []
     low = math.inf  # stored index of the letter kept last
-    r = 0
+    sr = 0
     while a and b < len(neg):
         p, q = pos[a - 1], neg[b]
         if p == q:
             a -= 1
             b += 1
-            if low - s * r > p + s:
-                r += 1
+            if low - sr > p + s:
+                sr += s
                 continue
-            inner_pos.append(p + s * r)
-            inner_neg.append(p + s * r)
+            low = p + sr
+            inner_pos.append(low)
+            inner_neg.append(low)
         elif p > q:
             a -= 1
-            inner_pos.append(p + s * r)
+            low = p + sr
+            inner_pos.append(low)
         else:
             b += 1
-            inner_neg.append(q + s * r)
-        low = max(p, q) + s * r
-    shift = s * r
-    pos[a:] = [v - shift for v in reversed(inner_pos)]
-    neg[:b] = [v - shift for v in inner_neg]
+            low = q + sr
+            inner_neg.append(low)
+    pos[a:] = [v - sr for v in reversed(inner_pos)]
+    neg[:b] = [v - sr for v in inner_neg]
 
 
 def _pairwise_product(items: list, op):
@@ -393,7 +389,7 @@ def normal_form(w: GroupWord) -> SeminormalForm:
     the same for 268, lower for 31 and higher for 1, by -6.3% to +1.0%.
     """
     letters, n = w.letters, w.arity
-    _check_max(let.index for let in letters)
+    _check_max(max(letters, default=())[:1])
     forms = [  # an empty word is one empty run
         _rewrite(letters[i : i + _LEAF], n) for i in range(0, len(letters) or 1, _LEAF)
     ]

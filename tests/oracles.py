@@ -12,18 +12,12 @@ from thompson_sigma.errors import (
     DomainError,
     InvariantViolationError,
     ResourceLimitError,
+    refuse_above,
 )
 from thompson_sigma.lattices import SubgroupLattice, hnf
 from thompson_sigma.plrep import PLMap, generator_map, identity_map, invert_map, plmap
 from thompson_sigma import words
-from thompson_sigma.words import (
-    GeneratorLetter,
-    GroupWord,
-    SeminormalForm,
-    _push_negative,
-    _push_positive,
-    abelianize,
-)
+from thompson_sigma.words import GeneratorLetter, GroupWord, SeminormalForm, abelianize
 
 
 def identity_word(arity: int) -> GroupWord:
@@ -98,25 +92,95 @@ def fixpoint_reduce(pos: list[int], neg: list[int], n: int) -> None:
             break
 
 
+def _check_max(indices) -> None:
+    # Raise if the largest of `indices`, if any, is past
+    # `words.MAX_GENERATOR_INDEX` as it stands at the call.
+    budget = words.MAX_GENERATOR_INDEX
+    top = max(indices, default=budget)
+    if top > budget:
+        refuse_above("generator index", top, budget)
+
+
+def _pass_smaller(neg: list[int], k: int, s: int) -> tuple[int, int]:
+    # Move x_k^(+-1) left past the inverse letters smaller than it, which end
+    # `neg`; passing each one bumps k by s = n-1.  Returns the number of
+    # inverse letters not passed and the bumped index.
+    j = len(neg)
+    bumped = k
+    while j and neg[j - 1] < bumped:
+        bumped += s
+        j -= 1
+    if bumped != k and bumped > words.MAX_GENERATOR_INDEX:  # name the first bump past it
+        _check_max([k + s * max(1, (words.MAX_GENERATOR_INDEX - k) // s + 1)])
+    return j, bumped
+
+
+def push_positive(pos: list[int], neg: list[int], k: int, n: int):
+    """Reference push of x_k onto a seminormal form (pos, neg), in place.
+
+    x_k moves left through the inverse part per the mixed rules: it bumps
+    past the smaller inverse letters, cancels an equal one, and bumps every
+    larger one once.  Then it goes into the positive part, bumping the
+    larger letters it passes (rule x_i x_j with i > j).  An index bumped
+    past `words.MAX_GENERATOR_INDEX`, as it stands at the call, raises
+    ResourceLimitError naming the first such index.
+    """
+    s = n - 1
+    j, k = _pass_smaller(neg, k, s)
+    if j and neg[j - 1] == k:
+        del neg[j - 1]
+        return
+    if j:
+        if neg[0] + s > words.MAX_GENERATOR_INDEX:  # x_k passes the smallest first; name that one
+            _check_max([min(q for q in neg[:j] if q + s > words.MAX_GENERATOR_INDEX) + s])
+        neg[:j] = [q + s for q in neg[:j]]
+    i = bisect_right(pos, k)
+    if i < len(pos) and pos[-1] + s > words.MAX_GENERATOR_INDEX:
+        _check_max([pos[-1] + s])
+    pos[i:] = [k] + [p + s for p in pos[i:]]
+
+
+def push_negative(pos: list[int], neg: list[int], k: int, n: int):
+    """Reference push of x_k^-1, as `push_positive`: it cancels the last
+    positive letter if the inverse part is empty, else passes the smaller
+    inverse letters and stays there."""
+    if not neg and pos and pos[-1] == k:
+        pos.pop()
+        return
+    j, k = _pass_smaller(neg, k, n - 1)
+    neg.insert(j, k)
+
+
+def pushed_seminormal(w: GroupWord) -> SeminormalForm:
+    """Reference `rewrite_to_seminormal`: the pushes, letter by letter.
+
+    Input letters and the pushes are held to `words.MAX_GENERATOR_INDEX`
+    as it stands at the call; the length budget is not checked.
+    """
+    _check_max([let.index for let in w.letters])
+    pos: list[int] = []
+    neg: list[int] = []
+    for k, e in w.letters:
+        (push_positive if e == 1 else push_negative)(pos, neg, k, w.arity)
+    return SeminormalForm(w.arity, tuple(pos), tuple(neg))
+
+
 def sequential_multiply(u: SeminormalForm, v: SeminormalForm) -> SeminormalForm:
     """Reference product: push v's letters onto u one at a time.
 
     The positive letters go first, smallest first, then the inverse letters,
-    largest first, each by the pushes of `rewrite_to_seminormal`.  Input
+    largest first, each by `push_positive` or `push_negative`.  Input
     letters, and the pushes, are held to `words.MAX_GENERATOR_INDEX` as it
     stands at the call, as in `words.multiply`.
     """
     if u.arity != v.arity:
         raise ArityMismatchError(f"arity {u.arity} vs {v.arity}")
-    top = max(u.positive + u.negative + v.positive + v.negative, default=None)
-    budget = words.MAX_GENERATOR_INDEX
-    if top is not None and top > budget:
-        raise ResourceLimitError(f"generator index {top} exceeds the budget of {budget}")
+    _check_max(u.positive + u.negative + v.positive + v.negative)
     pos, neg = list(u.positive), list(u.negative)
     for k in v.positive:
-        _push_positive(pos, neg, k, u.arity)
+        push_positive(pos, neg, k, u.arity)
     for k in v.negative:
-        _push_negative(pos, neg, k, u.arity)
+        push_negative(pos, neg, k, u.arity)
     return SeminormalForm(u.arity, tuple(pos), tuple(neg))
 
 
@@ -161,22 +225,35 @@ def pointwise_compose(f: PLMap, g: PLMap) -> PLMap:
     return plmap(f.arity, points)
 
 
+def vine_points(n: int, carets: int) -> list[Fraction]:
+    """Breakpoints of the subdivision cut by a right vine with `carets` carets."""
+    points = [Fraction(0)]
+    lo = Fraction(0)
+    for _ in range(carets):
+        step = (1 - lo) / n
+        points.extend(lo + r * step for r in range(1, n))
+        lo = 1 - step
+    points.append(Fraction(1))
+    return points
+
+
+def vine_generator_map(n: int, i: int) -> PLMap:
+    """Reference x_i by its definition: the (q+2)-caret vine onto the
+    (q+1)-caret vine with leaf i cut into n equal parts, i = q(n-1) + r,
+    minimized."""
+    q = i // (n - 1)
+    domain, rng = vine_points(n, q + 2), vine_points(n, q + 1)
+    a, b = rng[i], rng[i + 1]
+    step = (b - a) / n
+    rng[i + 1 : i + 1] = [a + t * step for t in range(1, n)]  # cut leaf i
+    return plmap(n, list(zip(domain, rng)))
+
+
 def set_sort_generator_map(n: int, i: int) -> PLMap:
     """Reference x_i: the range vine's points and leaf i's n - 1 cut points
     merged by sorting their set."""
-
-    def vine(carets):
-        points = [Fraction(0)]
-        lo, hi = Fraction(0), Fraction(1)
-        for _ in range(carets):
-            step = (hi - lo) / n
-            points.extend(lo + r * step for r in range(1, n))
-            lo = hi - step
-        points.append(Fraction(1))
-        return points
-
     q, _ = divmod(i, n - 1)
-    domain, rng = vine(q + 2), vine(q + 1)
+    domain, rng = vine_points(n, q + 2), vine_points(n, q + 1)
     a, b = rng[i], rng[i + 1]
     step = (b - a) / n
     rng = sorted(set(rng) | {a + t * step for t in range(1, n)})

@@ -28,6 +28,7 @@ from oracles import (
     pointwise_compose,
     pointwise_evaluate,
     set_sort_generator_map,
+    vine_generator_map,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "plrep_golden.json"
@@ -223,6 +224,18 @@ def test_generator_map_matches_set_and_sort():
             assert generator_map(n, i) == set_sort_generator_map(n, i), (n, i)
 
 
+def test_generator_map_matches_vine_definition():
+    # the closed form against the vines: every n <= 16 with i <= 64, and the
+    # indices around the first multiples of n - 1 and at the budget, up to
+    # (256, 256)
+    pairs = {(n, i) for n in range(2, 17) for i in range(65)}
+    for n in (2, 3, 15, 16, 17, 32, 33, 64, 100, 128, 129, 255, 256):
+        around = (n - 2, n - 1, n, 2 * n - 3, 2 * n - 2, 2 * n - 1, 255, 256)
+        pairs.update((n, i) for i in around if 0 <= i <= MAX_PL_INDEX)
+    for n, i in sorted(pairs):
+        assert generator_map(n, i) == vine_generator_map(n, i), (n, i)
+
+
 class TestEvaluateWord:
     def test_matches_left_fold(self):
         rng = random.Random(8)
@@ -256,10 +269,10 @@ class TestIndexBudget:
     def test_generator_map(self, monkeypatch):
         assert evaluate_word(word(2, [(MAX_PL_INDEX, 1)])) == generator_map(2, MAX_PL_INDEX)
 
-        def no_vine(*args):
-            raise AssertionError("vine built past the budget")
+        def no_map(*args):
+            raise AssertionError("map built past the budget")
 
-        monkeypatch.setattr(plrep, "_vine_points", no_vine)
+        monkeypatch.setattr(plrep, "PLMap", no_map)
         for n in (2, 3):
             with pytest.raises(ResourceLimitError, match=f"^generator index {MAX_PL_INDEX + 1} exceeds the budget of {MAX_PL_INDEX}$"):
                 generator_map(n, MAX_PL_INDEX + 1)
@@ -293,7 +306,7 @@ class TestIndexBudget:
         def no_map(*args):
             raise AssertionError("map built before the budget check")
 
-        monkeypatch.setattr(plrep, "_vine_points", no_map)
+        monkeypatch.setattr(plrep, "PLMap", no_map)
         with pytest.raises(ResourceLimitError, match=f"^arity {MAX_PL_INDEX + 1} exceeds the budget of {MAX_PL_INDEX}$"):
             generator_map(MAX_PL_INDEX + 1, 0)
         monkeypatch.setattr(plrep, "generator_map", no_map)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fixpoint_reduce, identity_word, sequential_multiply
+from oracles import fixpoint_reduce, identity_word, pushed_seminormal, sequential_multiply
 from thompson_sigma import errors, plrep
 from thompson_sigma.errors import (
     MAX_REWRITE_LETTERS,
@@ -241,6 +241,34 @@ class TestMultiplyInvert:
             )
 
 
+class TestRewriteOracle:
+    """rewrite_to_seminormal equals pushing the letters one at a time."""
+
+    def test_matches_pushes(self, monkeypatch):
+        rng = random.Random(120)
+        raised = 0
+        for t in range(3000):
+            n = 2 + t % 4
+            top = rng.choice((2, 5, 20))
+            length = rng.randrange(rng.choice((10, 40, 121)))
+            w = word(n, [(rng.randrange(top + 1), rng.choice((1, -1))) for _ in range(length)])
+            inputs = max((let.index for let in w.letters), default=0)
+            highest = lowest_passing_cap(monkeypatch, lambda: pushed_seminormal(w), inputs)
+            cap = rng.choice((highest, highest - 1, rng.randrange(highest + 2)))
+            monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", cap)
+            try:
+                expected = pushed_seminormal(w)
+            except ResourceLimitError as refused:
+                with pytest.raises(ResourceLimitError) as got:
+                    rewrite_to_seminormal(w)
+                assert str(got.value) == str(refused)
+                raised += 1
+                continue
+            assert rewrite_to_seminormal(w) == expected
+        # both outcomes occur often
+        assert 750 < raised < 2250, raised
+
+
 class TestMultiplyOracle:
     """multiply equals pushing v's letters onto u one at a time."""
 
@@ -392,7 +420,7 @@ class TestReduceOracle:
                 i, a, b = rng.randrange(top + 1), rng.randrange(1, 4), rng.randrange(1, 4)
                 letters = [(i, 1)] * a + letters + [(i, -1)] * b
             w = word(n, letters)
-            sn = rewrite_to_seminormal(w)
+            sn = pushed_seminormal(w)
             pos, neg = list(sn.positive), list(sn.negative)
             fixpoint_reduce(pos, neg, n)
             nf = normal_form(w)
@@ -421,7 +449,7 @@ class TestLongWords:
     def test_matches_fixpoint_reduction(self):
         chunk_counts = set()
         for w in self.long_words():
-            sn = rewrite_to_seminormal(w)
+            sn = pushed_seminormal(w)
             pos, neg = list(sn.positive), list(sn.negative)
             fixpoint_reduce(pos, neg, w.arity)
             nf = normal_form(w)
@@ -434,7 +462,7 @@ class TestLongWords:
         # the documented route: runs of _LEAF letters rewritten left to
         # right, their forms multiplied pairwise, level by level
         forms = [
-            rewrite_to_seminormal(word(w.arity, w.letters[i : i + _LEAF]))
+            pushed_seminormal(word(w.arity, w.letters[i : i + _LEAF]))
             for i in range(0, len(w), _LEAF)
         ]
         while len(forms) > 1:
@@ -497,6 +525,16 @@ class TestTextSyntax:
         for text in (f"x1^{over}", f"x0^-{over}", f"x0 x1^{MAX_WORD_LETTERS}", f"x2^-1 x0^-{MAX_WORD_LETTERS}"):
             with pytest.raises(ResourceLimitError, match=f"^word length {over} exceeds the budget of {MAX_WORD_LETTERS}$"):
                 parse_word(2, text)
+
+    def test_letter_budget_on_a_repeated_token(self, monkeypatch):
+        # each distinct token is matched once, yet every repeat counts
+        monkeypatch.setattr(words, "MAX_WORD_LETTERS", 5)
+        assert len(parse_word(2, "x1 x0^-2 x1 x0^-1")) == 5
+        for text in ("x1 x0^-2 x1 x0^-2", "x1 " * 6, "x1 x0^2 x1 x0^2 y0"):
+            with pytest.raises(ResourceLimitError, match="^word length 6 exceeds the budget of 5$"):
+                parse_word(2, text)
+        with pytest.raises(ParseError, match="^bad word token 'y0'$"):
+            parse_word(2, "x1 x1 y0 x1 x1 x1 x1")
 
     def test_digit_budget(self):
         # tokens just past the budget, and past CPython's 4300-digit limit
