@@ -1,12 +1,16 @@
 """The package's public surface."""
 
 import ast
+import copy
+import importlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -67,6 +71,63 @@ def test_readme_budget_table_is_the_budget_table():
         for name, budget in BUDGETS.items()
     }
     assert re.findall(r"`orbit --cap` \(default (\d+)\)", text) == [str(ORBIT_CAP)]
+
+
+_F = Fraction
+
+# one instance of each value class: (module, class, arguments, repr)
+VALUES = [
+    ("words", "GroupWord", (2, ((1, 1), (0, -1))),
+     "GroupWord(arity=2, letters=(GeneratorLetter(index=1, exponent=1), GeneratorLetter(index=0, exponent=-1)))"),
+    ("words", "SeminormalForm", (3, (0, 2), (1,)), "SeminormalForm(arity=3, positive=(0, 2), negative=(1,))"),
+    ("plrep", "PLMap", (2, ((_F(0), _F(0)), (_F(1, 2), _F(1, 4)), (_F(1), _F(1)))),
+     "PLMap(arity=2, breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 2), Fraction(1, 4)),"
+     " (Fraction(1, 1), Fraction(1, 1))))"),
+    ("charspace", "Character", (2, (-1, _F(1, 2))), "Character(arity=2, values=(Fraction(-1, 1), Fraction(1, 2)))"),
+    ("charspace", "SpherePoint", (2, (_F(-1), _F(1, 2))),
+     "SpherePoint(arity=2, values=(Fraction(-1, 1), Fraction(1, 2)))"),
+    ("charspace", "FinitenessReport", (False, 1, None, True),
+     "FinitenessReport(is_finitely_generated=False, max_certified_f_type=1, witness=None, assumed_conjecture=True)"),
+    ("autos", "CharacterMatrix", (2, ((0, 1), (1, 0))), "CharacterMatrix(arity=2, entries=((0, 1), (1, 0)))"),
+    ("lattices", "SubgroupLattice", (2, ((2, 0), (0, 1))), "SubgroupLattice(arity=2, basis=((2, 0), (0, 1)))"),
+    ("lattices", "ChainSpec", ("scaling", 2), "ChainSpec(kind='scaling', p=2, terms=None)"),
+    ("complexes", "AffineTail", (8, -4, 3), "AffineTail(slope=8, offset=-4, start=3)"),
+    ("complexes", "CellVector", ((1, 2),), "CellVector(counts=(1, 2), tail=None)"),
+    ("complexes", "BoundReport", (None, "5+d0", "3", None, 3, None),
+     "BoundReport(d_upper=None, d_upper_symbolic='5+d0', case_tag='3', def_lower=None, def_upper=3, chi_values=None)"),
+    ("gradients", "GradientRow", (0, 1, _F(1), None, "5+d0"),
+     "GradientRow(s=0, index=1, lower=Fraction(1, 1), upper=None, upper_symbolic='5+d0')"),
+    ("gradients", "GradientSeries", ("rank", 2, None, ()), "GradientSeries(kind='rank', arity=2, m=None, rows=())"),
+]
+
+
+@pytest.mark.parametrize("module, name, args, text", VALUES, ids=[v[1] for v in VALUES])
+def test_value_semantics(module, name, args, text):
+    cls = getattr(importlib.import_module(f"thompson_sigma.{module}"), name)
+    value = cls(*args)
+    assert value == cls(*args) and hash(value) == hash(cls(*args))
+    twin = type("Twin", (cls,), {})(*args)  # same fields, another class
+    assert value != twin and twin != value
+    assert repr(value) == text
+    field = text[len(name) + 1:].split("=")[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert repr(value) == text
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+
+
+def test_values_of_different_classes_differ():
+    from thompson_sigma.autos import CharacterMatrix
+    from thompson_sigma.charspace import Character, SpherePoint
+    from thompson_sigma.lattices import SubgroupLattice
+
+    v = (_F(-1), _F(1, 2))
+    assert SpherePoint(2, v) != Character(2, v) and Character(2, v) != SpherePoint(2, v)
+    rows = ((2, 0), (0, 1))
+    assert CharacterMatrix(2, rows) != SubgroupLattice(2, rows)
 
 
 def test_index_budget_alias():
