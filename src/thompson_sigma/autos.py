@@ -37,28 +37,26 @@ Only the abelianization-level matrix C is ever needed downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .charspace import SpherePoint, _on_sphere, _ray
-from .errors import ORBIT_CAP, refuse_above
+from .errors import ORBIT_CAP, Value, refuse_above
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class CharacterMatrix:
+class CharacterMatrix(Value):
     """Integer matrix acting on character value vectors (det +-1)."""
 
-    arity: int
-    entries: IntMatrix
+    __slots__ = ("arity", "entries")
 
-    def __post_init__(self):
-        n = self.arity
-        if n < 2:
-            raise ValueError(f"arity must be >= 2, got {n}")
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise ValueError(f"expected a {n}x{n} matrix")
+    def __init__(self, arity: int, entries: IntMatrix):
+        if arity < 2:
+            raise ValueError(f"arity must be >= 2, got {arity}")
+        if len(entries) != arity or any(len(r) != arity for r in entries):
+            raise ValueError(f"expected a {arity}x{arity} matrix")
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "entries", entries)
 
 
 def delta_involution(n: int) -> dict[int, int]:

@@ -27,33 +27,29 @@ which reduces to exact linear algebra against the wedge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from ._linalg import rank
-from .errors import ConjectureRequiredError, ParseError, ZeroCharacterError
+from .errors import ConjectureRequiredError, ParseError, Value, ZeroCharacterError
 
 RationalVector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Value):
     """Rational character of F_{n,infinity}, stored on x_0..x_{n-1} as Fractions."""
 
-    arity: int
-    values: RationalVector
+    __slots__ = ("arity", "values")
 
-    def __post_init__(self):
-        if self.arity < 2:
-            raise ValueError(f"arity must be >= 2, got {self.arity}")
-        if len(self.values) != self.arity:
-            raise ValueError(
-                f"expected {self.arity} values, got {len(self.values)}"
-            )
-        if not all(isinstance(v, (int, Fraction)) for v in self.values):
-            raise ValueError(f"character values must be ints or Fractions, got {self.values!r}")
-        values = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
+    def __init__(self, arity: int, values: RationalVector):
+        if arity < 2:
+            raise ValueError(f"arity must be >= 2, got {arity}")
+        if len(values) != arity:
+            raise ValueError(f"expected {arity} values, got {len(values)}")
+        if not all(isinstance(v, (int, Fraction)) for v in values):
+            raise ValueError(f"character values must be ints or Fractions, got {values!r}")
+        values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "values", values)
 
     def is_zero(self) -> bool:
@@ -66,22 +62,29 @@ class Character:
         return self.values[1 + (i - 1) % (self.arity - 1)]
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(Value):
     """A character up to positive scaling, canonically normalized."""
 
-    arity: int
-    values: RationalVector
+    __slots__ = ("arity", "values")
+
+    def __init__(self, arity: int, values: RationalVector):
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class FinitenessReport:
-    """Classification of the finiteness type of a subgroup above G'."""
+class FinitenessReport(Value):
+    """Classification of the finiteness type of a subgroup above G'.
 
-    is_finitely_generated: bool
-    max_certified_f_type: int | str  # integer m, or "infinity"
-    witness: Character | None  # a vanishing character outside the certified Sigma^m
-    assumed_conjecture: bool
+    `max_certified_f_type` is m or "infinity"; `witness`, a vanishing character outside Sigma^m.
+    """
+
+    __slots__ = ("is_finitely_generated", "max_certified_f_type", "witness", "assumed_conjecture")
+
+    def __init__(self, is_finitely_generated, max_certified_f_type, witness, assumed_conjecture):
+        object.__setattr__(self, "is_finitely_generated", is_finitely_generated)
+        object.__setattr__(self, "max_certified_f_type", max_certified_f_type)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "assumed_conjecture", assumed_conjecture)
 
 
 def character(arity: int, values) -> Character:

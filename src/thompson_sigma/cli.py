@@ -16,11 +16,9 @@ passed budget).  Errors print one line on stderr and nothing on stdout.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import islice
 
 import thompson_sigma as ts
@@ -47,7 +45,7 @@ def _printed(render):
         refuse_above("output number digit count", None, sys.get_int_max_str_digits())
 
 
-def _frac(q: Fraction) -> str:
+def _frac(q) -> str:
     return _printed(lambda: f"{q.numerator}/{q.denominator}")
 
 
@@ -178,9 +176,10 @@ def _cmd_subgroups(args):
 def _cmd_cells(args):
     lat = ts.hnf(_parse_lattice(args.n, args.lattice), arity=args.n)
     vec, case = ts.cells_for_subgroup_F(lat)
+    t = vec.tail
     return {
         "counts": list(vec.prefix(args.m)),
-        "tail": None if vec.tail is None else dataclasses.asdict(vec.tail),
+        "tail": None if t is None else {"slope": t.slope, "offset": t.offset, "start": t.start},
         "case": case,
     }
 

@@ -33,30 +33,32 @@ characteristic, checked nonnegative; `deficiency_bounds` gives
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DEFAULT_DIM_CAP, MAX_DIM, DomainError, InvariantViolationError, refuse_above
+from .errors import DEFAULT_DIM_CAP, MAX_DIM, DomainError, InvariantViolationError, Value, refuse_above
 from .lattices import SubgroupLattice, member
 
 
-@dataclass(frozen=True)
-class AffineTail:
+class AffineTail(Value):
     """r(j) = slope*j + offset for all j >= start."""
 
-    slope: int
-    offset: int
-    start: int
+    __slots__ = ("slope", "offset", "start")
+
+    def __init__(self, slope: int, offset: int, start: int):
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "start", start)
 
     def value(self, j: int) -> int:
         return self.slope * j + self.offset
 
 
-@dataclass(frozen=True)
-class CellVector:
+class CellVector(Value):
     """Cell counts per dimension; finite, or eventually affine via `tail`."""
 
-    counts: tuple[int, ...]
-    tail: AffineTail | None = None
+    __slots__ = ("counts", "tail")
+
+    def __init__(self, counts: tuple[int, ...], tail: AffineTail | None = None):
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "tail", tail)
 
     def value(self, j: int) -> int:
         if j < 0:
@@ -224,8 +226,7 @@ def deficiency_bounds(r: CellVector, n: int) -> tuple[int, int]:
     return lower, n
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Value):
     """Generator and deficiency bounds for one subgroup.
 
     `d_upper` is numeric when known; otherwise `d_upper_symbolic` carries
@@ -234,12 +235,15 @@ class BoundReport:
     nothing fabricated for n >= 3).
     """
 
-    d_upper: int | None
-    d_upper_symbolic: str | None
-    case_tag: str
-    def_lower: int | None
-    def_upper: int
-    chi_values: tuple[int, ...] | None
+    __slots__ = ("d_upper", "d_upper_symbolic", "case_tag", "def_lower", "def_upper", "chi_values")
+
+    def __init__(self, d_upper, d_upper_symbolic, case_tag, def_lower, def_upper, chi_values):
+        object.__setattr__(self, "d_upper", d_upper)
+        object.__setattr__(self, "d_upper_symbolic", d_upper_symbolic)
+        object.__setattr__(self, "case_tag", case_tag)
+        object.__setattr__(self, "def_lower", def_lower)
+        object.__setattr__(self, "def_upper", def_upper)
+        object.__setattr__(self, "chi_values", chi_values)
 
 
 def d_bound(

@@ -8,9 +8,46 @@ ParseError to exit code 1.
 Every route ends at a budget: a fixed one of `BUDGETS`, or a call-time cap
 (the orbit `cap`, THOMPSON_SIGMA_MAX_INDEX, CPython's limit on printed
 digits).  All refuse through `refuse_above`, in one message form.
+
+`Value` is the base of the package's value classes, from words to gradient rows.
 """
 
+from operator import attrgetter
 from typing import NamedTuple, NoReturn
+
+
+class Value:
+    """An immutable record whose fields, two or more, are its class's `__slots__`.
+
+    Each `__init__` sets each field once with `object.__setattr__`.  Equality
+    (within one class), hashing, `repr` and pickling (through `__init__`) go by
+    the fields, and setting or deleting one raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
 
 
 class DomainError(Exception):

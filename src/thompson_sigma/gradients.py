@@ -18,7 +18,6 @@ before the first row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import (
@@ -28,7 +27,7 @@ from .complexes import (
     d_bound,
     deficiency_bounds,
 )
-from .errors import MAX_INDEX_DIGITS, DomainError, refuse_above
+from .errors import MAX_INDEX_DIGITS, DomainError, Value, refuse_above
 from .lattices import ChainSpec, chain
 
 RANK = "rank"
@@ -38,21 +37,25 @@ CHI = "chi"
 _MAX_INDEX = 10**MAX_INDEX_DIGITS - 1
 
 
-@dataclass(frozen=True)
-class GradientRow:
-    s: int
-    index: int
-    lower: Fraction
-    upper: Fraction | None  # None when the bound is symbolic in d0
-    upper_symbolic: str | None = None
+class GradientRow(Value):
+    __slots__ = ("s", "index", "lower", "upper", "upper_symbolic")  # upper None if symbolic in d0
+
+    def __init__(self, s, index, lower, upper, upper_symbolic=None):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "upper_symbolic", upper_symbolic)
 
 
-@dataclass(frozen=True)
-class GradientSeries:
-    kind: str
-    arity: int
-    m: int | None
-    rows: tuple[GradientRow, ...]
+class GradientSeries(Value):
+    __slots__ = ("kind", "arity", "m", "rows")
+
+    def __init__(self, kind: str, arity: int, m: int | None, rows: tuple[GradientRow, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "rows", rows)
 
 
 def _series(kind: str, spec: ChainSpec, n: int, steps: int | None, m, bounds) -> GradientSeries:

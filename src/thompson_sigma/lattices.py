@@ -26,23 +26,25 @@ generate the subgroup chains the gradient series are evaluated on.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 
 from ._linalg import eliminate, integer_kernel
 from .charspace import Character
 from .errors import MAX_LATTICES, DomainError, RankDeficientError, ZeroCharacterError, refuse_above
+from .errors import Value
 
 IntRows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SubgroupLattice:
+class SubgroupLattice(Value):
     """Full-rank sublattice of Z^n in canonical (lower-triangular) HNF."""
 
-    arity: int
-    basis: IntRows
+    __slots__ = ("arity", "basis")
+
+    def __init__(self, arity: int, basis: IntRows):
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "basis", basis)
 
     def index(self) -> int:
         return prod(self.basis[i][i] for i in range(self.arity))
@@ -201,8 +203,7 @@ def enumerate_subgroups(n: int, max_index: int) -> list[SubgroupLattice]:
     return [SubgroupLattice(n, basis) for basis in hnf_bases(n, max_index)]
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Value):
     """Recipe for a sequence of finite-index subgroups.
 
     kind "scaling":    L_s = p^s * Z^n            (index p^(s n), nested)
@@ -210,19 +211,20 @@ class ChainSpec:
     kind "explicit":   a stored list of lattices; need not be nested.
     """
 
-    kind: str
-    p: int | None = None
-    terms: tuple[SubgroupLattice, ...] | None = None
+    __slots__ = ("kind", "p", "terms")
 
-    def __post_init__(self):
-        if self.kind in ("scaling", "coordinate"):
-            if self.p is None or self.p < 2:
-                raise ValueError(f"must be >= 2, got {self.p} (p of a {self.kind} chain)")
-        elif self.kind == "explicit":
-            if not self.terms:
+    def __init__(self, kind: str, p: int | None = None, terms: tuple | None = None):
+        if kind in ("scaling", "coordinate"):
+            if p is None or p < 2:
+                raise ValueError(f"must be >= 2, got {p} (p of a {kind} chain)")
+        elif kind == "explicit":
+            if not terms:
                 raise ValueError("explicit chain needs at least one term")
         else:
-            raise ValueError(f"unknown chain kind {self.kind!r}")
+            raise ValueError(f"unknown chain kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "terms", terms)
 
 
 def chain(spec: ChainSpec, s: int, n: int) -> SubgroupLattice:

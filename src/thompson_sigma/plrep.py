@@ -38,12 +38,11 @@ at L = 800; a left fold of pointwise f(g(x)) compositions took 77 ms,
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .errors import MAX_PL_INDEX, MAX_PL_WORK, ArityMismatchError, refuse_above
+from .errors import MAX_PL_INDEX, MAX_PL_WORK, ArityMismatchError, Value, refuse_above
 from .words import GroupWord, _pairwise_product
 
 Breakpoint = tuple[Fraction, Fraction]
@@ -64,20 +63,20 @@ def _minimized(points: list[Breakpoint]) -> tuple[Breakpoint, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PLMap:
+class PLMap(Value):
     """An increasing PL bijection of [0,1] with exact rational breakpoints."""
 
-    arity: int
-    breakpoints: tuple[Breakpoint, ...]
+    __slots__ = ("arity", "breakpoints")
 
-    def __post_init__(self):
-        bps = self.breakpoints
+    def __init__(self, arity: int, breakpoints: tuple[Breakpoint, ...]):
+        bps = breakpoints
         if bps[0] != (_ZERO, _ZERO) or bps[-1] != (_ONE, _ONE):
             raise ValueError("breakpoints must run from (0,0) to (1,1)")
         for k in range(len(bps) - 1):
             if not (bps[k][0] < bps[k + 1][0] and bps[k][1] < bps[k + 1][1]):
                 raise ValueError("breakpoints must be strictly increasing")
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "breakpoints", breakpoints)
 
     def __call__(self, t: Fraction) -> Fraction:
         return evaluate_at(self, t)

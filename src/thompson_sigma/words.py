@@ -30,12 +30,11 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import gt, lt
 from typing import Iterable, NamedTuple
 
 from .errors import MAX_GENERATOR_INDEX, MAX_REWRITE_LETTERS, MAX_TOKEN_DIGITS, MAX_WORD_LETTERS
-from .errors import ArityMismatchError, ParseError, refuse_above
+from .errors import ArityMismatchError, ParseError, Value, refuse_above
 
 DEFAULT_INDEX_CAP = MAX_GENERATOR_INDEX  # the name `perfbench/run.py` reads it under
 
@@ -56,53 +55,52 @@ class GeneratorLetter(NamedTuple):
     exponent: int
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(Value):
     """A finite word in the generators of F_{n,infinity}.
 
     The empty word is the identity.  Words are plain syntactic objects;
     use `rewrite_to_seminormal` / `are_equal` for group-level questions.
     """
 
-    arity: int
-    letters: tuple[GeneratorLetter, ...]
+    __slots__ = ("arity", "letters")
 
-    def __post_init__(self):
-        if self.arity < 2:
-            raise ValueError(f"arity must be >= 2, got {self.arity}")
-        coerced = tuple(
-            let if isinstance(let, GeneratorLetter) else GeneratorLetter(*let)
-            for let in self.letters
-        )
-        object.__setattr__(self, "letters", coerced)
-        for let in coerced:
-            if let.index < 0:
-                raise ValueError(f"negative generator index {let.index}")
-            if let.exponent not in (1, -1):
-                raise ValueError(f"letter exponent must be +-1, got {let.exponent}")
+    def __init__(self, arity: int, letters: tuple[GeneratorLetter, ...]):
+        if arity < 2:
+            raise ValueError(f"arity must be >= 2, got {arity}")
+        if type(letters) is not tuple or not set(map(type, letters)) <= {GeneratorLetter}:
+            letters = tuple(
+                let if isinstance(let, GeneratorLetter) else GeneratorLetter(*let) for let in letters
+            )
+        if any(i < 0 or e not in (1, -1) for i, e in set(letters)):  # distinct letters only
+            for let in letters:  # the first bad letter
+                if let.index < 0:
+                    raise ValueError(f"negative generator index {let.index}")
+                if let.exponent not in (1, -1):
+                    raise ValueError(f"letter exponent must be +-1, got {let.exponent}")
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self):
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class SeminormalForm:
+class SeminormalForm(Value):
     """Positive part (non-decreasing) times inverse part (non-increasing).
 
     Represents (prod_i x_{positive[i]}) * (prod_j x_{negative[j]}^-1) where
     `negative` is read left to right.
     """
 
-    arity: int
-    positive: tuple[int, ...]
-    negative: tuple[int, ...]
+    __slots__ = ("arity", "positive", "negative")
 
-    def __post_init__(self):
-        p, q = self.positive, self.negative
-        if any(map(gt, p, p[1:])):
-            raise ValueError(f"positive part not sorted: {p}")
-        if any(map(lt, q, q[1:])):
-            raise ValueError(f"negative part not sorted: {q}")
+    def __init__(self, arity: int, positive: tuple[int, ...], negative: tuple[int, ...]):
+        if any(map(gt, positive, positive[1:])):
+            raise ValueError(f"positive part not sorted: {positive}")
+        if any(map(lt, negative, negative[1:])):
+            raise ValueError(f"negative part not sorted: {negative}")
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
 
     def is_identity(self) -> bool:
         return not self.positive and not self.negative

@@ -159,15 +159,20 @@ def test_cli_calls_layers_through_the_surface():
     assert used and used <= set(thompson_sigma.__all__), used - set(thompson_sigma.__all__)
 
 
-def _loaded_after(code):
-    # the package's modules in sys.modules after `code` runs in a fresh interpreter
-    script = code + "\nimport json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('thompson_sigma')]))"
+def _modules_after(code):
+    # every module in sys.modules after `code` runs in a fresh interpreter
+    script = code + "\nimport json, sys\nprint(json.dumps(list(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    loaded = json.loads(done.stdout.splitlines()[-1])
-    return {name.removeprefix("thompson_sigma.") for name in loaded}
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _loaded_after(code):
+    # the package's modules in sys.modules after `code` runs in a fresh interpreter
+    loaded = _modules_after(code)
+    return {name.removeprefix("thompson_sigma.") for name in loaded if name.startswith("thompson_sigma")}
 
 
 class TestImportFootprint:
@@ -204,3 +209,14 @@ class TestImportFootprint:
     def test_name_loads_its_home_module(self):
         code = "import thompson_sigma\nthompson_sigma.sphere_point"
         assert _loaded_after(code) == {"thompson_sigma", "charspace", "_linalg", "errors"}
+
+    def test_no_generated_code(self):
+        # the value classes are written out in source: no layer loads
+        # dataclasses, nor the inspect it pulls in; normalize needs no fractions
+        layers = sorted(p.stem for p in (SRC / "thompson_sigma").glob("*.py") if p.stem != "__init__")
+        gradient = ["gradient", "--n", "2", "--kind", "rg", "--chain", "scaling:2", "--steps", "3"]
+        code = "".join(f"import thompson_sigma.{name}\n" for name in layers)
+        code += f"assert thompson_sigma.cli.main({gradient!r}) == 0"
+        assert not _modules_after(code) & {"dataclasses", "inspect"}
+        code = "from thompson_sigma import cli\nassert cli.main(['normalize', '--n', '2', '--word', 'x1 x0']) == 0"
+        assert not _modules_after(code) & {"dataclasses", "inspect", "fractions"}
