@@ -114,7 +114,7 @@ def test_value_semantics(module, name, args, text):
         setattr(value, field, None)
     with pytest.raises(AttributeError):
         delattr(value, field)
-    assert repr(value) == text
+    assert repr(value) == text  # the refused writes changed nothing
     assert pickle.loads(pickle.dumps(value)) == value
     assert copy.deepcopy(value) == value
 
