@@ -268,6 +268,37 @@ class TestRewriteOracle:
         # both outcomes occur often
         assert 750 < raised < 2250, raised
 
+    def test_matches_pushes_on_long_bump_ranges(self, monkeypatch):
+        # A run of k equal letters, then m smaller ones, bumps ranges of up
+        # to k letters: x1^k x0^m the positive part, x1^-k x0^m the inverse
+        # part, and in x0^-k x1^m each x1 passes k inverse letters.  With k
+        # from 32 to 200 the ranges fall on both sides of `_BULK`.
+        rng = random.Random(18)
+        raised = 0
+        sides = set()
+        for t in range(160):
+            n = 2 + t % 4
+            k = rng.randrange(32, 201)
+            big, small, sign = rng.choice(((1, 0, 1), (1, 0, -1), (0, 1, -1)))
+            prefix = [(big, sign)] * k + [(small, 1)] * rng.randrange(1, 40)
+            suffix = [(rng.randrange(9), rng.choice((1, -1))) for _ in range(rng.randrange(40))]
+            w = word(n, prefix + suffix)
+            sides.add(k < words._BULK)
+            highest = lowest_passing_cap(monkeypatch, lambda: pushed_seminormal(w), 8)
+            cap = rng.choice((highest, highest - 1, rng.randrange(highest + 2)))
+            monkeypatch.setattr(words, "MAX_GENERATOR_INDEX", cap)
+            try:
+                expected = pushed_seminormal(w)
+            except ResourceLimitError as refused:
+                with pytest.raises(ResourceLimitError) as got:
+                    rewrite_to_seminormal(w)
+                assert str(got.value) == str(refused)
+                raised += 1
+                continue
+            assert rewrite_to_seminormal(w) == expected
+        assert sides == {True, False}
+        assert 40 < raised < 120, raised
+
 
 class TestMultiplyOracle:
     """multiply equals pushing v's letters onto u one at a time."""
