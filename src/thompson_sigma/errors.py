@@ -117,9 +117,10 @@ MAX_WORD_LETTERS = 1 << 20
 MAX_TOKEN_DIGITS = 100
 
 # `rewrite_to_seminormal`: random words at L = 4096 (three, n = 2..4) took
-# 0.06-0.15 s, the slowest shape seen, x0^-(L/2) x1^(L/2), 0.43-0.48 s; at
-# L = 8192 the same took 0.33-0.78 s and 1.7-1.9 s, so the 2^20 letters
-# `parse_word` admits would take hours.
+# 0.03-0.11 s, x0^-(L/2) x1^(L/2) 0.11-0.13 s and the slowest shape seen,
+# x1^(L/2) x0^(L/2), 0.17-0.22 s; at L = 8192 the same took 0.19-0.39 s,
+# 0.77-0.80 s and 0.83-0.87 s, so the 2^20 letters `parse_word` admits
+# would take hours.
 MAX_REWRITE_LETTERS = 1 << 12
 
 # `words`, on an input index or one a rewrite bumps to: in-process, `normalize`

@@ -41,17 +41,17 @@ DEFAULT_INDEX_CAP = MAX_GENERATOR_INDEX  # the name `perfbench/run.py` reads it 
 _TOKEN_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
 # `normal_form` rewrites runs of this many letters left to right and
-# multiplies their forms.  On 1600-letter words (n = 2..4) runs of 32 or 64
-# letters took 2.3-2.4 ms, of 16 or 128 letters 2.4-2.7 ms, of 256 letters
-# 3.4-3.6 ms, and one run of the whole word 12.5-13.7 ms; on 50-200 letters
-# runs of 32, 64 or 128 letters were within 10% of each other.
+# multiplies their forms.  On 400- and 1600-letter words (n = 2..4), against
+# runs of 64 letters, runs of 32 took the same time (within 1%), runs of 16
+# or 128 letters 6-10% longer, runs of 256 letters 23-30% longer, and one
+# run of the whole 1600-letter word 4.1 times as long.
 _LEAF = 64
 
 # `_rewrite` bumps an index range of fewer than this many letters in place,
-# one `+=` per letter, and a longer one as one new slice.  Per bump, 1 letter
-# took 240 ns in place against 460 ns as a slice, 8 letters 480 against
-# 635 ns; the two were equal at 64 to 128 letters, and at 512 the loop was
-# 29% slower.
+# one `+=` per letter, and a longer one as one new slice.  Per bump, in place
+# against the slice: 1 letter took 380-510 against 720-870 ns, 8 letters
+# 850-930 against 1180-1210 ns; at 64 and 128 letters the two were within
+# 7% either way, and at 512 the in-place loop was 28-29% slower.
 _BULK = 64
 
 

@@ -269,7 +269,7 @@ class TestRewriteOracle:
         assert 750 < raised < 2250, raised
 
     def test_matches_pushes_on_long_bump_ranges(self, monkeypatch):
-        # A run of k equal letters, then m smaller ones, bumps ranges of up
+        # A run of k equal letters, then m others, bumps ranges of up
         # to k letters: x1^k x0^m the positive part, x1^-k x0^m the inverse
         # part, and in x0^-k x1^m each x1 passes k inverse letters.  With k
         # from 32 to 200 the ranges fall on both sides of `_BULK`.
