@@ -23,10 +23,11 @@ points dropped), so two maps are equal as functions iff their breakpoint
 tuples are equal.
 
 `compose(f, g)` walks g's segments keeping one pointer k into f's
-breakpoints and no other state: an f-breakpoint is pulled back through the
-g-segment it falls in, a g-breakpoint pushed through f's segment
-fb[k-1]..fb[k].  That is O(|f| + |g|) `Fraction` operations, then one
-minimizing pass.  `evaluate_word` composes the letter maps in the product
+breakpoints: an f-breakpoint is pulled back through the g-segment it falls
+in, by that segment's inverse slope (one division per segment), and a
+g-breakpoint is pushed through f's segment fb[k-1]..fb[k].  That is
+O(|f| + |g|) `Fraction` operations, then one minimizing pass, which carries
+its differences and compares slopes on integers.  `evaluate_word` composes the letter maps in the product
 tree of `words.normal_form`: O(log L) levels of compositions for L letters,
 each linear in its operands, where a left fold makes L compositions with a
 growing left factor.  On seeded n = 2 words with indices below 7 (medians,
@@ -51,14 +52,29 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 def _minimized(points: list[Breakpoint]) -> tuple[Breakpoint, ...]:
+    """Drop every interior point collinear with the last kept point and the next.
+
+    The differences (dx0, dy0) to the last kept point are carried, and the
+    slopes are compared on numerators and (positive) denominators, so a point
+    costs two `Fraction` subtractions and builds no product.
+    """
+    if len(points) < 3:
+        return tuple(points)
     out = [points[0]]
+    (xa, ya), (x1, y1) = points[0], points[1]
+    dx0, dy0 = x1 - xa, y1 - ya
     for k in range(1, len(points) - 1):
-        x0, y0 = out[-1]
-        x1, y1 = points[k]
         x2, y2 = points[k + 1]
-        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-            continue  # collinear, drop
-        out.append(points[k])
+        dx1, dy1 = x2 - x1, y2 - y1
+        if (
+            dy0.numerator * dx1.numerator * dy1.denominator * dx0.denominator
+            == dy1.numerator * dx0.numerator * dy0.denominator * dx1.denominator
+        ):
+            dx0, dy0 = dx0 + dx1, dy0 + dy1  # collinear, drop points[k]
+        else:
+            out.append(points[k])
+            dx0, dy0 = dx1, dy1
+        x1, y1 = x2, y2
     out.append(points[-1])
     return tuple(out)
 
@@ -70,7 +86,7 @@ class PLMap(Value):
 
     def __init__(self, arity: int, breakpoints: tuple[Breakpoint, ...]):
         bps = breakpoints
-        if bps[0] != (_ZERO, _ZERO) or bps[-1] != (_ONE, _ONE):
+        if not bps or bps[0] != (_ZERO, _ZERO) or bps[-1] != (_ONE, _ONE):
             raise ValueError("breakpoints must run from (0,0) to (1,1)")
         for k in range(len(bps) - 1):
             if not (bps[k][0] < bps[k + 1][0] and bps[k][1] < bps[k + 1][1]):
@@ -97,6 +113,9 @@ class PLMap(Value):
 
 
 def plmap(arity: int, points: list[Breakpoint]) -> PLMap:
+    """The map through `points`, minimized; coordinates are ints or Fractions."""
+    if not all(isinstance(c, (int, Fraction)) for p in points for c in p):
+        raise ValueError(f"breakpoint coordinates must be ints or Fractions, got {points!r}")
     return PLMap(arity, _minimized(points))
 
 
@@ -105,6 +124,8 @@ def identity_map(arity: int) -> PLMap:
 
 
 def evaluate_at(f: PLMap, t: Fraction) -> Fraction:
+    if not isinstance(t, (int, Fraction)):
+        raise ValueError(f"point must be an int or a Fraction, got {t!r}")
     if not (_ZERO <= t <= _ONE):
         raise ValueError(f"point {t} outside [0,1]")
     bps = f.breakpoints
@@ -132,21 +153,27 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
         raise ArityMismatchError(f"arity {f.arity} vs {g.arity}")
     fb, gb = f.breakpoints, g.breakpoints
     points = [(_ZERO, _ZERO)]
-    k = 1  # fb[k] is the first f-breakpoint not yet passed
+    k = 1  # (u, v) = fb[k] is the first f-breakpoint not yet passed
+    u, v = fb[1]
+    x0 = y0 = _ZERO
     for j in range(1, len(gb)):
-        x0, y0 = gb[j - 1]
         x1, y1 = gb[j]
-        while fb[k][0] < y1:  # f-breakpoints inside g's segment, by g's inverse
-            u, v = fb[k]
-            points.append((x0 + (u - y0) * (x1 - x0) / (y1 - y0), v))
+        if u < y1:  # f-breakpoints inside g's segment, by g's inverse slope
+            r = (x1 - x0) / (y1 - y0)
+            while u < y1:
+                points.append((x0 + (u - y0) * r, v))
+                k += 1
+                u, v = fb[k]
+        if u == y1:  # coincident breakpoints: advance both walks
+            points.append((x1, v))
             k += 1
-        (u0, v0), (u1, v1) = fb[k - 1], fb[k]  # f's segment holding y1
-        if u1 == y1:  # coincident breakpoints: advance both walks
-            points.append((x1, v1))
-            k += 1  # past the last coincidence, (1, 1), k is not read
-        else:
-            points.append((x1, v0 + (y1 - u0) * (v1 - v0) / (u1 - u0)))
-    return plmap(f.arity, points)
+            if k < len(fb):  # past the last coincidence, (1, 1), nothing is read
+                u, v = fb[k]
+        else:  # push y1 through f's segment fb[k-1]..fb[k]
+            u0, v0 = fb[k - 1]
+            points.append((x1, v0 + (y1 - u0) * (v - v0) / (u - u0)))
+        x0, y0 = x1, y1
+    return PLMap(f.arity, _minimized(points))
 
 
 @lru_cache(maxsize=None)
@@ -179,6 +206,12 @@ def generator_map(n: int, i: int) -> PLMap:
     return PLMap(n, tuple(points))
 
 
+@lru_cache(maxsize=None)
+def inverse_generator_map(n: int, i: int) -> PLMap:
+    """The PL realization of x_i^-1; refused as `generator_map` refuses."""
+    return invert_map(generator_map(n, i))
+
+
 def evaluate_word(w: GroupWord) -> PLMap:
     """Image of a word under the representation; empty word -> identity.
 
@@ -194,7 +227,7 @@ def evaluate_word(w: GroupWord) -> PLMap:
     if work > MAX_PL_WORK:
         refuse_above("PL work", work, MAX_PL_WORK)
     maps = [
-        invert_map(generator_map(w.arity, let.index))
+        inverse_generator_map(w.arity, let.index)
         if let.exponent == -1
         else generator_map(w.arity, let.index)
         for let in w.letters

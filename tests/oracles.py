@@ -15,7 +15,7 @@ from thompson_sigma.errors import (
     refuse_above,
 )
 from thompson_sigma.lattices import SubgroupLattice, hnf
-from thompson_sigma.plrep import PLMap, generator_map, identity_map, invert_map, plmap
+from thompson_sigma.plrep import PLMap, generator_map, identity_map, invert_map
 from thompson_sigma import words
 from thompson_sigma.words import GeneratorLetter, GroupWord, SeminormalForm, abelianize
 
@@ -202,6 +202,26 @@ def rational_rank(rows) -> int:
     return rank
 
 
+def pairwise_minimized(points: list[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Reference minimizing pass: drop points[k] when the last kept point,
+    points[k] and points[k + 1] are collinear, by one cross product each."""
+    out = [points[0]]
+    for k in range(1, len(points) - 1):
+        x0, y0 = out[-1]
+        x1, y1 = points[k]
+        x2, y2 = points[k + 1]
+        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
+            continue  # collinear, drop
+        out.append(points[k])
+    out.append(points[-1])
+    return tuple(out)
+
+
+def pairwise_map(n: int, points: list[tuple[Fraction, Fraction]]) -> PLMap:
+    """A reference map through `points`, minimized by `pairwise_minimized`."""
+    return PLMap(n, pairwise_minimized(points))
+
+
 def pointwise_evaluate(f: PLMap, t: Fraction) -> Fraction:
     """f(t) by bisecting a freshly built list of breakpoint inputs."""
     bps = f.breakpoints
@@ -222,7 +242,7 @@ def pointwise_compose(f: PLMap, g: PLMap) -> PLMap:
     xs = {x for x, _ in g.breakpoints}
     xs.update(pointwise_evaluate(ginv, x) for x, _ in f.breakpoints)
     points = [(x, pointwise_evaluate(f, pointwise_evaluate(g, x))) for x in sorted(xs)]
-    return plmap(f.arity, points)
+    return pairwise_map(f.arity, points)
 
 
 def vine_points(n: int, carets: int) -> list[Fraction]:
@@ -246,7 +266,7 @@ def vine_generator_map(n: int, i: int) -> PLMap:
     a, b = rng[i], rng[i + 1]
     step = (b - a) / n
     rng[i + 1 : i + 1] = [a + t * step for t in range(1, n)]  # cut leaf i
-    return plmap(n, list(zip(domain, rng)))
+    return pairwise_map(n, list(zip(domain, rng)))
 
 
 def set_sort_generator_map(n: int, i: int) -> PLMap:
@@ -257,7 +277,7 @@ def set_sort_generator_map(n: int, i: int) -> PLMap:
     a, b = rng[i], rng[i + 1]
     step = (b - a) / n
     rng = sorted(set(rng) | {a + t * step for t in range(1, n)})
-    return plmap(n, list(zip(domain, rng)))
+    return pairwise_map(n, list(zip(domain, rng)))
 
 
 def left_fold_evaluate(w: GroupWord) -> PLMap:

@@ -10,6 +10,7 @@ import pytest
 from thompson_sigma import plrep
 from thompson_sigma.errors import MAX_PL_INDEX, MAX_PL_WORK, ArityMismatchError, ResourceLimitError
 from thompson_sigma.plrep import (
+    PLMap,
     compose,
     evaluate_at,
     evaluate_word,
@@ -25,6 +26,7 @@ from oracles import (
     identity_word,
     is_power_of,
     left_fold_evaluate,
+    pairwise_minimized,
     pointwise_compose,
     pointwise_evaluate,
     set_sort_generator_map,
@@ -37,6 +39,34 @@ GOLDEN = Path(__file__).parent / "data" / "plrep_golden.json"
 def random_map(rng, n, length, top):
     letters = [(rng.randrange(top), rng.choice((1, -1))) for _ in range(length)]
     return evaluate_word(word(n, letters))
+
+
+def collinear_runs(rng):
+    """Corners of a random increasing PL map from (0,0) to (1,1), each segment
+    carrying a run of 0 to 5 more points on its line, and the run lengths.
+
+    A run is in order, or it repeats points and steps back along its line:
+    `plmap` minimizes before it checks that the points increase.
+    """
+    m = rng.randint(1, 5)
+
+    def cuts():
+        d = rng.choice((2, 3, 6, 7, 12, 30, 64))
+        d *= -(-m // d)  # room for m - 1 distinct cuts
+        return [Fraction(0), *sorted(Fraction(c, d) for c in rng.sample(range(1, d), m - 1)), Fraction(1)]
+
+    corners = list(zip(cuts(), cuts()))
+    points, runs = [corners[0]], []
+    for (xa, ya), (xb, yb) in zip(corners, corners[1:]):
+        c = rng.randint(0, 5)
+        if rng.random() < 0.3:
+            ts = [Fraction(rng.randint(0, 6), 6) for _ in range(c)]
+        else:
+            ts = sorted(Fraction(rng.randint(1, q - 1), q) for q in rng.choices((2, 5, 9, 60), k=c))
+        points += [(xa + t * (xb - xa), ya + t * (yb - ya)) for t in ts]
+        points.append((xb, yb))
+        runs.append(c)
+    return points, runs
 
 
 def coincident_breakpoints(f, g):
@@ -166,6 +196,33 @@ def test_breakpoints_minimized():
     assert f.breakpoints == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
 
 
+class TestMinimized:
+    """`_minimized`, which carries its differences, against the pairwise pass."""
+
+    def test_matches_pairwise(self):
+        rng = random.Random(12)
+        first = last = 0
+        for _ in range(600):
+            points, runs = collinear_runs(rng)
+            assert plrep._minimized(points) == pairwise_minimized(points), points
+            first += runs[0] > 0  # a run from (0,0)
+            last += runs[-1] > 0  # a run into (1,1)
+        assert first > 300 and last > 300
+
+    def test_short_point_lists(self):
+        assert plrep._minimized([]) == ()
+        for points in ([], [(Fraction(0), Fraction(0))], [(Fraction(1), Fraction(1))], [(0, 0)]):
+            with pytest.raises(ValueError, match=r"^breakpoints must run from \(0,0\) to \(1,1\)$"):
+                plmap(2, points)
+            with pytest.raises(ValueError, match=r"^breakpoints must run from \(0,0\) to \(1,1\)$"):
+                PLMap(2, tuple(points))
+        assert plmap(2, [(0, 0), (1, 1)]) == identity_map(2)
+
+    def test_float_coordinates_refused(self):
+        with pytest.raises(ValueError, match="^breakpoint coordinates must be ints or Fractions"):
+            plmap(2, [(0, 0), (0.5, Fraction(1, 2)), (1, 1)])
+
+
 def test_quadruple_serialization():
     quads = generator_map(2, 0).to_quadruples()
     assert quads[0] == ["0", "1", "0", "1"]
@@ -264,6 +321,14 @@ class TestEvaluateWord:
         with pytest.raises(ValueError):
             evaluate_at(identity_map(2), Fraction(3, 2))
 
+    def test_evaluate_at_refuses_floats(self):
+        f = generator_map(2, 0)
+        assert f(Fraction(3, 10)) == Fraction(3, 20) and f(1) == 1
+        for t in (0.3, 0.0, 1.0, "1/2"):
+            for call in (f, lambda t: evaluate_at(f, t)):
+                with pytest.raises(ValueError, match="^point must be an int or a Fraction"):
+                    call(t)
+
 
 class TestIndexBudget:
     def test_generator_map(self, monkeypatch):
@@ -299,6 +364,27 @@ class TestIndexBudget:
         past = word(2, [*letters, (0, -1)])
         with pytest.raises(ResourceLimitError, match=f"^PL work {MAX_PL_WORK + 4} exceeds the budget of {MAX_PL_WORK}$"):
             evaluate_word(past)
+
+    def test_inverse_generator_map(self, monkeypatch):
+        # every n <= 16 with i <= 64, and the budget's edges up to (256, 256)
+        pairs = {(n, i) for n in range(2, 17) for i in range(65)}
+        for n in (2, 3, 16, 17, MAX_PL_INDEX - 1, MAX_PL_INDEX):
+            pairs.update((n, i) for i in (0, 1, MAX_PL_INDEX - 1, MAX_PL_INDEX))
+        for n, i in sorted(pairs):
+            assert plrep.inverse_generator_map(n, i) == invert_map(generator_map(n, i)), (n, i)
+
+        def no_map(*args):
+            raise AssertionError("map built past the budget")
+
+        monkeypatch.setattr(plrep, "PLMap", no_map)
+        monkeypatch.setattr(plrep, "invert_map", no_map)
+        cached = plrep.inverse_generator_map.cache_info().currsize
+        for _ in range(3):  # no refusal is cached
+            with pytest.raises(ResourceLimitError, match=f"^generator index {MAX_PL_INDEX + 1} exceeds the budget of {MAX_PL_INDEX}$"):
+                plrep.inverse_generator_map(2, MAX_PL_INDEX + 1)
+            with pytest.raises(ResourceLimitError, match=f"^arity {MAX_PL_INDEX + 1} exceeds the budget of {MAX_PL_INDEX}$"):
+                plrep.inverse_generator_map(MAX_PL_INDEX + 1, 0)
+        assert plrep.inverse_generator_map.cache_info().currsize == cached
 
     def test_arity(self, monkeypatch):
         assert evaluate_word(word(MAX_PL_INDEX, [(1, 1)])) == generator_map(MAX_PL_INDEX, 1)
