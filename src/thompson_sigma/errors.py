@@ -136,9 +136,9 @@ MAX_PL_INDEX = 256
 # `evaluate_word`, after the arity and index checks: the sum over a word's
 # letters x_i^(+-1) of i // (n - 1) + 2, which bounds the exponent of n in the
 # denominators of every product, times the bit length of n.  Time grows about
-# as its square: at the limit, x0^(+-4096) took 4.3-5.7 s at n = 3 (the slowest
-# shape), 1.9-2.4 s at n = 2 and 0.8-3.9 s at n = 4..256, random words 0.5-1.1 s;
-# x0^15000 at n = 2 (work 60,000) took 14.6 s before the output-digit refusal.
+# as its square: at the limit, x0^(+-4096) took 2.3-3.4 s at n = 3 (the slowest
+# shape), 0.8-1.3 s at n = 2 and 0.45-2.2 s at n = 4..256, random words 0.2-0.5 s;
+# the product of x0^15000 at n = 2 (work 60,000) took 7.8 s.
 MAX_PL_WORK = 1 << 14
 
 # `hnf_bases` and `enumerate_subgroups`, before the first lattice.  The tests

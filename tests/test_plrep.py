@@ -46,7 +46,9 @@ def collinear_runs(rng):
     carrying a run of 0 to 5 more points on its line, and the run lengths.
 
     A run is in order, or it repeats points and steps back along its line:
-    `plmap` minimizes before it checks that the points increase.
+    `plmap` minimizes before it checks that the points increase, and on
+    increasing points a carry of the wrong length but the right slope would
+    go unseen.
     """
     m = rng.randint(1, 5)
 
