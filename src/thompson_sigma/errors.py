@@ -135,7 +135,9 @@ MAX_PL_INDEX = 256
 
 # `evaluate_word`, after the arity and index checks: the sum over a word's
 # letters x_i^(+-1) of i // (n - 1) + 2, which bounds the exponent of n in the
-# denominators of every product, times the bit length of n.  Time grows about
+# denominators of every product, times the bit length of n.  It counts the
+# word as given, before free reduction, so x0^2049 x0^-2049 (n = 2, work
+# 16,392) is refused although it reduces to the empty word.  Time grows about
 # as its square: at the limit, x0^(+-4096) took 2.3-3.4 s at n = 3 (the slowest
 # shape), 0.8-1.3 s at n = 2 and 0.45-2.2 s at n = 4..256, random words 0.2-0.5 s;
 # the product of x0^15000 at n = 2 (work 60,000) took 7.8 s.

@@ -1,0 +1,261 @@
+"""Run a fixed, seeded catalogue of library calls, and compare two trees.
+
+    python3 tests/identity.py compare TREE
+    python3 tests/identity.py run
+
+`run` makes every call of the catalogue on the `thompson_sigma` found on
+sys.path and prints one JSON line per call: its name and either a digest of
+its result or the type and message of what it raised.  Some calls run with a
+budget of `errors` patched smaller in the module that reads it, so that
+refusals are reached cheaply; each such name says which.
+
+`compare` runs the catalogue on this checkout's `src/` and then on TREE's
+(one subprocess per tree, one after the other), prints each call whose
+outcome differs, then a count, and exits 1 if any differ.  TREE is the root
+of another checkout, which needs no copy of this script.
+
+Stdlib only; pytest does not collect this file (its name has no `test_`).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib
+import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _canon(x) -> str:
+    """A text of `x` that two equal results share, whatever their tree."""
+    if x is None or isinstance(x, (bool, int, str, Fraction)):
+        return repr(x)
+    if isinstance(x, (set, frozenset)):
+        return "{" + ", ".join(sorted(map(_canon, x))) + "}"
+    if isinstance(x, dict):
+        return "{" + ", ".join(sorted(f"{_canon(k)}: {_canon(v)}" for k, v in x.items())) + "}"
+    if isinstance(x, (tuple, list)):
+        return type(x).__name__ + "[" + ", ".join(map(_canon, x)) + "]"
+    slots = getattr(type(x), "__slots__", ())
+    if slots:  # the package's value classes
+        return type(x).__name__ + "(" + ", ".join(f"{s}={_canon(getattr(x, s))}" for s in slots) + ")"
+    return repr(x)
+
+
+def _outcome(call) -> str:
+    try:
+        result = call()
+    except Exception as exc:  # a refusal is an outcome to compare too
+        return f"raised {type(exc).__name__}: {exc}"
+    return "= " + hashlib.sha256(_canon(result).encode()).hexdigest()[:16]
+
+
+def _patched(module, name: str, value, call):
+    """`call()` with the budget `name` set to `value` where `module` reads it."""
+    old = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        return call()
+    finally:
+        setattr(module, name, old)
+
+
+def _letters(rng, length: int, top: int):
+    return [(rng.randrange(top + 1), rng.choice((1, -1))) for _ in range(length)]
+
+
+def _with_pairs(rng, letters, pairs: int, top: int):
+    """`letters` with cancelling pairs x_i^e x_i^-e inserted, some nested."""
+    out, pos = list(letters), None
+    for _ in range(pairs):
+        pos = pos + 1 if pos is not None and rng.random() < 0.5 else rng.randrange(len(out) + 1)
+        i, e = rng.randrange(top + 1), rng.choice((1, -1))
+        out[pos:pos] = [(i, e), (i, -e)]
+    return out
+
+
+def catalogue():
+    """Yield (name, call) pairs: the same calls, in the same order, on every tree."""
+    words = importlib.import_module("thompson_sigma.words")
+    plrep = importlib.import_module("thompson_sigma.plrep")
+    lattices = importlib.import_module("thompson_sigma.lattices")
+    complexes = importlib.import_module("thompson_sigma.complexes")
+    charspace = importlib.import_module("thompson_sigma.charspace")
+    autos = importlib.import_module("thompson_sigma.autos")
+    gradients = importlib.import_module("thompson_sigma.gradients")
+    word = words.word
+
+    # words: parsing
+    rng = random.Random("parse")
+    texts = ["", "x0", "x1^-1 x0^3", "x2 x0^-1 x3^2", "x", "y1", "x0^0", "x01^2", "x-1",
+             "x0^2000000", "x" + "9" * 101, "x0^" + "9" * 101, "x1^+2", "x 1", "x0^-0"]
+    texts += [" ".join(f"x{i}" + (f"^{e}" if e != 1 else "") for i, e in _letters(rng, rng.randrange(12), 9))
+              for _ in range(40)]
+    for k, text in enumerate(texts):
+        yield f"parse_word/{k}", lambda text=text, n=2 + k % 3: words.parse_word(n, text)
+
+    # words: the rewriting routes, on seeded words of up to 65 letters
+    rng = random.Random("words")
+    for k in range(600):
+        n, top = 2 + k % 3, rng.choice((4, 9, 30))
+        u = word(n, _with_pairs(rng, _letters(rng, rng.randrange(60), top), rng.randrange(4), top))
+        v = word(n, _letters(rng, rng.randrange(20), top))
+        yield f"normal_form/{k}", lambda u=u: words.normal_form(u)
+        yield f"rewrite_to_seminormal/{k}", lambda u=u: words.rewrite_to_seminormal(u)
+        yield f"multiply/{k}", lambda u=u, v=v: words.multiply(
+            words.rewrite_to_seminormal(u), words.rewrite_to_seminormal(v))
+        yield f"are_equal/{k}", lambda u=u, v=v: words.are_equal(u, v)
+        yield f"are_equal/self/{k}", lambda u=u, r=random.Random(k): words.are_equal(
+            u, word(u.arity, _with_pairs(r, u.letters, 2, 5)))
+        yield f"abelianize/{k}", lambda u=u: words.abelianize(u)
+    for k in range(40):  # indices bumped past a small budget, and long rewrites
+        n = 2 + k % 3
+        u = word(n, _letters(rng, 30, 12))
+        for f in (words.normal_form, words.rewrite_to_seminormal):
+            yield f"{f.__name__}/MAX_GENERATOR_INDEX=24/{k}", lambda f=f, u=u: _patched(
+                words, "MAX_GENERATOR_INDEX", 24, lambda: f(u))
+        yield f"rewrite_to_seminormal/MAX_REWRITE_LETTERS=20/{k}", lambda u=u: _patched(
+            words, "MAX_REWRITE_LETTERS", 20, lambda: words.rewrite_to_seminormal(u))
+    yield "normal_form/index-past-budget", lambda: words.normal_form(word(2, [(1 << 16 | 1, 1)]))
+    yield "are_equal/arity-mismatch", lambda: words.are_equal(word(2, []), word(3, []))
+
+    # plrep: generator maps and their refusals
+    for n in range(2, 7):
+        for i in range(0, 20, 3):
+            yield f"generator_map/{n}/{i}", lambda n=n, i=i: plrep.generator_map(n, i)
+    for n, i in ((1, 0), (2, -1), (2, 257), (257, 0), (256, 256)):
+        yield f"generator_map/{n}/{i}", lambda n=n, i=i: plrep.generator_map(n, i)
+
+    # plrep: words with and without cancelling pairs, n = 2..4
+    rng = random.Random("plrep")
+    evaluated = []
+    for k in range(1200):
+        n = 2 + k % 3
+        letters = _letters(rng, rng.randrange(30), 6)
+        if k % 2:
+            letters = _with_pairs(rng, letters, rng.randint(1, 3), 6)
+        w = word(n, letters)
+        evaluated.append(w)
+        yield f"evaluate_word/{k}", lambda w=w: plrep.evaluate_word(w)
+    for k in range(30):
+        w = evaluated[k]
+        yield f"evaluate_word/MAX_PL_WORK=40/{k}", lambda w=w: _patched(
+            plrep, "MAX_PL_WORK", 40, lambda: plrep.evaluate_word(w))
+    for name, n, letters in (
+        ("cancels-to-empty", 3, [(4, 1), (1, -1), (1, 1), (4, -1)]),
+        ("work-past-budget-cancels", 2, [(0, 1)] * 2049 + [(0, -1)] * 2049),
+        ("work-at-budget", 2, [(254, 1)] * 32),
+        ("index-past-budget", 2, [(0, 1), (257, -1)]),
+        ("arity-past-budget", 257, [(0, 1), (0, -1)]),
+        ("empty", 4, []),
+    ):
+        yield f"evaluate_word/{name}", lambda w=word(n, letters): plrep.evaluate_word(w)
+
+    # plrep: compose, invert, evaluate_at and the checked constructors
+    rng = random.Random("compose")
+    for k in range(120):
+        n = 2 + k % 3
+        f = plrep.evaluate_word(word(n, _letters(rng, rng.randrange(14), 6)))
+        g = plrep.evaluate_word(word(n, _letters(rng, rng.randrange(14), 6)))
+        yield f"compose/{k}", lambda f=f, g=g: plrep.compose(f, g)
+        yield f"compose/inverse/{k}", lambda f=f: plrep.compose(f, plrep.invert_map(f))
+        t = Fraction(rng.randrange(1000), 999)
+        yield f"evaluate_at/{k}", lambda f=f, t=t: plrep.evaluate_at(f, t)
+    yield "compose/arity-mismatch", lambda: plrep.compose(plrep.generator_map(2, 0), plrep.generator_map(3, 0))
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    for name, points in (
+        ("valid", ((0, 0), (half, quarter), (1, 1))),
+        ("float", ((0, 0), (0.5, 0.25), (1, 1))),
+        ("string", ((0, 0), ("1/2", quarter), (1, 1))),
+        ("not-increasing", ((0, 0), (half, 1), (1, 1))),
+        ("no-end", ((0, 0), (half, quarter))),
+        ("empty", ()),
+    ):
+        yield f"PLMap/{name}", lambda p=points: plrep.PLMap(2, p)
+        yield f"plmap/{name}", lambda p=points: plrep.plmap(2, list(p))
+    yield "plmap/collinear", lambda: plrep.plmap(2, [(0, 0), (quarter, quarter), (half, half), (1, 1)])
+    yield "evaluate_at/float", lambda: plrep.evaluate_at(plrep.generator_map(2, 0), 0.5)
+    yield "evaluate_at/outside", lambda: plrep.evaluate_at(plrep.generator_map(2, 0), Fraction(3, 2))
+
+    # lattices, complexes
+    for n, top in ((2, 100), (3, 30), (4, 12)):
+        yield f"enumerate_subgroups/{n}/{top}", lambda n=n, top=top: lattices.enumerate_subgroups(n, top)
+    yield "enumerate_subgroups/MAX_LATTICES=100", lambda: _patched(
+        lattices, "MAX_LATTICES", 100, lambda: lattices.enumerate_subgroups(2, 40))
+    rng = random.Random("lattices")
+    for k in range(60):
+        n = 2 + k % 3
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        yield f"hnf/{k}", lambda rows=rows: lattices.hnf(rows)
+    yield "hnf/rank-deficient", lambda: lattices.hnf([[1, 2], [2, 4]])
+    for k, lat in enumerate(lattices.enumerate_subgroups(2, 40)):
+        yield f"cells_for_subgroup_F/{k}", lambda lat=lat: complexes.cells_for_subgroup_F(lat)
+    for k, lat in enumerate(lattices.enumerate_subgroups(3, 8)):
+        yield f"d_bound/{k}", lambda lat=lat: complexes.d_bound(lat)
+
+    # charspace, autos
+    rng = random.Random("charspace")
+    for k in range(120):
+        n = 2 + k % 4
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n - 1) if n > 2 else 1)]
+        yield f"kernel_finiteness/{k}", lambda rows=rows: charspace.kernel_finiteness(rows)
+        chi = charspace.character(n, [rng.randint(-3, 3) for _ in range(n)])
+        yield f"in_sigma_m/{k}", lambda chi=chi: charspace.in_sigma_m(chi, 2)
+        yield f"d_orbit/{k}", lambda chi=chi: autos.d_orbit(charspace.sphere_point(chi))
+        yield f"d_orbit/cap=4/{k}", lambda chi=chi: autos.d_orbit(charspace.sphere_point(chi), cap=4)
+
+    # gradients
+    for kind, p in (("scaling", 2), ("coordinate", 2), ("scaling", 3)):
+        spec = lattices.ChainSpec(kind, p=p)
+        for n in (2, 3):
+            yield f"rank_gradient_series/{kind}/{p}/{n}", lambda s=spec, n=n: gradients.rank_gradient_series(s, n, steps=5)
+        yield f"deficiency_gradient_series/{kind}/{p}", lambda s=spec: gradients.deficiency_gradient_series(s, 2, steps=5)
+        yield f"chi_m_gradient_series/{kind}/{p}", lambda s=spec: gradients.chi_m_gradient_series(s, 2, 2, steps=4)
+        yield f"certify_convergence/{kind}/{p}", lambda s=spec: gradients.certify_convergence(
+            gradients.rank_gradient_series(s, 2, steps=5), Fraction(1, 8))
+
+
+def run() -> None:
+    for name, call in catalogue():
+        print(json.dumps({"call": name, "outcome": _outcome(call)}))
+
+
+def _run_on(tree: Path) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, str(Path(__file__).resolve()), "run"]
+    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=True)
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def compare(tree: Path) -> int:
+    here, there = _run_on(ROOT), _run_on(tree.resolve())
+    if [a["call"] for a in here] != [b["call"] for b in there]:
+        print("the two trees ran different catalogues")
+        return 1
+    differ = 0
+    for a, b in zip(here, there):
+        if a != b:
+            differ += 1
+            print(json.dumps({"call": a["call"], "here": a["outcome"], "there": b["outcome"]}))
+    print(f"{differ} of {len(here)} calls differ")
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["run"]:
+        run()
+        return 0
+    if argv[:1] == ["compare"] and len(argv) == 2:
+        return compare(Path(argv[1]))
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

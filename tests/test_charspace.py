@@ -1,5 +1,6 @@
 """Characters, the sphere, Sigma membership, kernel finiteness types."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from thompson_sigma.errors import (
     ParseError,
     ZeroCharacterError,
 )
-from thompson_sigma.words import parse_word
+from thompson_sigma.plrep import evaluate_word
+from thompson_sigma.words import parse_word, word
 
 from oracles import evaluate
 
@@ -241,3 +243,17 @@ class TestKernelFiniteness:
         report = kernel_finiteness([[1, -2]])
         assert report.max_certified_f_type == "infinity"
         assert not report.assumed_conjecture
+
+
+class TestGermIdentity:
+    """chi1 and chi2 against the independent PL oracle: chi1(w) is the
+    exponent of n in the slope of w's map at 0, chi2(w) that at 1."""
+
+    def test_end_slopes(self):
+        rng = random.Random(41)
+        for k in range(600):
+            n = 2 + k % 4
+            w = word(n, [(rng.randrange(7), rng.choice((1, -1))) for _ in range(rng.randint(0, 12))])
+            slopes = evaluate_word(w).slopes()
+            assert slopes[0] == Fraction(n) ** evaluate(chi1(n), w), w
+            assert slopes[-1] == Fraction(n) ** evaluate(chi2(n), w), w

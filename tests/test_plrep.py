@@ -402,3 +402,104 @@ class TestIndexBudget:
         for letters in ([], [(0, 1), (1, -1)]):
             with pytest.raises(ResourceLimitError, match=f"^arity {MAX_PL_INDEX + 1} exceeds the budget of {MAX_PL_INDEX}$"):
                 evaluate_word(word(MAX_PL_INDEX + 1, letters))
+
+
+def cancelling_word(rng, n, top):
+    """A random word with 1 to 3 cancelling pairs x_i^e x_i^-e inserted, each
+    at a random place or, half the time, nested inside the last one; and
+    whether one was nested."""
+    letters = [(rng.randrange(top), rng.choice((1, -1))) for _ in range(rng.randint(0, 10))]
+    pos, nested = None, False
+    for _ in range(rng.randint(1, 3)):
+        if pos is not None and rng.random() < 0.5:
+            pos, nested = pos + 1, True
+        else:
+            pos = rng.randrange(len(letters) + 1)
+        i, e = rng.randrange(top), rng.choice((1, -1))
+        letters[pos:pos] = [(i, e), (i, -e)]
+    return word(n, letters), nested
+
+
+class TestFreeReduction:
+    """`evaluate_word` reduces its word freely before the product tree."""
+
+    def test_matches_left_fold(self):
+        # the left fold composes every letter, cancelling pairs included
+        rng = random.Random(31)
+        nested = 0
+        for k in range(90):
+            w, was_nested = cancelling_word(rng, 2 + k % 3, 5)
+            nested += was_nested
+            assert evaluate_word(w).breakpoints == left_fold_evaluate(w).breakpoints, w
+        assert nested > 20
+
+    def test_empty_reduction_is_the_identity(self):
+        for n in (2, 3, 4):
+            for letters in (
+                [(0, 1), (0, -1)],
+                [(3, -1), (1, 1), (2, 1), (2, -1), (1, -1), (3, 1)],
+                [(5, 1), (5, -1), (0, -1), (0, 1), (5, 1), (5, -1)],
+            ):
+                assert evaluate_word(word(n, letters)) == identity_map(n)
+        # only adjacent inverse letters cancel
+        assert evaluate_word(word(2, [(1, 1), (1, 1), (1, -1)])) == generator_map(2, 1)
+        kept = word(3, [(1, 1), (2, -1), (0, 1), (0, 1), (2, 1)])
+        assert evaluate_word(kept) == left_fold_evaluate(kept)
+
+    def test_work_budget_counts_the_word_as_given(self, monkeypatch):
+        # x0^2049 x0^-2049 at n = 2 reduces to nothing, but its work is
+        # (2 * 4098) times the bit length 2
+        def no_map(*args):
+            raise AssertionError("map built before the budget check")
+
+        monkeypatch.setattr(plrep, "generator_map", no_map)
+        monkeypatch.setattr(plrep, "identity_map", no_map)
+        w = word(2, [(0, 1)] * 2049 + [(0, -1)] * 2049)
+        with pytest.raises(ResourceLimitError, match=f"^PL work 16392 exceeds the budget of {MAX_PL_WORK}$"):
+            evaluate_word(w)
+
+
+class TestComposite:
+    """Every composite of the seeded suites rebuilds unchanged through
+    `PLMap.__init__`'s checks: the property an unchecked construction in
+    `compose` would rest on."""
+
+    def test_seeded_composites_rebuild_through_the_checks(self, monkeypatch):
+        built = []
+
+        def recording(f, g):
+            built.append(compose(f, g))
+            return built[-1]
+
+        monkeypatch.setattr(plrep, "compose", recording)  # evaluate_word's too
+        rng = random.Random(6)  # the seeded pairs of TestComposeOracle
+        for k in range(300):
+            n = 2 + k % 3
+            f = random_map(rng, n, rng.randint(0, 12), 6)
+            g = random_map(rng, n, rng.randint(0, 12), 6)
+            recording(f, g)
+        rng = random.Random(7)  # and its identity and inverse operands
+        for k in range(90):
+            n = 2 + k % 3
+            f = random_map(rng, n, rng.randint(1, 16), 7)
+            for a, b in ((f, identity_map(n)), (identity_map(n), f), (f, invert_map(f)), (invert_map(f), f)):
+                recording(a, b)
+        for n in (2, 3, 4):  # the relation suite of criterion 2
+            for i in range(1, 9):
+                for j in range(i):
+                    evaluate_word(word(n, [(j, -1), (i, 1), (j, 1)]))
+        for h in built:
+            assert type(h) is PLMap and PLMap(h.arity, h.breakpoints) == h, h
+        assert len(built) > 4000
+
+
+class TestCoordinateTypes:
+    def test_plmap_refuses_other_coordinates(self):
+        for bad in (0.5, "1/2", None, 0.0):
+            points = ((0, 0), (bad, Fraction(1, 4)), (1, 1))
+            with pytest.raises(ValueError, match="^breakpoint coordinates must be ints or Fractions"):
+                PLMap(2, points)
+        with pytest.raises(ValueError, match="^breakpoint coordinates must be ints or Fractions"):
+            PLMap(2, ((0, 0), (Fraction(1, 2), 0.25), (1.0, 1)))
+        ok = PLMap(2, ((0, 0), (Fraction(1, 2), Fraction(1, 4)), (1, 1)))
+        assert ok.to_quadruples()[1] == ["1", "2", "1", "4"]

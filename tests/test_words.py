@@ -354,6 +354,17 @@ class TestAbelianize:
                 b = abelianize(word(n, [(i, 1)]))
                 assert a == b
 
+    def test_documented_coordinates(self):
+        # x_0 is e_0, x_i is e_i for 1 <= i < n, and x_{i+n-1} lands where x_i does
+        for n in range(2, 7):
+            for i in range(2 * n):
+                coord = i
+                while coord >= n:
+                    coord -= n - 1
+                unit = tuple(int(c == coord) for c in range(n))
+                assert abelianize(word(n, [(i, 1)])) == unit, (n, i)
+                assert abelianize(word(n, [(i, -1)])) == tuple(-c for c in unit), (n, i)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_homomorphism(self, data):
