@@ -63,7 +63,10 @@ class Character(Value):
 
 
 class SpherePoint(Value):
-    """A character up to positive scaling, canonically normalized."""
+    """A character up to positive scaling, canonically normalized.
+
+    `sphere_point` normalizes; the constructor does not: `d_orbit` passes primitive rays.
+    """
 
     __slots__ = ("arity", "values")
 

@@ -5,7 +5,9 @@ complex for H: an explicit integer prefix plus, for the type-F_infinity
 groups handled here, an affine tail r(H, j) = slope*j + offset valid from
 some dimension on.  A vector without a tail describes a finite complex
 (zero cells beyond the prefix).  Tails keep every downstream computation
-exact at arbitrary dimension.
+exact at arbitrary dimension.  `CellVector(...)` checks the counts against
+the tail and stores the canonical form (the earliest tail start, no trailing
+zeros), so vectors with the same count in every dimension are equal.
 
 Three combination rules drive everything:
 
@@ -57,8 +59,23 @@ class CellVector(Value):
     __slots__ = ("counts", "tail")
 
     def __init__(self, counts: tuple[int, ...], tail: AffineTail | None = None):
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "tail", tail)
+        counts = list(map(int, counts))
+        if any(v < 0 for v in counts):
+            raise ValueError(f"negative cell count in {counts}")
+        tail = AffineTail(0, 0, len(counts)) if tail is None else tail  # finite: zero past the counts
+        for j in range(tail.start, len(counts)):
+            if counts[j] != tail.value(j):
+                raise ValueError(f"explicit count {counts[j]} at dim {j} contradicts tail")
+        if tail.slope < 0:
+            raise ValueError("cell counts cannot decrease forever")
+        start = min(tail.start, len(counts))
+        while start > 0 and counts[start - 1] == tail.value(start - 1):
+            start -= 1
+        object.__setattr__(self, "counts", tuple(counts[:start]))
+        zero = not (tail.slope or tail.offset)
+        object.__setattr__(self, "tail", None if zero else AffineTail(tail.slope, tail.offset, start))
+        if self.value(0) < 1:
+            raise ValueError("a complex needs at least one 0-cell")
 
     def value(self, j: int) -> int:
         if j < 0:
@@ -70,7 +87,9 @@ class CellVector(Value):
         return 0
 
     def prefix(self, m: int) -> tuple[int, ...]:
-        """Values in dimensions 0..m; m above MAX_DIM raises ResourceLimitError."""
+        """Values in dimensions 0..m; m < 0 raises ValueError, m > MAX_DIM ResourceLimitError."""
+        if m < 0:
+            raise ValueError(f"dimension must be >= 0, got {m}")
         if m > MAX_DIM:
             refuse_above("dimension", m, MAX_DIM)
         return tuple(self.value(j) for j in range(m + 1))
@@ -80,36 +99,7 @@ class CellVector(Value):
         return self.tail.start if self.tail is not None else len(self.counts)
 
 
-def cell_vector(values, tail: AffineTail | None = None) -> CellVector:
-    """Build a canonical CellVector; validates and minimizes the tail start.
-
-    The explicit prefix must agree with the tail where they overlap.  A
-    zero tail collapses to a finite vector; trailing zeros are stripped.
-    """
-    counts = list(map(int, values))
-    if any(v < 0 for v in counts):
-        raise ValueError(f"negative cell count in {counts}")
-    if tail is not None:
-        for j in range(tail.start, len(counts)):
-            if counts[j] != tail.value(j):
-                raise ValueError(f"explicit count {counts[j]} at dim {j} contradicts tail")
-        if tail.slope == 0 and tail.offset == 0:
-            tail = None
-    if tail is not None:
-        start = min(tail.start, len(counts))
-        while start > 0 and counts[start - 1] == tail.value(start - 1):
-            start -= 1
-        if tail.slope < 0:
-            raise ValueError("cell counts cannot decrease forever")
-        tail = AffineTail(tail.slope, tail.offset, start)
-        counts = counts[:start]
-    else:
-        while counts and counts[-1] == 0:
-            counts.pop()
-    vec = CellVector(tuple(counts), tail)
-    if vec.value(0) < 1:
-        raise ValueError("a complex needs at least one 0-cell")
-    return vec
+cell_vector = CellVector  # the exported name of the canonical constructor
 
 
 def _combine(parts, value_fn) -> CellVector:
@@ -122,7 +112,7 @@ def _combine(parts, value_fn) -> CellVector:
         raise DomainError("combined cell counts are not eventually affine")
     slope = d[0]
     offset = vals[horizon] - slope * horizon
-    return cell_vector(vals[: horizon + 1], AffineTail(slope, offset, horizon))
+    return CellVector(vals[: horizon + 1], AffineTail(slope, offset, horizon))
 
 
 def hnn_cells(r_base: CellVector) -> CellVector:
@@ -156,12 +146,12 @@ def graph_of_groups_cells(
 
 def classical_f_cells() -> CellVector:
     """The 1-vertex, 2-cells-per-dimension complex of the n = 2 group."""
-    return cell_vector((1, 2), AffineTail(0, 2, 1))
+    return CellVector((1, 2), AffineTail(0, 2, 1))
 
 
 def ones_cells() -> CellVector:
     """One cell in every dimension: a K(finite cyclic, 1)."""
-    return cell_vector((1,), AffineTail(0, 1, 0))
+    return CellVector((1,), AffineTail(0, 1, 0))
 
 
 # The two n = 2 answers, derived once.  Cases 1-2: HNN over the classical
@@ -195,11 +185,9 @@ def chi_m(r: CellVector, m: int) -> int:
 
     An upper bound for the partial Euler characteristic; a negative value
     would contradict the Novikov-ring nonnegativity certificate and is
-    reported as an invariant violation, not a result.  m above MAX_DIM
-    raises ResourceLimitError.
+    reported as an invariant violation, not a result.  m is refused as
+    `CellVector.prefix` refuses it.
     """
-    if m < 0:
-        raise ValueError(f"dimension must be >= 0, got {m}")
     *_, total = _alternating_sums(r, m)
     return _nonnegative(r, m, total)
 
@@ -260,8 +248,10 @@ def d_bound(
     raises InvariantViolationError as `chi_m` would at that m.
     n >= 3 with e_1, ..., e_{n-1} all in L: d(H) <= 1 + d(M) = 1 + n.
     n >= 3 otherwise: d(H) <= n + 2 + d0, symbolic unless overridden.
-    A chi_upto above MAX_DIM raises ResourceLimitError for every n.
+    For every n, chi_upto is refused as `CellVector.prefix` refuses it.
     """
+    if chi_upto < 0:
+        raise ValueError(f"dimension must be >= 0, got {chi_upto}")
     if chi_upto > MAX_DIM:
         refuse_above("dimension", chi_upto, MAX_DIM)
     n = lat.arity

@@ -38,7 +38,10 @@ IntRows = tuple[tuple[int, ...], ...]
 
 
 class SubgroupLattice(Value):
-    """Full-rank sublattice of Z^n in canonical (lower-triangular) HNF."""
+    """Full-rank sublattice of Z^n in canonical (lower-triangular) HNF.
+
+    `hnf` normalizes; the constructor does not, as enumeration's bases are HNF.
+    """
 
     __slots__ = ("arity", "basis")
 

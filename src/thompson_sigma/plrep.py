@@ -18,9 +18,9 @@ letter outermost: W(l_1 ... l_k) = M_{l_1} o ... o M_{l_k}, and under this
 convention the defining relations x_j^-1 x_i x_j = x_{i+n-1} (i > j) hold
 exactly; the relation suite in the tests is the contract for this choice.
 
-Breakpoint lists are minimized after every operation (collinear interior
-points dropped), so two maps are equal as functions iff their breakpoint
-tuples are equal.
+`PLMap(...)` checks its points as given and stores them minimized (collinear
+interior points dropped), so two maps are equal as functions iff their
+breakpoint tuples are equal.
 
 `compose(f, g)` walks g's segments keeping one pointer k into f's
 breakpoints: an f-breakpoint is pulled back by the inverse slope of the
@@ -89,20 +89,21 @@ def _minimized(points: list[Breakpoint]) -> tuple[Breakpoint, ...]:
 
 
 class PLMap(Value):
-    """An increasing PL bijection of [0,1] with exact rational breakpoints."""
+    """An increasing PL bijection of [0,1]; its points are checked as given, then minimized."""
 
     __slots__ = ("arity", "breakpoints")
 
     def __init__(self, arity: int, breakpoints: tuple[Breakpoint, ...]):
         bps = breakpoints
-        _check_coordinates(bps)
+        if not all(isinstance(c, (int, Fraction)) for p in bps for c in p):
+            raise ValueError(f"breakpoint coordinates must be ints or Fractions, got {bps!r}")
         if not bps or bps[0] != (_ZERO, _ZERO) or bps[-1] != (_ONE, _ONE):
             raise ValueError("breakpoints must run from (0,0) to (1,1)")
         for k in range(len(bps) - 1):
             if not (bps[k][0] < bps[k + 1][0] and bps[k][1] < bps[k + 1][1]):
                 raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "breakpoints", _minimized(bps))
 
     def __call__(self, t: Fraction) -> Fraction:
         return evaluate_at(self, t)
@@ -120,17 +121,6 @@ class PLMap(Value):
             [str(x.numerator), str(x.denominator), str(y.numerator), str(y.denominator)]
             for x, y in self.breakpoints
         ]
-
-
-def _check_coordinates(points) -> None:
-    if not all(isinstance(c, (int, Fraction)) for p in points for c in p):
-        raise ValueError(f"breakpoint coordinates must be ints or Fractions, got {points!r}")
-
-
-def plmap(arity: int, points: list[Breakpoint]) -> PLMap:
-    """The map through `points`, minimized; coordinates are ints or Fractions."""
-    _check_coordinates(points)
-    return PLMap(arity, _minimized(points))
 
 
 def identity_map(arity: int) -> PLMap:
@@ -187,7 +177,7 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
             u0, v0 = fb[k - 1]
             points.append((x1, v0 + (y1 - u0) * (v - v0) / (u - u0)))
         x0, y0 = x1, y1
-    return PLMap(f.arity, _minimized(points))
+    return PLMap(f.arity, points)
 
 
 @lru_cache(maxsize=None)
@@ -259,6 +249,6 @@ def evaluate_word(w: GroupWord) -> PLMap:
 
 
 def maps_equal(f: PLMap, g: PLMap) -> bool:
-    """Exact equality; breakpoint lists are already canonical."""
+    """Exact equality; `PLMap(...)` stores every breakpoint list minimized."""
     return f.arity == g.arity and f.breakpoints == g.breakpoints
 

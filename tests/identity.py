@@ -178,8 +178,12 @@ def catalogue():
         ("empty", ()),
     ):
         yield f"PLMap/{name}", lambda p=points: plrep.PLMap(2, p)
-        yield f"plmap/{name}", lambda p=points: plrep.plmap(2, list(p))
-    yield "plmap/collinear", lambda: plrep.plmap(2, [(0, 0), (quarter, quarter), (half, half), (1, 1)])
+    for name, points in (
+        ("collinear", [(0, 0), (quarter, quarter), (half, half), (1, 1)]),
+        ("step-back", [(0, 0), (half, half), (quarter, quarter), (1, 1)]),
+        ("float-list", [(0, 0), (0.5, half), (1, 1)]),
+    ):
+        yield f"PLMap/{name}", lambda p=points: plrep.PLMap(2, p)
     yield "evaluate_at/float", lambda: plrep.evaluate_at(plrep.generator_map(2, 0), 0.5)
     yield "evaluate_at/outside", lambda: plrep.evaluate_at(plrep.generator_map(2, 0), Fraction(3, 2))
 
@@ -198,6 +202,22 @@ def catalogue():
         yield f"cells_for_subgroup_F/{k}", lambda lat=lat: complexes.cells_for_subgroup_F(lat)
     for k, lat in enumerate(lattices.enumerate_subgroups(3, 8)):
         yield f"d_bound/{k}", lambda lat=lat: complexes.d_bound(lat)
+    for n in (2, 3):
+        yield f"d_bound/chi_upto=-1/{n}", lambda n=n: complexes.d_bound(
+            lattices.hnf([[2 * (i == j) for j in range(n)] for i in range(n)]), chi_upto=-1)
+    tail = complexes.AffineTail
+    for name, args in (
+        ("finite", ((1, 2),)),
+        ("trailing-zero", ((1, 2, 0),)),
+        ("negative", ((-5,),)),
+        ("no-vertex", ((0, 1),)),
+        ("tail-late", ((1, 2), tail(0, 2, 1))),
+        ("tail-zero", ((1, 3, 0), tail(0, 0, 2))),
+        ("tail-contradicted", ((1, 5, 11), tail(8, -4, 2))),
+        ("tail-decreasing", ((4,), tail(-1, 4, 1))),
+    ):
+        yield f"CellVector/{name}", lambda a=args: complexes.CellVector(*a)
+        yield f"cell_vector/{name}", lambda a=args: complexes.cell_vector(*a)
 
     # charspace, autos
     rng = random.Random("charspace")

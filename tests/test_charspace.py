@@ -257,3 +257,29 @@ class TestGermIdentity:
             slopes = evaluate_word(w).slopes()
             assert slopes[0] == Fraction(n) ** evaluate(chi1(n), w), w
             assert slopes[-1] == Fraction(n) ** evaluate(chi2(n), w), w
+
+    def test_sigma1_against_germs(self):
+        # N above G' is finitely generated unless every row's word
+        # x_0^r_0 ... x_{n-1}^r_{n-1} has slope 1 at 0, or every one at 1;
+        # random rank-deficient rows inside ker chi1, inside ker chi2, or free
+        rng = random.Random(43)
+        not_fg = 0
+        for k in range(360):
+            n = 2 + k % 4
+            kind = k // 4 % 3
+            rows = []
+            for _ in range(rng.randint(1, n - 1)):
+                row = [rng.randint(-3, 3) for _ in range(n)]
+                if kind == 0:  # inside ker chi1
+                    row[0] = 0
+                elif kind == 1:  # inside ker chi2
+                    row[-1] = -sum(row[:-1])
+                rows.append(row)
+            ends = [
+                evaluate_word(word(n, [(i, 1 if r > 0 else -1) for i, r in enumerate(row) for _ in range(abs(r))])).slopes()
+                for row in rows
+            ]
+            trivial_germs = all(sl[0] == 1 for sl in ends) or all(sl[-1] == 1 for sl in ends)
+            assert kernel_finiteness(rows).is_finitely_generated is not trivial_germs, rows
+            not_fg += trivial_germs
+        assert 150 < not_fg < 300

@@ -8,6 +8,7 @@ from thompson_sigma.complexes import (
     CASE_3_CELLS,
     AffineTail,
     BoundReport,
+    CellVector,
     cell_vector,
     cells_for_subgroup_F,
     chi_m,
@@ -42,6 +43,21 @@ class TestCellVector:
         vec = cell_vector((1, 2, 2, 2, 2), AffineTail(0, 2, 4))
         assert vec.tail.start == 1
         assert vec.counts == (1,)
+        assert CellVector((1, 2, 2, 2, 2), AffineTail(0, 2, 4)) == vec
+
+    def test_constructor_is_canonical(self):
+        assert CellVector((1, 2, 0)) == cell_vector((1, 2, 0)) == CellVector((1, 2))
+        assert CellVector((1, 2, 0)).counts == (1, 2)
+        assert CellVector((1, 2), AffineTail(0, 2, 1)) == classical_f_cells()
+        assert CellVector((1, 3, 0), AffineTail(0, 0, 2)) == CellVector((1, 3))
+        assert CellVector((1, 3, 0), AffineTail(0, 0, 2)).tail is None
+
+    def test_negative_count_refused(self):
+        for counts in ((-5,), (1, -2), (1, 3, -1)):
+            message = rf"^negative cell count in \[{', '.join(map(str, counts))}\]$"
+            for build in (CellVector, cell_vector):
+                with pytest.raises(ValueError, match=message):
+                    build(counts)
 
     def test_inconsistent_tail_rejected(self):
         with pytest.raises(ValueError):
@@ -50,6 +66,8 @@ class TestCellVector:
     def test_needs_a_vertex(self):
         with pytest.raises(ValueError):
             cell_vector((0, 1))
+        with pytest.raises(ValueError, match="^a complex needs at least one 0-cell$"):
+            CellVector((0, 1))
 
 
 class TestHNN:
@@ -177,6 +195,21 @@ class TestDimensionBudget:
         ):
             with pytest.raises(ResourceLimitError, match=message):
                 call()
+
+
+    def test_negative_dimension_refused(self):
+        message = "^dimension must be >= 0, got -1$"
+        vec, _ = cells_for_subgroup_F(hnf([[2, 0], [0, 2]]))
+        for call in (
+            lambda: vec.prefix(-1),
+            lambda: chi_m(vec, -1),
+            lambda: d_bound(hnf([[2, 0], [0, 2]]), chi_upto=-1),
+            lambda: d_bound(hnf([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), chi_upto=-1),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        with pytest.raises(ValueError, match="^dimension must be >= 0, got -3$"):
+            vec.prefix(-3)
 
 
 class TestDeficiency:

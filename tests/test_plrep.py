@@ -18,7 +18,6 @@ from thompson_sigma.plrep import (
     identity_map,
     invert_map,
     maps_equal,
-    plmap,
 )
 from thompson_sigma.words import parse_word, word
 
@@ -46,9 +45,8 @@ def collinear_runs(rng):
     carrying a run of 0 to 5 more points on its line, and the run lengths.
 
     A run is in order, or it repeats points and steps back along its line:
-    `plmap` minimizes before it checks that the points increase, and on
-    increasing points a carry of the wrong length but the right slope would
-    go unseen.
+    `PLMap(...)` refuses such points, but on increasing points alone a carry
+    of the wrong length and the right slope in `_minimized` would go unseen.
     """
     m = rng.randint(1, 5)
 
@@ -186,7 +184,7 @@ def test_slope_closure_and_denominators():
 
 def test_breakpoints_minimized():
     # a redundant collinear point must not survive construction
-    f = plmap(
+    f = PLMap(
         2,
         [
             (Fraction(0), Fraction(0)),
@@ -215,14 +213,40 @@ class TestMinimized:
         assert plrep._minimized([]) == ()
         for points in ([], [(Fraction(0), Fraction(0))], [(Fraction(1), Fraction(1))], [(0, 0)]):
             with pytest.raises(ValueError, match=r"^breakpoints must run from \(0,0\) to \(1,1\)$"):
-                plmap(2, points)
+                PLMap(2, points)
             with pytest.raises(ValueError, match=r"^breakpoints must run from \(0,0\) to \(1,1\)$"):
                 PLMap(2, tuple(points))
-        assert plmap(2, [(0, 0), (1, 1)]) == identity_map(2)
+        assert PLMap(2, [(0, 0), (1, 1)]) == identity_map(2)
 
     def test_float_coordinates_refused(self):
         with pytest.raises(ValueError, match="^breakpoint coordinates must be ints or Fractions"):
-            plmap(2, [(0, 0), (0.5, Fraction(1, 2)), (1, 1)])
+            PLMap(2, [(0, 0), (0.5, Fraction(1, 2)), (1, 1)])
+
+
+class TestConstructorMinimizes:
+    """`PLMap(...)` checks the points as given, then stores them minimized,
+    so maps equal as functions have equal fields."""
+
+    def test_collinear_runs(self):
+        rng = random.Random(22)
+        built = refused = 0
+        for _ in range(400):
+            points, _ = collinear_runs(rng)
+            if all(p[0] < q[0] and p[1] < q[1] for p, q in zip(points, points[1:])):
+                f = PLMap(2, points)
+                assert f.breakpoints == pairwise_minimized(points), points
+                assert f == PLMap(2, pairwise_minimized(points))
+                built += 1
+            else:  # a run that repeats a point or steps back
+                with pytest.raises(ValueError, match="^breakpoints must be strictly increasing$"):
+                    PLMap(2, points)
+                refused += 1
+        assert built > 100 and refused > 100
+
+    def test_collinear_identity(self):
+        half = Fraction(1, 2)
+        f = PLMap(2, ((0, 0), (half, half), (1, 1)))
+        assert f == identity_map(2) and maps_equal(f, identity_map(2))
 
 
 def test_quadruple_serialization():
