@@ -40,7 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .charspace import SpherePoint, _on_sphere, _ray
-from .errors import ORBIT_CAP, Value, refuse_above
+from .errors import ORBIT_CAP, Value, refuse_above, require_at_least
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -51,8 +51,7 @@ class CharacterMatrix(Value):
     __slots__ = ("arity", "entries")
 
     def __init__(self, arity: int, entries: IntMatrix):
-        if arity < 2:
-            raise ValueError(f"arity must be >= 2, got {arity}")
+        require_at_least("arity", arity, 2)
         if len(entries) != arity or any(len(r) != arity for r in entries):
             raise ValueError(f"expected a {arity}x{arity} matrix")
         object.__setattr__(self, "arity", arity)
@@ -118,10 +117,9 @@ def d_orbit(point: SpherePoint, cap: int = ORBIT_CAP) -> frozenset[SpherePoint]:
     through its values: the result is the orbit of the normalized point and
     does not contain the point itself.  Equality with the orbit of the
     point is promised only for points that `sphere_point` produced.  A cap
-    below 1 raises ValueError: the start point alone is already over it.
+    below 1 raises ParseError: the start point alone is already over it.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    require_at_least("cap", cap, 1)
     n = point.arity
     gens = _generator_rows(n)
     start = _ray(point.values)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._linalg import rank
-from .errors import ConjectureRequiredError, ParseError, Value, ZeroCharacterError
+from .errors import ConjectureRequiredError, ParseError, Value, ZeroCharacterError, require_at_least
 
 RationalVector = tuple[Fraction, ...]
 
@@ -42,8 +42,7 @@ class Character(Value):
     __slots__ = ("arity", "values")
 
     def __init__(self, arity: int, values: RationalVector):
-        if arity < 2:
-            raise ValueError(f"arity must be >= 2, got {arity}")
+        require_at_least("arity", arity, 2)
         if len(values) != arity:
             raise ValueError(f"expected {arity} values, got {len(values)}")
         if not all(isinstance(v, (int, Fraction)) for v in values):
@@ -163,8 +162,7 @@ def in_sigma_m(
     Raises ConjectureRequiredError when n >= 3, m >= 3 and the caller has
     not opted into the conjectural description.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    require_at_least("m", m, 1)
     if chi.is_zero():
         raise ZeroCharacterError("zero character has no Sigma membership")
     if m == 1:
@@ -211,8 +209,7 @@ def kernel_finiteness(
     flag for n >= 3 (without the flag the certified type stops at 2).
     Certified finite types are capped at m_max >= 1.
     """
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    require_at_least("m_max", m_max, 1)
     if not lattice_rows:
         raise ValueError("need at least one lattice generator")
     n = len(lattice_rows[0])

@@ -36,6 +36,7 @@ characteristic, checked nonnegative; `deficiency_bounds` gives
 from __future__ import annotations
 
 from .errors import DEFAULT_DIM_CAP, MAX_DIM, DomainError, InvariantViolationError, Value, refuse_above
+from .errors import require_at_least
 from .lattices import SubgroupLattice, member
 
 
@@ -87,9 +88,8 @@ class CellVector(Value):
         return 0
 
     def prefix(self, m: int) -> tuple[int, ...]:
-        """Values in dimensions 0..m; m < 0 raises ValueError, m > MAX_DIM ResourceLimitError."""
-        if m < 0:
-            raise ValueError(f"dimension must be >= 0, got {m}")
+        """Values in dimensions 0..m; m < 0 raises ParseError, m > MAX_DIM ResourceLimitError."""
+        require_at_least("dimension", m, 0)
         if m > MAX_DIM:
             refuse_above("dimension", m, MAX_DIM)
         return tuple(self.value(j) for j in range(m + 1))
@@ -235,10 +235,7 @@ class BoundReport(Value):
 
 
 def d_bound(
-    lat: SubgroupLattice,
-    *,
-    d0_override: int | None = None,
-    chi_upto: int = DEFAULT_DIM_CAP,
+    lat: SubgroupLattice, *, d0_override: int | None = None, chi_upto: int = DEFAULT_DIM_CAP
 ) -> BoundReport:
     """Upper bound on the minimal number of generators of the subgroup.
 
@@ -248,12 +245,14 @@ def d_bound(
     raises InvariantViolationError as `chi_m` would at that m.
     n >= 3 with e_1, ..., e_{n-1} all in L: d(H) <= 1 + d(M) = 1 + n.
     n >= 3 otherwise: d(H) <= n + 2 + d0, symbolic unless overridden.
-    For every n, chi_upto is refused as `CellVector.prefix` refuses it.
+    For every n, chi_upto is refused as `CellVector.prefix` refuses it, and
+    a d0_override below 1 whether or not the bound reads it.
     """
-    if chi_upto < 0:
-        raise ValueError(f"dimension must be >= 0, got {chi_upto}")
+    require_at_least("dimension", chi_upto, 0)
     if chi_upto > MAX_DIM:
         refuse_above("dimension", chi_upto, MAX_DIM)
+    if d0_override is not None:
+        require_at_least("d0 override", d0_override, 1)
     n = lat.arity
     symbolic = def_lower = chi_values = None
     if n == 2:
@@ -267,8 +266,6 @@ def d_bound(
     elif all(member(lat, tuple(int(c == i) for c in range(n))) for i in range(1, n)):
         d_upper, tag = n + 1, "m-contained"
     elif d0_override is not None:
-        if d0_override < 1:
-            raise ValueError(f"d0 override must be >= 1, got {d0_override}")
         d_upper, tag = n + 2 + d0_override, "generic"
     else:
         d_upper, symbolic, tag = None, f"{n + 2}+d0", "generic"

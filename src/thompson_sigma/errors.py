@@ -7,7 +7,8 @@ ParseError to exit code 1.
 
 Every route ends at a budget: a fixed one of `BUDGETS`, or a call-time cap
 (the orbit `cap`, THOMPSON_SIGMA_MAX_INDEX, CPython's limit on printed
-digits).  All refuse through `refuse_above`, in one message form.
+digits).  All refuse through `refuse_above`, in one message form, and every
+argument below its range (an arity below 2, say) through `require_at_least`.
 
 `Value` is the base of the package's value classes, from words to gradient rows.
 """
@@ -84,7 +85,7 @@ class InvariantViolationError(Exception):
 
 
 class ParseError(ValueError):
-    """Malformed textual input (word syntax, character vectors, lattices)."""
+    """Malformed textual input (words, characters, lattices), or an argument below its range."""
 
 
 def refuse_above(what: str, value, limit, error: type = ResourceLimitError) -> NoReturn:
@@ -95,6 +96,12 @@ def refuse_above(what: str, value, limit, error: type = ResourceLimitError) -> N
     """
     shown = what if value is None else f"{what} {value}"
     raise error(f"{shown} exceeds the budget of {limit}")
+
+
+def require_at_least(what: str, value, low) -> None:
+    """Raise ParseError "<what> must be >= <low>, got <value>" if value < low."""
+    if value < low:
+        raise ParseError(f"{what} must be >= {low}, got {value}")
 
 
 class Budget(NamedTuple):

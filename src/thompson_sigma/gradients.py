@@ -27,7 +27,7 @@ from .complexes import (
     d_bound,
     deficiency_bounds,
 )
-from .errors import MAX_INDEX_DIGITS, DomainError, Value, refuse_above
+from .errors import MAX_INDEX_DIGITS, DomainError, Value, refuse_above, require_at_least
 from .lattices import ChainSpec, chain
 
 RANK = "rank"
@@ -87,18 +87,16 @@ def _subgroup_cells(lat, idx):
 
 
 def rank_gradient_series(
-    spec: ChainSpec,
-    n: int,
-    steps: int | None = None,
-    *,
-    d0_override: int | None = None,
+    spec: ChainSpec, n: int, steps: int | None = None, *, d0_override: int | None = None
 ) -> GradientSeries:
     """Rows (d(H_s) - 1) / [G : H_s], bounded above via the cell calculus.
 
     The lower value is 0 (infinite groups need at least one generator).
     For n >= 3 the generic upper bound is symbolic in d0 unless a numeric
-    override is supplied.
+    override is supplied; an override below 1 is refused before the first row.
     """
+    if d0_override is not None:
+        require_at_least("d0 override", d0_override, 1)
 
     def bounds(lat, idx):
         d_upper = n if idx == 1 else d_bound(lat, d0_override=d0_override, chi_upto=0).d_upper
@@ -129,8 +127,7 @@ def chi_m_gradient_series(
     """Rows chi_m(H_s) / [G : H_s]; nonnegative, so the lower value is 0."""
     if n != 2:
         raise DomainError("chi_m gradient needs the n = 2 cell counts")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    require_at_least("m", m, 0)
 
     def bounds(lat, idx):
         return Fraction(0), Fraction(chi_m(_subgroup_cells(lat, idx), m), idx)

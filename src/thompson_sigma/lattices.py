@@ -32,7 +32,7 @@ from math import prod
 from ._linalg import eliminate, integer_kernel
 from .charspace import Character
 from .errors import MAX_LATTICES, DomainError, RankDeficientError, ZeroCharacterError, refuse_above
-from .errors import Value
+from .errors import Value, require_at_least
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -189,10 +189,8 @@ def hnf_bases(n: int, max_index: int) -> Iterator[IntRows]:
     The arguments and the budget are checked on the call, before the first
     basis: more than MAX_LATTICES lattices raise ResourceLimitError.
     """
-    if n < 2:
-        raise ValueError(f"arity must be >= 2, got {n}")
-    if max_index < 1:
-        raise ValueError(f"max_index must be >= 1, got {max_index}")
+    require_at_least("arity", n, 2)
+    require_at_least("max_index", max_index, 1)
     if _basis_count(n, max_index, MAX_LATTICES) > MAX_LATTICES:
         refuse_above("lattice count", None, MAX_LATTICES)
     return (basis for k in range(1, max_index + 1) for basis in _bases_of_index(n, (), k))
@@ -232,8 +230,7 @@ class ChainSpec(Value):
 
 def chain(spec: ChainSpec, s: int, n: int) -> SubgroupLattice:
     """The s-th term of the chain, s >= 0."""
-    if s < 0:
-        raise ValueError(f"chain position must be >= 0, got {s}")
+    require_at_least("chain position", s, 0)
     if spec.kind != "explicit":
         diagonal = [spec.p**s] + [spec.p**s if spec.kind == "scaling" else 1] * (n - 1)
         return hnf([[d if i == j else 0 for j in range(n)] for i, d in enumerate(diagonal)])

@@ -18,9 +18,9 @@ letter outermost: W(l_1 ... l_k) = M_{l_1} o ... o M_{l_k}, and under this
 convention the defining relations x_j^-1 x_i x_j = x_{i+n-1} (i > j) hold
 exactly; the relation suite in the tests is the contract for this choice.
 
-`PLMap(...)` checks its points as given and stores them minimized (collinear
-interior points dropped), so two maps are equal as functions iff their
-breakpoint tuples are equal.
+`PLMap(...)` checks its points as given and stores them as `Fraction`s,
+minimized (collinear interior points dropped), so two maps are equal as
+functions iff their breakpoint tuples are equal.
 
 `compose(f, g)` walks g's segments keeping one pointer k into f's
 breakpoints: an f-breakpoint is pulled back by the inverse slope of the
@@ -53,6 +53,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .errors import MAX_PL_INDEX, MAX_PL_WORK, ArityMismatchError, Value, refuse_above
+from .errors import require_at_least
 from .words import GroupWord, _pairwise_product
 
 Breakpoint = tuple[Fraction, Fraction]
@@ -95,8 +96,10 @@ class PLMap(Value):
 
     def __init__(self, arity: int, breakpoints: tuple[Breakpoint, ...]):
         bps = breakpoints
-        if not all(isinstance(c, (int, Fraction)) for p in bps for c in p):
-            raise ValueError(f"breakpoint coordinates must be ints or Fractions, got {bps!r}")
+        if not all(type(c) is Fraction for p in bps for c in p):  # `compose` passes only Fractions
+            if not all(isinstance(c, (int, Fraction)) for p in bps for c in p):
+                raise ValueError(f"breakpoint coordinates must be ints or Fractions, got {bps!r}")
+            bps = tuple(tuple(map(Fraction, p)) for p in bps)
         if not bps or bps[0] != (_ZERO, _ZERO) or bps[-1] != (_ONE, _ONE):
             raise ValueError("breakpoints must run from (0,0) to (1,1)")
         for k in range(len(bps) - 1):
@@ -187,10 +190,8 @@ def generator_map(n: int, i: int) -> PLMap:
     The construction is uniform in i; in particular it satisfies
     x_i = x_0^-1 x_{i-(n-1)} x_0 for i >= n (tested, not assumed).
     """
-    if n < 2:
-        raise ValueError(f"arity must be >= 2, got {n}")
-    if i < 0:
-        raise ValueError(f"generator index must be >= 0, got {i}")
+    require_at_least("arity", n, 2)
+    require_at_least("generator index", i, 0)
     if n > MAX_PL_INDEX:
         refuse_above("arity", n, MAX_PL_INDEX)
     if i > MAX_PL_INDEX:

@@ -34,7 +34,7 @@ from operator import gt, lt
 from typing import Iterable, NamedTuple
 
 from .errors import MAX_GENERATOR_INDEX, MAX_REWRITE_LETTERS, MAX_TOKEN_DIGITS, MAX_WORD_LETTERS
-from .errors import ArityMismatchError, ParseError, Value, refuse_above
+from .errors import ArityMismatchError, ParseError, Value, refuse_above, require_at_least
 
 DEFAULT_INDEX_CAP = MAX_GENERATOR_INDEX  # the name `perfbench/run.py` reads it under
 
@@ -72,8 +72,7 @@ class GroupWord(Value):
     __slots__ = ("arity", "letters")
 
     def __init__(self, arity: int, letters: tuple[GeneratorLetter, ...]):
-        if arity < 2:
-            raise ValueError(f"arity must be >= 2, got {arity}")
+        require_at_least("arity", arity, 2)
         if type(letters) is not tuple or not set(map(type, letters)) <= {GeneratorLetter}:
             letters = tuple(
                 let if isinstance(let, GeneratorLetter) else GeneratorLetter(*let) for let in letters

@@ -1,9 +1,8 @@
-"""With REPLAY_RECORD=FILE set, record every `cli.main` call to FILE (see
-`replay.py`); without it, this file does nothing."""
+"""With REPLAY_RECORD=FILE set, record every `cli.main` call to FILE (`identity.py record`)."""
 
 import os
 
 if os.environ.get("REPLAY_RECORD"):
-    import replay
+    import identity
 
-    replay.install_recorder(os.environ["REPLAY_RECORD"])
+    identity.install_recorder(os.environ["REPLAY_RECORD"])

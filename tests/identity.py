@@ -1,35 +1,73 @@
-"""Run a fixed, seeded catalogue of library calls, and compare two trees.
+"""Run fixed catalogues of library and CLI calls, and compare two trees.
 
-    python3 tests/identity.py compare TREE
-    python3 tests/identity.py run
+    python3 tests/identity.py record | run | compare TREE
 
-`run` makes every call of the catalogue on the `thompson_sigma` found on
-sys.path and prints one JSON line per call: its name and either a digest of
-its result or the type and message of what it raised.  Some calls run with a
-budget of `errors` patched smaller in the module that reads it, so that
-refusals are reached cheaply; each such name says which.
+`record` runs `tests/test_cli.py` (hypothesis seeded) with `conftest.py`
+wrapping `cli.main` in `install_recorder`, and keeps each distinct call (argv,
+THOMPSON_SIGMA_* variables, digit limit) as a line of `.replay/calls.jsonl`.
 
-`compare` runs the catalogue on this checkout's `src/` and then on TREE's
-(one subprocess per tree, one after the other), prints each call whose
-outcome differs, then a count, and exits 1 if any differ.  TREE is the root
-of another checkout, which needs no copy of this script.
+`run` makes, on the `thompson_sigma` found on sys.path, every call of the
+library catalogue, then every CLI call `record` kept, in-process, under its
+variables and digit limit (restored after each call).  It prints one JSON line
+per call: the call and its outcome.  A library call's outcome is a digest of
+its result, or the type and message of what it raised; a call named after a
+budget runs with that budget patched smaller where it is read, so refusals are
+cheap.  A CLI call's is its exit code, digests of stdout and stderr, and the
+head of stderr.
 
-Stdlib only; pytest does not collect this file (its name has no `test_`).
+`compare` records, then runs on this checkout's `src/` and on TREE's (one
+subprocess each, side by side), prints each call whose outcome differs, then
+a count, and exits 1 if any differ.  TREE, the root of another checkout, needs
+no copy of this script.  Stdlib only; pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
+CALLS = ROOT / ".replay" / "calls.jsonl"
+ENV_PREFIX = "THOMPSON_SIGMA_"
+
+
+def install_recorder(path: str) -> None:
+    """Wrap `cli.main` so that each call is appended to `path` (`record` drops repeats)."""
+    from thompson_sigma import cli
+
+    def recording_main(argv=None, main=cli.main):
+        call = {"argv": list(sys.argv[1:] if argv is None else argv), "digits": sys.get_int_max_str_digits(),
+                "env": {k: v for k, v in os.environ.items() if k.startswith(ENV_PREFIX)}}
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(json.dumps(call, sort_keys=True) + "\n")
+        return main(argv)
+
+    cli.main = recording_main
+
+
+def record() -> None:
+    CALLS.parent.mkdir(exist_ok=True)
+    CALLS.unlink(missing_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), REPLAY_RECORD=str(CALLS))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests/test_cli.py"]
+    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True)
+    lines = dict.fromkeys(CALLS.read_text(encoding="utf-8").splitlines())  # distinct, in order
+    CALLS.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    print(f"{len(lines)} distinct CLI calls recorded in {CALLS} (pytest exit {done.returncode})")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _canon(x) -> str:
@@ -53,17 +91,13 @@ def _outcome(call) -> str:
         result = call()
     except Exception as exc:  # a refusal is an outcome to compare too
         return f"raised {type(exc).__name__}: {exc}"
-    return "= " + hashlib.sha256(_canon(result).encode()).hexdigest()[:16]
+    return "= " + _digest(_canon(result))
 
 
 def _patched(module, name: str, value, call):
     """`call()` with the budget `name` set to `value` where `module` reads it."""
-    old = getattr(module, name)
-    setattr(module, name, value)
-    try:
+    with patch.object(module, name, value):
         return call()
-    finally:
-        setattr(module, name, old)
 
 
 def _letters(rng, length: int, top: int):
@@ -82,13 +116,8 @@ def _with_pairs(rng, letters, pairs: int, top: int):
 
 def catalogue():
     """Yield (name, call) pairs: the same calls, in the same order, on every tree."""
-    words = importlib.import_module("thompson_sigma.words")
-    plrep = importlib.import_module("thompson_sigma.plrep")
-    lattices = importlib.import_module("thompson_sigma.lattices")
-    complexes = importlib.import_module("thompson_sigma.complexes")
-    charspace = importlib.import_module("thompson_sigma.charspace")
-    autos = importlib.import_module("thompson_sigma.autos")
-    gradients = importlib.import_module("thompson_sigma.gradients")
+    from thompson_sigma import autos, charspace, complexes, gradients, lattices, plrep, words
+
     word = words.word
 
     # words: parsing
@@ -124,6 +153,7 @@ def catalogue():
             words, "MAX_REWRITE_LETTERS", 20, lambda: words.rewrite_to_seminormal(u))
     yield "normal_form/index-past-budget", lambda: words.normal_form(word(2, [(1 << 16 | 1, 1)]))
     yield "are_equal/arity-mismatch", lambda: words.are_equal(word(2, []), word(3, []))
+    yield "word/arity=1", lambda: word(1, [])
 
     # plrep: generator maps and their refusals
     for n in range(2, 7):
@@ -176,9 +206,6 @@ def catalogue():
         ("not-increasing", ((0, 0), (half, 1), (1, 1))),
         ("no-end", ((0, 0), (half, quarter))),
         ("empty", ()),
-    ):
-        yield f"PLMap/{name}", lambda p=points: plrep.PLMap(2, p)
-    for name, points in (
         ("collinear", [(0, 0), (quarter, quarter), (half, half), (1, 1)]),
         ("step-back", [(0, 0), (half, half), (quarter, quarter), (1, 1)]),
         ("float-list", [(0, 0), (0.5, half), (1, 1)]),
@@ -198,13 +225,15 @@ def catalogue():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         yield f"hnf/{k}", lambda rows=rows: lattices.hnf(rows)
     yield "hnf/rank-deficient", lambda: lattices.hnf([[1, 2], [2, 4]])
+    yield "hnf_bases/arity=1", lambda: list(lattices.hnf_bases(1, 3))
+    yield "hnf_bases/max_index=0", lambda: list(lattices.hnf_bases(2, 0))
     for k, lat in enumerate(lattices.enumerate_subgroups(2, 40)):
         yield f"cells_for_subgroup_F/{k}", lambda lat=lat: complexes.cells_for_subgroup_F(lat)
     for k, lat in enumerate(lattices.enumerate_subgroups(3, 8)):
         yield f"d_bound/{k}", lambda lat=lat: complexes.d_bound(lat)
-    for n in (2, 3):
-        yield f"d_bound/chi_upto=-1/{n}", lambda n=n: complexes.d_bound(
-            lattices.hnf([[2 * (i == j) for j in range(n)] for i in range(n)]), chi_upto=-1)
+    for n, rows in ((2, [[2, 0], [0, 2]]), (3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]]), ("m-contained", [[2, 0, 0], [0, 1, 0], [0, 0, 1]])):
+        for key, value in (("chi_upto", -1), ("d0_override", -5)):
+            yield f"d_bound/{key}={value}/{n}", lambda rows=rows, kw={key: value}: complexes.d_bound(lattices.hnf(rows), **kw)
     tail = complexes.AffineTail
     for name, args in (
         ("finite", ((1, 2),)),
@@ -218,6 +247,7 @@ def catalogue():
     ):
         yield f"CellVector/{name}", lambda a=args: complexes.CellVector(*a)
         yield f"cell_vector/{name}", lambda a=args: complexes.cell_vector(*a)
+    yield "CellVector.prefix/-1", lambda: complexes.cell_vector((1, 2)).prefix(-1)
 
     # charspace, autos
     rng = random.Random("charspace")
@@ -229,6 +259,12 @@ def catalogue():
         yield f"in_sigma_m/{k}", lambda chi=chi: charspace.in_sigma_m(chi, 2)
         yield f"d_orbit/{k}", lambda chi=chi: autos.d_orbit(charspace.sphere_point(chi))
         yield f"d_orbit/cap=4/{k}", lambda chi=chi: autos.d_orbit(charspace.sphere_point(chi), cap=4)
+    point = charspace.sphere_point(charspace.character(2, [1, 0]))
+    yield "d_orbit/cap=0", lambda: autos.d_orbit(point, cap=0)
+    yield "in_sigma_m/m=0", lambda: charspace.in_sigma_m(charspace.character(2, [1, 0]), 0)
+    yield "kernel_finiteness/m_max=0", lambda: charspace.kernel_finiteness([[1, 0]], m_max=0)
+    yield "character/arity=1", lambda: charspace.character(1, [1])
+    yield "CharacterMatrix/arity=1", lambda: autos.CharacterMatrix(1, ((1,),))
 
     # gradients
     for kind, p in (("scaling", 2), ("coordinate", 2), ("scaling", 3)):
@@ -239,11 +275,40 @@ def catalogue():
         yield f"chi_m_gradient_series/{kind}/{p}", lambda s=spec: gradients.chi_m_gradient_series(s, 2, 2, steps=4)
         yield f"certify_convergence/{kind}/{p}", lambda s=spec: gradients.certify_convergence(
             gradients.rank_gradient_series(s, 2, steps=5), Fraction(1, 8))
+        yield f"rank_gradient_series/{kind}/{p}/3/d0_override=0", lambda s=spec: gradients.rank_gradient_series(
+            s, 3, steps=3, d0_override=0)
+    yield "chi_m_gradient_series/m=-1", lambda: gradients.chi_m_gradient_series(lattices.ChainSpec("scaling", p=2), -1)
+    yield "chain/s=-1", lambda: lattices.chain(lattices.ChainSpec("scaling", p=2), -1, 2)
+
+
+def _cli_outcome(main, call) -> dict:
+    """The outcome of `main(argv)` under the call's variables and digit limit."""
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(call["digits"])
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with patch.dict(os.environ, call["env"]), redirect_stdout(out), redirect_stderr(err):
+            code = main(call["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # a traceback is an outcome to compare too
+        code = f"raised {type(exc).__name__}: {exc}"
+    finally:
+        sys.set_int_max_str_digits(digits)
+    err = err.getvalue()
+    return {"code": code, "out": _digest(out.getvalue()), "err": _digest(err), "err_head": err[:200]}
 
 
 def run() -> None:
+    calls = [json.loads(line) for line in CALLS.read_text(encoding="utf-8").splitlines()]
     for name, call in catalogue():
         print(json.dumps({"call": name, "outcome": _outcome(call)}))
+    from thompson_sigma import cli
+
+    for key in [k for k in os.environ if k.startswith(ENV_PREFIX)]:
+        del os.environ[key]  # each CLI call sets its own
+    for call in calls:
+        print(json.dumps({"call": call, "outcome": _cli_outcome(cli.main, call)}))
 
 
 def _run_on(tree: Path) -> list[dict]:
@@ -254,7 +319,9 @@ def _run_on(tree: Path) -> list[dict]:
 
 
 def compare(tree: Path) -> int:
-    here, there = _run_on(ROOT), _run_on(tree.resolve())
+    record()
+    with ThreadPoolExecutor(2) as pool:  # the two trees side by side
+        here, there = pool.map(_run_on, (ROOT, tree.resolve()))
     if [a["call"] for a in here] != [b["call"] for b in there]:
         print("the two trees ran different catalogues")
         return 1
@@ -268,8 +335,8 @@ def compare(tree: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if argv == ["run"]:
-        run()
+    if argv in (["record"], ["run"]):
+        (record if argv == ["record"] else run)()
         return 0
     if argv[:1] == ["compare"] and len(argv) == 2:
         return compare(Path(argv[1]))

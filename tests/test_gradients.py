@@ -6,7 +6,7 @@ import pytest
 
 from thompson_sigma import gradients
 from thompson_sigma.complexes import cells_for_subgroup_F, chi_m, classical_f_cells, d_bound
-from thompson_sigma.errors import MAX_INDEX_DIGITS, DomainError, ResourceLimitError
+from thompson_sigma.errors import MAX_INDEX_DIGITS, DomainError, ParseError, ResourceLimitError
 from thompson_sigma.gradients import (
     certify_convergence,
     chi_m_gradient_series,
@@ -47,6 +47,16 @@ class TestRankGradient:
     def test_numeric_rows_with_override(self):
         series = rank_gradient_series(SCALING2, 3, steps=3, d0_override=2)
         assert series.rows[1].upper == Fraction(3 + 2 + 2 - 1, 8)
+
+    def test_override_below_one_refused_on_entry(self):
+        # for every lattice, whether or not its bound reads d0, and before the first row
+        for rows in ([[2, 0], [0, 2]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]):
+            with pytest.raises(ParseError, match="^d0 override must be >= 1, got -5$"):
+                d_bound(hnf(rows), d0_override=-5)
+        for spec in (ChainSpec("coordinate", p=2), SCALING2):
+            for n, steps in ((2, 3), (3, 3), (3, 1)):
+                with pytest.raises(ParseError, match="^d0 override must be >= 1, got 0$"):
+                    rank_gradient_series(spec, n, steps, d0_override=0)
 
     def test_steps_required(self):
         for steps in (None, 0):

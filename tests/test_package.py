@@ -49,12 +49,52 @@ class TestSurface:
 
 
 def test_budget_errors_built_only_in_errors():
-    # every refusal goes through errors.refuse_above, in its one message form
+    # every refusal goes through errors.refuse_above, in its one message form,
+    # and every "<what> must be >= <low>" through errors.require_at_least
+    # (ChainSpec's and the CLI's argparse messages name no <what>)
     for path in sorted((SRC / "thompson_sigma").glob("*.py")):
         if path.name != "errors.py":
             text = path.read_text()
             assert "ResourceLimitError(" not in text, path.name
             assert "exceeds the budget" not in text, path.name
+            assert not re.search(r"\w must be >=", text), path.name
+
+
+def _lower_bound_calls():
+    from thompson_sigma.autos import CharacterMatrix
+
+    ts = thompson_sigma
+    coordinate = ts.ChainSpec("coordinate", p=2)
+    point = ts.sphere_point(ts.character(2, [1, 0]))
+    lattice = ts.hnf([[2, 0], [0, 2]])
+    return {  # each check routed through errors.require_at_least: a call that fails it, and its message
+        "GroupWord arity": (lambda: ts.word(1, []), "arity must be >= 2, got 1"),
+        "Character arity": (lambda: ts.character(0, []), "arity must be >= 2, got 0"),
+        "CharacterMatrix arity": (lambda: CharacterMatrix(1, ((1,),)), "arity must be >= 2, got 1"),
+        "generator_map arity": (lambda: ts.generator_map(1, 0), "arity must be >= 2, got 1"),
+        "hnf_bases arity": (lambda: ts.hnf_bases(-1, 3), "arity must be >= 2, got -1"),
+        "generator index": (lambda: ts.generator_map(2, -1), "generator index must be >= 0, got -1"),
+        "max_index": (lambda: ts.hnf_bases(2, 0), "max_index must be >= 1, got 0"),
+        "in_sigma_m m": (lambda: ts.in_sigma_m(ts.character(2, [1, 0]), 0), "m must be >= 1, got 0"),
+        "chi series m": (lambda: ts.chi_m_gradient_series(coordinate, -2, 2, 3), "m must be >= 0, got -2"),
+        "m_max": (lambda: ts.kernel_finiteness([[1, 0]], m_max=0), "m_max must be >= 1, got 0"),
+        "cap": (lambda: ts.d_orbit(point, cap=-4), "cap must be >= 1, got -4"),
+        "chain position": (lambda: ts.chain(coordinate, -1, 2), "chain position must be >= 0, got -1"),
+        "d0 override": (lambda: ts.d_bound(lattice, d0_override=0), "d0 override must be >= 1, got 0"),
+        "prefix dimension": (lambda: ts.cell_vector((1, 2)).prefix(-1), "dimension must be >= 0, got -1"),
+        "d_bound dimension": (lambda: ts.d_bound(lattice, chi_upto=-3), "dimension must be >= 0, got -3"),
+    }
+
+
+LOWER_BOUND_CALLS = _lower_bound_calls()
+
+
+@pytest.mark.parametrize("check", LOWER_BOUND_CALLS)
+def test_lower_bounds_raise_parse_error(check):
+    call, message = LOWER_BOUND_CALLS[check]
+    with pytest.raises(ParseError) as refused:
+        call()
+    assert isinstance(refused.value, ValueError) and str(refused.value) == message
 
 
 def test_readme_budget_table_is_the_budget_table():

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from thompson_sigma.plrep import (
     invert_map,
     maps_equal,
 )
-from thompson_sigma.words import parse_word, word
+from thompson_sigma.words import _LEAF, normal_form, parse_word, word
 
 from oracles import (
     identity_word,
@@ -527,3 +528,35 @@ class TestCoordinateTypes:
             PLMap(2, ((0, 0), (Fraction(1, 2), 0.25), (1.0, 1)))
         ok = PLMap(2, ((0, 0), (Fraction(1, 2), Fraction(1, 4)), (1, 1)))
         assert ok.to_quadruples()[1] == ["1", "2", "1", "4"]
+
+    def test_int_coordinates_stored_as_fractions(self):
+        for points in (((0, 0), (1, 1)), [(0, 0), (1, 1)], ((False, False), (True, True))):
+            f = PLMap(2, points)
+            assert repr(f) == repr(identity_map(2)) and f == identity_map(2)
+            for value in (evaluate_at(f, 0), evaluate_at(f, 1), f(Fraction(1, 3)), *f.slopes()):
+                assert type(value) is Fraction, points
+        f = PLMap(3, ((0, 0), (Fraction(1, 3), Fraction(1, 9)), (1, 1)))
+        assert all(type(c) is Fraction for p in f.breakpoints for c in p)
+        assert f == PLMap(3, tuple((Fraction(x), Fraction(y)) for x, y in f.breakpoints))
+
+
+class TestLongWordRoute:
+    """`normal_form` of a word longer than `_LEAF` letters merges the forms of
+    its runs; the PL oracle, which shares none of the rewriting rules, checks
+    that the merged form is the same element."""
+
+    def test_normal_form_keeps_the_map(self):
+        rng = random.Random("long-word route")
+        compared = Counter()
+        for k in range(24):  # n = 2..4, each with 2, 3, 4 and 5 runs twice
+            n, runs = 2 + k % 3, 2 + (k // 3) % 4
+            length = rng.randint(_LEAF * (runs - 1) + 1, min(_LEAF * runs, 260))
+            w = word(n, [(rng.randrange(7), rng.choice((1, -1))) for _ in range(length)])
+            try:
+                target = evaluate_word(normal_form(w).to_word())
+            except ResourceLimitError:  # its indices grew past MAX_PL_INDEX or MAX_PL_WORK
+                continue
+            assert evaluate_word(w) == target, (n, length)
+            compared[n, runs % 2] += 1
+        for n in (2, 3, 4):  # 23 of the 24 words fit the budgets
+            assert compared[n, 0] + compared[n, 1] >= 7 and min(compared[n, 0], compared[n, 1]) >= 3, compared
