@@ -32,6 +32,7 @@ from math import gcd, lcm
 
 from ._linalg import rank
 from .errors import ConjectureRequiredError, ParseError, Value, ZeroCharacterError, require_at_least
+from .errors import require_ints
 
 RationalVector = tuple[Fraction, ...]
 
@@ -201,7 +202,7 @@ def kernel_finiteness(
 ) -> FinitenessReport:
     """Finiteness type of N = (preimage in G of the lattice L), G' <= N.
 
-    `lattice_rows` are integer generators of L inside Z^n (any rank).  The
+    `lattice_rows` are generators of L inside Z^n (any rank), rows of ints.  The
     decision is exact and runs in integer arithmetic: the annihilator V of
     L is intersected with the Sigma^1 complement {[chi1], [chi2]} and with
     the Sigma^m complement wedge.  "infinity" is certified when V misses
@@ -215,7 +216,7 @@ def kernel_finiteness(
     n = len(lattice_rows[0])
     if n < 2 or any(len(r) != n for r in lattice_rows):
         raise ValueError("lattice rows must all have length n >= 2")
-    rows = [list(map(int, r)) for r in lattice_rows]
+    rows = [require_ints("lattice entries", r) for r in lattice_rows]
 
     if rank(rows, n) == n:
         return FinitenessReport(True, "infinity", None, False)

@@ -36,7 +36,7 @@ characteristic, checked nonnegative; `deficiency_bounds` gives
 from __future__ import annotations
 
 from .errors import DEFAULT_DIM_CAP, MAX_DIM, DomainError, InvariantViolationError, Value, refuse_above
-from .errors import require_at_least
+from .errors import require_at_least, require_ints
 from .lattices import SubgroupLattice, member
 
 
@@ -60,7 +60,7 @@ class CellVector(Value):
     __slots__ = ("counts", "tail")
 
     def __init__(self, counts: tuple[int, ...], tail: AffineTail | None = None):
-        counts = list(map(int, counts))
+        counts = require_ints("cell counts", counts)
         if any(v < 0 for v in counts):
             raise ValueError(f"negative cell count in {counts}")
         tail = AffineTail(0, 0, len(counts)) if tail is None else tail  # finite: zero past the counts

@@ -7,8 +7,9 @@ ParseError to exit code 1.
 
 Every route ends at a budget: a fixed one of `BUDGETS`, or a call-time cap
 (the orbit `cap`, THOMPSON_SIGMA_MAX_INDEX, CPython's limit on printed
-digits).  All refuse through `refuse_above`, in one message form, and every
-argument below its range (an arity below 2, say) through `require_at_least`.
+digits).  All refuse through `refuse_above`, in one message form, every
+argument below its range (an arity below 2, say) through `require_at_least`,
+and every integer entry that is not an int through `require_ints`.
 
 `Value` is the base of the package's value classes, from words to gradient rows.
 """
@@ -20,15 +21,25 @@ from typing import NamedTuple, NoReturn
 class Value:
     """An immutable record whose fields, two or more, are its class's `__slots__`.
 
-    Each `__init__` sets each field once with `object.__setattr__`.  Equality
-    (within one class), hashing, `repr` and pickling (through `__init__`) go by
-    the fields, and setting or deleting one raises AttributeError.
+    Each `__init__` checks its arguments and sets each field once with
+    `object.__setattr__`.  `_trusted` sets the fields unchecked, for a value
+    the package built itself from checked values.  Equality (within one
+    class), hashing, `repr` and pickling (through `__init__`) go by the
+    fields, and setting or deleting one raises AttributeError.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = attrgetter(*cls.__slots__)
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """The value with these fields, in slot order, skipping `__init__`."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(self, name, value)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -102,6 +113,18 @@ def require_at_least(what: str, value, low) -> None:
     """Raise ParseError "<what> must be >= <low>, got <value>" if value < low."""
     if value < low:
         raise ParseError(f"{what} must be >= {low}, got {value}")
+
+
+def require_ints(what: str, values) -> list[int]:
+    """`values` as a list of ints; ValueError "<what> must be ints, got <value>"
+    names the first entry that is not one.  A bool becomes its int."""
+    out = list(values)
+    if {int}.issuperset(map(type, out)):
+        return out
+    for v in out:
+        if not isinstance(v, int):
+            raise ValueError(f"{what} must be ints, got {v!r}")
+    return list(map(int, out))
 
 
 class Budget(NamedTuple):

@@ -32,7 +32,7 @@ from math import prod
 from ._linalg import eliminate, integer_kernel
 from .charspace import Character
 from .errors import MAX_LATTICES, DomainError, RankDeficientError, ZeroCharacterError, refuse_above
-from .errors import Value, require_at_least
+from .errors import Value, require_at_least, require_ints
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -56,9 +56,10 @@ class SubgroupLattice(Value):
 def hnf(rows, arity: int | None = None) -> SubgroupLattice:
     """Canonical HNF lattice spanned by integer rows.
 
-    Raises RankDeficientError unless the rows span a full-rank sublattice.
+    Raises RankDeficientError unless the rows span a full-rank sublattice,
+    and ValueError for an entry that is not an int.
     """
-    work = [list(map(int, r)) for r in rows]
+    work = [require_ints("lattice entries", r) for r in rows]
     if not work:
         raise RankDeficientError("no generators")
     n = len(work[0]) if arity is None else arity
@@ -93,8 +94,8 @@ def alpha(lat: SubgroupLattice) -> int:
 
 
 def member(lat: SubgroupLattice, vector) -> bool:
-    """Is the integer vector in the lattice?  Back-substitution on the HNF."""
-    v = list(map(int, vector))
+    """Is the vector of ints in the lattice?  Back-substitution on the HNF."""
+    v = require_ints("vector entries", vector)
     if len(v) != lat.arity:
         raise ValueError(f"vector length {len(v)} != arity {lat.arity}")
     for i in range(lat.arity - 1, -1, -1):

@@ -20,14 +20,19 @@ exactly; the relation suite in the tests is the contract for this choice.
 
 `PLMap(...)` checks its points as given and stores them as `Fraction`s,
 minimized (collinear interior points dropped), so two maps are equal as
-functions iff their breakpoint tuples are equal.
+functions iff their breakpoint tuples are equal.  `compose` and `invert_map`
+build their results from valid maps, so they skip those checks
+(`Value._trusted`); `TestComposite` pins that every such result rebuilds
+unchanged through `PLMap(...)`.
 
 `compose(f, g)` walks g's segments keeping one pointer k into f's
 breakpoints: an f-breakpoint is pulled back by the inverse slope of the
 g-segment it falls in (one division per segment), a g-breakpoint pushed
 through f's segment fb[k-1]..fb[k].  That is O(|f| + |g|) `Fraction`
 operations, then one minimizing pass, which carries its differences and
-compares slopes on integers.
+compares slopes on integers.  Skipping the constructor's type and order
+checks, Python-level `Fraction` tests per point, cut the median latency of
+the `oracle_pairs` benchmark by 14% (eleven seeded pairs of runs).
 
 `evaluate_word` first reduces its word freely, cancelling each adjacent
 x_i^e x_i^-e (nested pairs included) in one stack pass, then composes the
@@ -96,7 +101,7 @@ class PLMap(Value):
 
     def __init__(self, arity: int, breakpoints: tuple[Breakpoint, ...]):
         bps = breakpoints
-        if not all(type(c) is Fraction for p in bps for c in p):  # `compose` passes only Fractions
+        if not all(type(c) is Fraction for p in bps for c in p):  # the package passes only Fractions
             if not all(isinstance(c, (int, Fraction)) for p in bps for c in p):
                 raise ValueError(f"breakpoint coordinates must be ints or Fractions, got {bps!r}")
             bps = tuple(tuple(map(Fraction, p)) for p in bps)
@@ -145,8 +150,8 @@ def evaluate_at(f: PLMap, t: Fraction) -> Fraction:
 
 
 def invert_map(f: PLMap) -> PLMap:
-    """Swap input and output of every breakpoint."""
-    return PLMap(f.arity, tuple((y, x) for x, y in f.breakpoints))
+    """Swap input and output of every breakpoint; a minimized map stays so."""
+    return PLMap._trusted(f.arity, tuple((y, x) for x, y in f.breakpoints))
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
@@ -154,7 +159,9 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
 
     The walk emits, in order of input, g's breakpoints and the g-preimages
     of f's breakpoints with their images under f o g; an f-breakpoint that
-    lands exactly on a g-breakpoint's image is emitted once.
+    lands exactly on a g-breakpoint's image is emitted once.  These points
+    are `Fraction`s from (0,0) to (1,1), strictly increasing, so the map is
+    built from them minimized, without `PLMap(...)`'s checks.
     """
     if f.arity != g.arity:
         raise ArityMismatchError(f"arity {f.arity} vs {g.arity}")
@@ -180,7 +187,7 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
             u0, v0 = fb[k - 1]
             points.append((x1, v0 + (y1 - u0) * (v - v0) / (u - u0)))
         x0, y0 = x1, y1
-    return PLMap(f.arity, points)
+    return PLMap._trusted(f.arity, _minimized(points))
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,9 @@ Canonicity is certified against the exact piecewise-linear representation
 
 Index bumping grows indices with the word's length, so every rewriting entry
 point raises ResourceLimitError for an index past MAX_GENERATOR_INDEX.  All
-values are immutable; operations return fresh objects.
+values are immutable; operations return fresh objects.  The constructors
+check their arguments; the operations build their results from checked
+values without those checks (`Value._trusted`).
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ class GeneratorLetter(NamedTuple):
     exponent: int
 
 
+def _check_index(i) -> None:
+    if not isinstance(i, int):
+        raise ValueError(f"generator index must be an int, got {i!r}")
+    if i < 0:
+        raise ValueError(f"negative generator index {i}")
+
+
 class GroupWord(Value):
     """A finite word in the generators of F_{n,infinity}.
 
@@ -77,12 +86,13 @@ class GroupWord(Value):
             letters = tuple(
                 let if isinstance(let, GeneratorLetter) else GeneratorLetter(*let) for let in letters
             )
-        if any(i < 0 or e not in (1, -1) for i, e in set(letters)):  # distinct letters only
-            for let in letters:  # the first bad letter
-                if let.index < 0:
-                    raise ValueError(f"negative generator index {let.index}")
-                if let.exponent not in (1, -1):
-                    raise ValueError(f"letter exponent must be +-1, got {let.exponent}")
+        if any(  # distinct letters only
+            type(i) is not int or type(e) is not int or i < 0 or e not in (1, -1) for i, e in set(letters)
+        ):
+            for i, e in letters:  # the first bad letter
+                _check_index(i)
+                if e not in (1, -1) or not isinstance(e, int):
+                    raise ValueError(f"letter exponent must be +-1, got {e}")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "letters", letters)
 
@@ -94,12 +104,18 @@ class SeminormalForm(Value):
     """Positive part (non-decreasing) times inverse part (non-increasing).
 
     Represents (prod_i x_{positive[i]}) * (prod_j x_{negative[j]}^-1) where
-    `negative` is read left to right.
+    `negative` is read left to right.  Its indices are checked as a
+    `GroupWord`'s, so `to_word` builds its word unchecked.
     """
 
     __slots__ = ("arity", "positive", "negative")
 
     def __init__(self, arity: int, positive: tuple[int, ...], negative: tuple[int, ...]):
+        require_at_least("arity", arity, 2)
+        indices = (*positive, *negative)
+        if not {int}.issuperset(map(type, indices)) or min(indices, default=0) < 0:
+            for i in indices:  # the first bad index
+                _check_index(i)
         if any(map(gt, positive, positive[1:])):
             raise ValueError(f"positive part not sorted: {positive}")
         if any(map(lt, negative, negative[1:])):
@@ -114,7 +130,7 @@ class SeminormalForm(Value):
     def to_word(self) -> GroupWord:
         letters = [GeneratorLetter(i, 1) for i in self.positive]
         letters += [GeneratorLetter(i, -1) for i in self.negative]
-        return GroupWord(self.arity, tuple(letters))
+        return GroupWord._trusted(self.arity, tuple(letters))
 
 
 def word(arity: int, letters: Iterable[tuple[int, int]]) -> GroupWord:
@@ -160,7 +176,7 @@ def format_word(w: GroupWord) -> str:
 
 def invert(w: GroupWord) -> GroupWord:
     """Reverse the letter sequence and negate exponents."""
-    return GroupWord(
+    return GroupWord._trusted(
         w.arity,
         tuple(GeneratorLetter(l.index, -l.exponent) for l in reversed(w.letters)),
     )
@@ -169,7 +185,7 @@ def invert(w: GroupWord) -> GroupWord:
 def concat(u: GroupWord, v: GroupWord) -> GroupWord:
     if u.arity != v.arity:
         raise ArityMismatchError(f"arity {u.arity} vs {v.arity}")
-    return GroupWord(u.arity, u.letters + v.letters)
+    return GroupWord._trusted(u.arity, u.letters + v.letters)
 
 
 def _check_max(indices: Iterable[int]) -> None:
@@ -258,7 +274,7 @@ def rewrite_to_seminormal(w: GroupWord) -> SeminormalForm:
         refuse_above("rewrite length", len(w.letters), MAX_REWRITE_LETTERS)
     _check_max(max(w.letters, default=())[:1])  # the largest letter's index is the largest
     pos, neg = _rewrite(w.letters, w.arity)
-    return SeminormalForm(w.arity, tuple(pos), tuple(neg))
+    return SeminormalForm._trusted(w.arity, tuple(pos), tuple(neg))
 
 
 def _merge(u, v, s: int) -> tuple[list[int], list[int]]:
@@ -344,7 +360,7 @@ def multiply(u: SeminormalForm, v: SeminormalForm) -> SeminormalForm:
         raise ArityMismatchError(f"arity {u.arity} vs {v.arity}")
     _check_max(u.positive[-1:] + u.negative[:1] + v.positive[-1:] + v.negative[:1])
     pos, neg = _merge((u.positive, u.negative), (v.positive, v.negative), u.arity - 1)
-    return SeminormalForm(u.arity, tuple(pos), tuple(neg))
+    return SeminormalForm._trusted(u.arity, tuple(pos), tuple(neg))
 
 
 def _reduce(pos: list[int], neg: list[int], n: int):
@@ -417,7 +433,7 @@ def normal_form(w: GroupWord) -> SeminormalForm:
     ]
     pos, neg = _pairwise_product(forms, lambda u, v: _merge(u, v, n - 1))
     _reduce(pos, neg, n)
-    return SeminormalForm(n, tuple(pos), tuple(neg))
+    return SeminormalForm._trusted(n, tuple(pos), tuple(neg))
 
 
 def are_equal(u: GroupWord, v: GroupWord) -> bool:

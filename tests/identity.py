@@ -143,6 +143,10 @@ def catalogue():
         yield f"are_equal/self/{k}", lambda u=u, r=random.Random(k): words.are_equal(
             u, word(u.arity, _with_pairs(r, u.letters, 2, 5)))
         yield f"abelianize/{k}", lambda u=u: words.abelianize(u)
+        if k < 200:  # the routes that build their values unchecked
+            yield f"invert/{k}", lambda u=u: words.invert(u)
+            yield f"concat/{k}", lambda u=u, v=v: words.concat(u, v)
+            yield f"to_word/{k}", lambda u=u: words.normal_form(u).to_word()
     for k in range(40):  # indices bumped past a small budget, and long rewrites
         n = 2 + k % 3
         u = word(n, _letters(rng, 30, 12))
@@ -154,6 +158,25 @@ def catalogue():
     yield "normal_form/index-past-budget", lambda: words.normal_form(word(2, [(1 << 16 | 1, 1)]))
     yield "are_equal/arity-mismatch", lambda: words.are_equal(word(2, []), word(3, []))
     yield "word/arity=1", lambda: word(1, [])
+    for name, letters in (  # letters that are not (int, +-1)
+        ("float-index", [(1.5, 1), (0, 1.0)]),
+        ("float-exponent", [(0, 1), (2, 1.0)]),
+        ("integral-float-index", [(2.0, 1)]),
+        ("string-index", [("1", -1)]),
+        ("negative-float-index", [(-1.5, 1)]),
+        ("negative-index", [(0, 1), (-1, 1)]),
+        ("exponent-2", [(0, 2)]),
+        ("bool", [(True, 1), (0, True)]),
+    ):
+        yield f"word/{name}", lambda letters=letters: word(2, letters)
+        yield f"normal_form/{name}", lambda letters=letters: words.normal_form(word(2, letters))
+    for name, positive, negative in (
+        ("valid", (0, 2), (1,)),
+        ("float", (0, 1.5), ()),
+        ("negative", (), (3, -1)),
+        ("unsorted", (2, 0), ()),
+    ):
+        yield f"SeminormalForm/{name}", lambda p=positive, q=negative: words.SeminormalForm(2, p, q).to_word()
 
     # plrep: generator maps and their refusals
     for n in range(2, 7):
@@ -195,6 +218,7 @@ def catalogue():
         g = plrep.evaluate_word(word(n, _letters(rng, rng.randrange(14), 6)))
         yield f"compose/{k}", lambda f=f, g=g: plrep.compose(f, g)
         yield f"compose/inverse/{k}", lambda f=f: plrep.compose(f, plrep.invert_map(f))
+        yield f"invert_map/{k}", lambda g=g: plrep.invert_map(g)
         t = Fraction(rng.randrange(1000), 999)
         yield f"evaluate_at/{k}", lambda f=f, t=t: plrep.evaluate_at(f, t)
     yield "compose/arity-mismatch", lambda: plrep.compose(plrep.generator_map(2, 0), plrep.generator_map(3, 0))
@@ -225,6 +249,13 @@ def catalogue():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         yield f"hnf/{k}", lambda rows=rows: lattices.hnf(rows)
     yield "hnf/rank-deficient", lambda: lattices.hnf([[1, 2], [2, 4]])
+    lat = lattices.hnf([[2, 0], [0, 2]])
+    for name, entry in (("float", 1.5), ("integral-float", 2.0), ("fraction", Fraction(5, 2)), ("string", "3"),
+                        ("bool", True), ("int", 4)):
+        yield f"hnf/{name}", lambda e=entry: lattices.hnf([[e, 0], [0, 2]])
+        yield f"member/{name}", lambda e=entry: lattices.member(lat, (e, 0))
+        yield f"kernel_finiteness/{name}", lambda e=entry: charspace.kernel_finiteness([[e, 0]])
+        yield f"CellVector/{name}", lambda e=entry: complexes.CellVector((1, e))
     yield "hnf_bases/arity=1", lambda: list(lattices.hnf_bases(1, 3))
     yield "hnf_bases/max_index=0", lambda: list(lattices.hnf_bases(2, 0))
     for k, lat in enumerate(lattices.enumerate_subgroups(2, 40)):

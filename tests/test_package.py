@@ -69,6 +69,7 @@ def _lower_bound_calls():
     lattice = ts.hnf([[2, 0], [0, 2]])
     return {  # each check routed through errors.require_at_least: a call that fails it, and its message
         "GroupWord arity": (lambda: ts.word(1, []), "arity must be >= 2, got 1"),
+        "SeminormalForm arity": (lambda: ts.SeminormalForm(1, (), ()), "arity must be >= 2, got 1"),
         "Character arity": (lambda: ts.character(0, []), "arity must be >= 2, got 0"),
         "CharacterMatrix arity": (lambda: CharacterMatrix(1, ((1,),)), "arity must be >= 2, got 1"),
         "generator_map arity": (lambda: ts.generator_map(1, 0), "arity must be >= 2, got 1"),
@@ -95,6 +96,26 @@ def test_lower_bounds_raise_parse_error(check):
     with pytest.raises(ParseError) as refused:
         call()
     assert isinstance(refused.value, ValueError) and str(refused.value) == message
+
+
+def test_integer_entries_refuse_other_types():
+    # each entry goes through errors.require_ints; a bool counts as its int
+    from thompson_sigma.lattices import member
+
+    ts = thompson_sigma
+    lattice = ts.hnf([[2, 0], [0, 2]])
+    calls = [  # (what, entries -> result) for each route that takes integer entries
+        ("vector entries", lambda a, b: member(lattice, (a, b))),
+        ("lattice entries", lambda a, b: ts.hnf([[a, 0], [b, 2]])),
+        ("lattice entries", lambda a, b: ts.kernel_finiteness([[a, b]])),
+        ("cell counts", lambda a, b: ts.CellVector((a, b))),
+    ]
+    for what, call in calls:
+        for bad in (0.5, 2.9, Fraction(5, 2), Fraction(2), "3", 1.0, None):
+            with pytest.raises(ValueError, match=f"^{what} must be ints, got {re.escape(repr(bad))}$"):
+                call(1, bad)
+        assert call(True, False) == call(1, 0)
+    assert member(lattice, (2, -4)) and not member(lattice, (1, 0))
 
 
 def test_readme_budget_table_is_the_budget_table():
@@ -157,6 +178,11 @@ def test_value_semantics(module, name, args, text):
     assert repr(value) == text  # the refused writes changed nothing
     assert pickle.loads(pickle.dumps(value)) == value
     assert copy.deepcopy(value) == value
+    # the same fields set unchecked, as the package builds its own values
+    trusted = cls._trusted(*(getattr(value, field) for field in cls.__slots__))
+    assert type(trusted) is cls and trusted == value and value == trusted
+    assert hash(trusted) == hash(value) and repr(trusted) == text
+    assert pickle.loads(pickle.dumps(trusted)) == value and copy.deepcopy(trusted) == value
 
 
 def test_values_of_different_classes_differ():

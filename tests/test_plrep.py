@@ -12,6 +12,7 @@ from thompson_sigma import plrep
 from thompson_sigma.errors import MAX_PL_INDEX, MAX_PL_WORK, ArityMismatchError, ResourceLimitError
 from thompson_sigma.plrep import (
     PLMap,
+    _minimized,
     compose,
     evaluate_at,
     evaluate_word,
@@ -485,18 +486,24 @@ class TestFreeReduction:
 
 
 class TestComposite:
-    """Every composite of the seeded suites rebuilds unchanged through
-    `PLMap.__init__`'s checks: the property an unchecked construction in
-    `compose` would rest on."""
+    """`compose` and `invert_map` build their maps without `PLMap.__init__`'s
+    checks.  Over the seeded suites, every point list `compose` minimizes
+    passes those checks, and every composite and inverse rebuilds unchanged
+    through them."""
 
     def test_seeded_composites_rebuild_through_the_checks(self, monkeypatch):
-        built = []
+        built, walked = [], []
 
         def recording(f, g):
             built.append(compose(f, g))
             return built[-1]
 
+        def minimized(points):
+            walked.append(points)
+            return _minimized(points)
+
         monkeypatch.setattr(plrep, "compose", recording)  # evaluate_word's too
+        monkeypatch.setattr(plrep, "_minimized", minimized)
         rng = random.Random(6)  # the seeded pairs of TestComposeOracle
         for k in range(300):
             n = 2 + k % 3
@@ -513,9 +520,15 @@ class TestComposite:
             for i in range(1, 9):
                 for j in range(i):
                     evaluate_word(word(n, [(j, -1), (i, 1), (j, 1)]))
+        for points in walked:  # a repeated point would be minimized away unseen
+            assert points[0] == (0, 0) and points[-1] == (1, 1), points
+            assert all(type(c) is Fraction for p in points for c in p), points
+            assert all(a < c and b < d for (a, b), (c, d) in zip(points, points[1:])), points
         for h in built:
             assert type(h) is PLMap and PLMap(h.arity, h.breakpoints) == h, h
-        assert len(built) > 4000
+            inverse = invert_map(h)
+            assert type(inverse) is PLMap and PLMap(h.arity, inverse.breakpoints) == inverse, h
+        assert len(built) > 4000 and len(walked) >= len(built)
 
 
 class TestCoordinateTypes:
@@ -560,3 +573,39 @@ class TestLongWordRoute:
             compared[n, runs % 2] += 1
         for n in (2, 3, 4):  # 23 of the 24 words fit the budgets
             assert compared[n, 0] + compared[n, 1] >= 7 and min(compared[n, 0], compared[n, 1]) >= 3, compared
+
+    def test_same_partition_as_maps(self):
+        # `TestCanonicity` on words past `_LEAF` letters: each base word has
+        # three equal copies, with a relator x_j^-1 x_i x_j x_{i+n-1}^-1 (or
+        # its inverse), a cancelling pair, or both inserted, and two unequal
+        # ones, the base and its relator copy with one letter changed
+        rng = random.Random("long-word partition")
+
+        def inserted(letters, piece):
+            p = rng.randrange(len(letters) + 1)
+            return letters[:p] + piece + letters[p:]
+
+        def changed(letters):
+            p = rng.randrange(len(letters))
+            i, e = letters[p]
+            new = (i, -e) if rng.random() < 0.5 else ((i + rng.randrange(1, 7)) % 7, e)
+            return letters[:p] + [new] + letters[p + 1 :]
+
+        for n in (2, 3, 4):
+            by_form, by_map = {}, {}
+            for _ in range(2):
+                base = [(rng.randrange(7), rng.choice((1, -1))) for _ in range(rng.randint(_LEAF + 1, 200))]
+                j = rng.randrange(6)
+                i = rng.randrange(j + 1, 7)
+                relator = [(j, -1), (i, 1), (j, 1), (i + n - 1, -1)]
+                if rng.random() < 0.5:
+                    relator = [(k, -e) for k, e in reversed(relator)]
+                k, e = rng.randrange(7), rng.choice((1, -1))
+                related = inserted(base, relator)
+                copies = (inserted(base, [(k, e), (k, -e)]), inserted(related, [(k, -e), (k, e)]))
+                for letters in (base, related, *copies, changed(base), changed(related)):
+                    w = word(n, letters)
+                    by_form.setdefault(normal_form(w), set()).add(w)
+                    by_map.setdefault(evaluate_word(w), set()).add(w)
+            assert set(map(frozenset, by_form.values())) == set(map(frozenset, by_map.values()))
+            assert sorted(map(len, by_form.values())) == [1, 1, 1, 1, 4, 4], n

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from thompson_sigma.errors import (
 from thompson_sigma import words
 from thompson_sigma.words import (
     _LEAF,
+    GeneratorLetter,
     GroupWord,
     SeminormalForm,
     abelianize,
@@ -239,6 +241,65 @@ class TestMultiplyInvert:
             assert plrep.maps_equal(
                 plrep.evaluate_word(sn.to_word()), plrep.identity_map(n)
             )
+
+
+class TestTrustedRoutes:
+    """`rewrite_to_seminormal`, `multiply`, `normal_form`, `invert`, `concat`
+    and `to_word` build their values without the constructors' checks.  Over
+    seeded words, every such value rebuilds unchanged through them."""
+
+    def test_values_rebuild_through_the_checks(self):
+        rng = random.Random("trusted routes")
+        merged = 0
+        for t in range(300):
+            n = 2 + t % 3
+            u, v = (
+                word(n, [(rng.randrange(7), rng.choice((1, -1))) for _ in range(length)])
+                for length in rng.choices((rng.randrange(12), rng.randrange(40), rng.randrange(_LEAF + 1, 300)), k=2)
+            )
+            merged += len(u) > _LEAF
+            su, sv = rewrite_to_seminormal(u), rewrite_to_seminormal(v)
+            nf = normal_form(u)
+            for form in (su, sv, multiply(su, sv), multiply(sv, su), nf, normal_form(concat(v, u))):
+                assert type(form) is SeminormalForm
+                assert SeminormalForm(form.arity, form.positive, form.negative) == form, form
+            for w in (invert(u), concat(u, v), concat(v, invert(v)), su.to_word(), nf.to_word()):
+                assert type(w) is GroupWord and set(map(type, w.letters)) <= {GeneratorLetter}
+                assert GroupWord(w.arity, w.letters) == w, w
+        assert merged > 60, merged
+
+
+class TestLetterTypes:
+    """A letter's index and exponent are ints; a bool counts as its int."""
+
+    def test_other_types_refused(self):
+        for letters, message in (
+            ([(1.5, 1), (0, 1.0)], "generator index must be an int, got 1.5"),
+            ([(0, 1), (2, 1.0), (1.5, 1)], "letter exponent must be +-1, got 1.0"),
+            ([(2.0, 1)], "generator index must be an int, got 2.0"),
+            ([(0, 1), ("1", -1)], "generator index must be an int, got '1'"),
+            ([(0, -1), (1, None)], "letter exponent must be +-1, got None"),
+            ([(3, 1), (-1, 1)], "negative generator index -1"),
+            ([(0, 2)], "letter exponent must be +-1, got 2"),
+        ):
+            for build in (lambda: word(2, letters), lambda: GroupWord(3, tuple(letters))):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    build()
+
+    def test_bools_are_ints(self):
+        w = word(2, [(True, 1), (0, True), (False, -1)])
+        assert normal_form(w) == normal_form(w2((1, 1), (0, 1), (0, -1)))
+        assert abelianize(w) == (0, 1)
+
+    def test_seminormal_form_indices(self):
+        for positive, negative, message in (
+            ((0, 1.5), (), "generator index must be an int, got 1.5"),
+            ((), (3, -1), "negative generator index -1"),
+            ((1,), ("0",), "generator index must be an int, got '0'"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SeminormalForm(2, positive, negative)
+        assert SeminormalForm(2, (0, 2), (True,)).to_word() == w2((0, 1), (2, 1), (1, -1))
 
 
 class TestRewriteOracle:
