@@ -41,11 +41,13 @@ from .lattices import SubgroupLattice, member
 
 
 class AffineTail(Value):
-    """r(j) = slope*j + offset for all j >= start."""
+    """r(j) = slope*j + offset for all j >= start; each an int, else ValueError."""
 
     __slots__ = ("slope", "offset", "start")
 
     def __init__(self, slope: int, offset: int, start: int):
+        if not type(slope) is type(offset) is type(start) is int:
+            slope, offset, start = require_ints("tail slope, offset and start", (slope, offset, start))
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "start", start)

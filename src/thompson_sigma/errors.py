@@ -8,8 +8,9 @@ ParseError to exit code 1.
 Every route ends at a budget: a fixed one of `BUDGETS`, or a call-time cap
 (the orbit `cap`, THOMPSON_SIGMA_MAX_INDEX, CPython's limit on printed
 digits).  All refuse through `refuse_above`, in one message form, every
-argument below its range (an arity below 2, say) through `require_at_least`,
-and every integer entry that is not an int through `require_ints`.
+argument below its range (an arity below 2, say) or not an int through
+`require_at_least`, and every integer entry that is not an int through
+`require_ints`.
 
 `Value` is the base of the package's value classes, from words to gradient rows.
 """
@@ -110,9 +111,13 @@ def refuse_above(what: str, value, limit, error: type = ResourceLimitError) -> N
 
 
 def require_at_least(what: str, value, low) -> None:
-    """Raise ParseError "<what> must be >= <low>, got <value>" if value < low."""
-    if value < low:
-        raise ParseError(f"{what} must be >= {low}, got {value}")
+    """Raise ParseError "<what> must be >= <low>, got <value>" if value < low,
+    or "<what> must be an int, got <value!r>" if value is no int (a bool is)."""
+    if type(value) is not int or value < low:
+        if not isinstance(value, int):
+            raise ParseError(f"{what} must be an int, got {value!r}")
+        if value < low:
+            raise ParseError(f"{what} must be >= {low}, got {value}")
 
 
 def require_ints(what: str, values) -> list[int]:

@@ -29,10 +29,16 @@ unchanged through `PLMap(...)`.
 breakpoints: an f-breakpoint is pulled back by the inverse slope of the
 g-segment it falls in (one division per segment), a g-breakpoint pushed
 through f's segment fb[k-1]..fb[k].  That is O(|f| + |g|) `Fraction`
-operations, then one minimizing pass, which carries its differences and
-compares slopes on integers.  Skipping the constructor's type and order
-checks, Python-level `Fraction` tests per point, cut the median latency of
-the `oracle_pairs` benchmark by 14% (eleven seeded pairs of runs).
+operations.  As f and g are minimized, their adjacent slopes differ: an
+f-breakpoint pulled back into the interior of g's segment j has slopes
+s_f(k-1) s_g(j) and s_f(k) s_g(j) on its two sides, a g-breakpoint pushed
+into the interior of f's segment k has s_f(k) s_g(j) and s_f(k) s_g(j+1).
+So only a point where an f-breakpoint meets a g-breakpoint's image can be
+collinear with its neighbours, and only those are tested, by `_minimized`'s
+integer cross product; dropping one leaves the slopes beside it.  Earlier,
+skipping the constructor's type and order checks, Python-level `Fraction`
+tests per point, cut the median latency of the `oracle_pairs` benchmark by
+14% (eleven seeded pairs of runs).
 
 `evaluate_word` first reduces its word freely, cancelling each adjacent
 x_i^e x_i^-e (nested pairs included) in one stack pass, then composes the
@@ -69,9 +75,11 @@ _ONE = Fraction(1)
 def _minimized(points: list[Breakpoint]) -> tuple[Breakpoint, ...]:
     """Drop every interior point collinear with the last kept point and the next.
 
-    The differences (dx0, dy0) to the last kept point are carried, and the
-    slopes are compared on numerators and (positive) denominators, so a point
-    costs two `Fraction` subtractions and builds no product.
+    `PLMap(...)` stores its points through it; `compose` tests only its
+    coincident points (`_coincidences_dropped`).  The differences (dx0, dy0)
+    to the last kept point are carried, and the slopes are compared on
+    numerators and (positive) denominators, so a point costs two `Fraction`
+    subtractions and builds no product.
     """
     if len(points) < 3:
         return tuple(points)
@@ -154,19 +162,41 @@ def invert_map(f: PLMap) -> PLMap:
     return PLMap._trusted(f.arity, tuple((y, x) for x, y in f.breakpoints))
 
 
+def _coincidences_dropped(points: list[Breakpoint], at: list[int]) -> tuple[Breakpoint, ...]:
+    """`points` without each points[i], i in `at`, collinear with its neighbours.
+
+    The test is `_minimized`'s cross product, on points[i - 1] and
+    points[i + 1] as the walk emitted them: dropping a collinear point leaves
+    the slope of the segment on either side, so the points are checked from
+    the last, each against the list as it stands.
+    """
+    for i in reversed(at):
+        (xa, ya), (x1, y1), (x2, y2) = points[i - 1 : i + 2]
+        dx0, dy0, dx1, dy1 = x1 - xa, y1 - ya, x2 - x1, y2 - y1
+        if (
+            dy0.numerator * dx1.numerator * dy1.denominator * dx0.denominator
+            == dy1.numerator * dx0.numerator * dy0.denominator * dx1.denominator
+        ):
+            del points[i]
+    return tuple(points)
+
+
 def compose(f: PLMap, g: PLMap) -> PLMap:
     """Exact composition f o g (apply g first), minimized.
 
     The walk emits, in order of input, g's breakpoints and the g-preimages
     of f's breakpoints with their images under f o g; an f-breakpoint that
     lands exactly on a g-breakpoint's image is emitted once.  These points
-    are `Fraction`s from (0,0) to (1,1), strictly increasing, so the map is
-    built from them minimized, without `PLMap(...)`'s checks.
+    are `Fraction`s from (0,0) to (1,1), strictly increasing.  As f and g
+    are minimized, only such a coincident point can be collinear with its
+    neighbours, so only those are tested, and the map is built without
+    `PLMap(...)`'s checks.
     """
     if f.arity != g.arity:
         raise ArityMismatchError(f"arity {f.arity} vs {g.arity}")
     fb, gb = f.breakpoints, g.breakpoints
     points = [(_ZERO, _ZERO)]
+    coincident = []  # indices in points of interior coincident breakpoints
     k = 1  # (u, v) = fb[k] is the first f-breakpoint not yet passed
     u, v = fb[1]
     x0 = y0 = _ZERO
@@ -182,15 +212,16 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
             points.append((x1, v))
             k += 1
             if k < len(fb):  # past the last coincidence, (1, 1), nothing is read
+                coincident.append(len(points) - 1)
                 u, v = fb[k]
         else:  # push y1 through f's segment fb[k-1]..fb[k]
             u0, v0 = fb[k - 1]
             points.append((x1, v0 + (y1 - u0) * (v - v0) / (u - u0)))
         x0, y0 = x1, y1
-    return PLMap._trusted(f.arity, _minimized(points))
+    return PLMap._trusted(f.arity, _coincidences_dropped(points, coincident))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so generator_map(2, 1.0) is refused, not a hit
 def generator_map(n: int, i: int) -> PLMap:
     """The PL realization of the generator x_i, any i >= 0.
 
@@ -218,7 +249,7 @@ def generator_map(n: int, i: int) -> PLMap:
     return PLMap(n, tuple(points))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def inverse_generator_map(n: int, i: int) -> PLMap:
     """The PL realization of x_i^-1; refused as `generator_map` refuses."""
     return invert_map(generator_map(n, i))

@@ -114,6 +114,15 @@ def _with_pairs(rng, letters, pairs: int, top: int):
     return out
 
 
+def _grid_points(rng):
+    """Up to 5 interior points of an increasing map, on the grid of a
+    denominator that is no power of 2, 3 or 4."""
+    d = rng.choice((3, 5, 6, 7, 10, 12, 30))
+    m = rng.randint(0, min(5, d - 1))
+    xs, ys = (sorted(Fraction(c, d) for c in rng.sample(range(1, d), m)) for _ in range(2))
+    return [(0, 0), *zip(xs, ys), (1, 1)]
+
+
 def catalogue():
     """Yield (name, call) pairs: the same calls, in the same order, on every tree."""
     from thompson_sigma import autos, charspace, complexes, gradients, lattices, plrep, words
@@ -235,6 +244,12 @@ def catalogue():
         ("float-list", [(0, 0), (0.5, half), (1, 1)]),
     ):
         yield f"PLMap/{name}", lambda p=points: plrep.PLMap(2, p)
+    rng = random.Random("grid")  # compose on maps through non-n-adic points
+    for k in range(120):
+        f, g = (plrep.PLMap(2, _grid_points(rng)) for _ in range(2))
+        yield f"compose/grid/{k}", lambda f=f, g=g: plrep.compose(f, g)
+        yield f"compose/grid/inverse/{k}", lambda f=f: plrep.compose(f, plrep.invert_map(f))
+    yield "generator_map/float-index", lambda: plrep.generator_map(2, 1.0)
     yield "evaluate_at/float", lambda: plrep.evaluate_at(plrep.generator_map(2, 0), 0.5)
     yield "evaluate_at/outside", lambda: plrep.evaluate_at(plrep.generator_map(2, 0), Fraction(3, 2))
 
@@ -258,6 +273,9 @@ def catalogue():
         yield f"CellVector/{name}", lambda e=entry: complexes.CellVector((1, e))
     yield "hnf_bases/arity=1", lambda: list(lattices.hnf_bases(1, 3))
     yield "hnf_bases/max_index=0", lambda: list(lattices.hnf_bases(2, 0))
+    yield "hnf_bases/float-arity", lambda: list(lattices.hnf_bases(2.0, 3))
+    yield "hnf_bases/string-max_index", lambda: list(lattices.hnf_bases(2, "3"))
+    yield "d_bound/chi_upto=2.5", lambda: complexes.d_bound(lattices.hnf([[2, 0], [0, 2]]), chi_upto=2.5)
     for k, lat in enumerate(lattices.enumerate_subgroups(2, 40)):
         yield f"cells_for_subgroup_F/{k}", lambda lat=lat: complexes.cells_for_subgroup_F(lat)
     for k, lat in enumerate(lattices.enumerate_subgroups(3, 8)):
@@ -279,6 +297,9 @@ def catalogue():
         yield f"CellVector/{name}", lambda a=args: complexes.CellVector(*a)
         yield f"cell_vector/{name}", lambda a=args: complexes.cell_vector(*a)
     yield "CellVector.prefix/-1", lambda: complexes.cell_vector((1, 2)).prefix(-1)
+    yield "AffineTail/float-slope", lambda: complexes.CellVector((1,), tail(1.5, 1, 1))
+    yield "AffineTail/string-slope", lambda: tail("a", 1, 1)
+    yield "AffineTail/bool-slope", lambda: complexes.CellVector((1,), tail(True, 0, 1))
 
     # charspace, autos
     rng = random.Random("charspace")
@@ -294,6 +315,7 @@ def catalogue():
     yield "d_orbit/cap=0", lambda: autos.d_orbit(point, cap=0)
     yield "in_sigma_m/m=0", lambda: charspace.in_sigma_m(charspace.character(2, [1, 0]), 0)
     yield "kernel_finiteness/m_max=0", lambda: charspace.kernel_finiteness([[1, 0]], m_max=0)
+    yield "kernel_finiteness/m_max=1.5", lambda: charspace.kernel_finiteness([[1, 0]], m_max=1.5)
     yield "character/arity=1", lambda: charspace.character(1, [1])
     yield "CharacterMatrix/arity=1", lambda: autos.CharacterMatrix(1, ((1,),))
 

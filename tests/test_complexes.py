@@ -63,6 +63,13 @@ class TestCellVector:
         with pytest.raises(ValueError):
             cell_vector((1, 5, 11), AffineTail(8, -4, 2))
 
+    def test_tail_refuses_non_ints(self):
+        with pytest.raises(ValueError, match=r"^tail slope, offset and start must be ints, got 1\.5$"):
+            CellVector((1,), AffineTail(1.5, 1, 1))
+        with pytest.raises(ValueError, match="^tail slope, offset and start must be ints, got 'a'$"):
+            AffineTail("a", 1, 1)
+        assert AffineTail(True, 0, 1) == AffineTail(1, 0, 1)
+
     def test_needs_a_vertex(self):
         with pytest.raises(ValueError):
             cell_vector((0, 1))

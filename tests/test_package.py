@@ -98,6 +98,35 @@ def test_lower_bounds_raise_parse_error(check):
     assert isinstance(refused.value, ValueError) and str(refused.value) == message
 
 
+def _non_int_calls():
+    ts = thompson_sigma
+    lattice = ts.hnf([[2, 0], [0, 2]])
+    return {  # a float or a string where errors.require_at_least wants an int, and its message
+        "generator index": (lambda: ts.generator_map(2, 1.0), "generator index must be an int, got 1.0"),
+        "hnf_bases arity": (lambda: ts.hnf_bases(2.0, 3), "arity must be an int, got 2.0"),
+        "max_index": (lambda: ts.hnf_bases(2, "3"), "max_index must be an int, got '3'"),
+        "d_bound dimension": (lambda: ts.d_bound(lattice, chi_upto=2.5), "dimension must be an int, got 2.5"),
+        "m_max": (lambda: ts.kernel_finiteness([[1, 0]], m_max=1.5), "m_max must be an int, got 1.5"),
+    }
+
+
+NON_INT_CALLS = _non_int_calls()
+
+
+@pytest.mark.parametrize("check", NON_INT_CALLS)
+def test_lower_bounds_refuse_non_ints(check):
+    thompson_sigma.generator_map(2, 1)  # cached under the int, so 1.0 is no cache hit
+    call, message = NON_INT_CALLS[check]
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_lower_bounds_take_bools_as_ints():
+    ts = thompson_sigma
+    assert ts.generator_map(2, True) == ts.generator_map(2, 1)
+    assert list(ts.hnf_bases(2, True)) == list(ts.hnf_bases(2, 1))
+
+
 def test_integer_entries_refuse_other_types():
     # each entry goes through errors.require_ints; a bool counts as its int
     from thompson_sigma.lattices import member

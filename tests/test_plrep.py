@@ -12,6 +12,7 @@ from thompson_sigma import plrep
 from thompson_sigma.errors import MAX_PL_INDEX, MAX_PL_WORK, ArityMismatchError, ResourceLimitError
 from thompson_sigma.plrep import (
     PLMap,
+    _coincidences_dropped,
     _minimized,
     compose,
     evaluate_at,
@@ -262,14 +263,14 @@ class TestComposeOracle:
     """The one-walk `compose` against the pointwise oracle."""
 
     def test_seeded_pairs(self, monkeypatch):
-        # the walk emits every point once, in increasing order, before the
-        # minimizing pass; a coincident breakpoint emitted twice would be
-        # dropped again by that pass, so check the emitted points themselves
-        minimized = plrep._minimized
+        # the walk emits every point once, in increasing order, before its
+        # coincident points are tested; a coincident breakpoint emitted twice
+        # would be dropped again by that test, so check the emitted points
+        dropped = plrep._coincidences_dropped
 
-        def checked(points):
+        def checked(points, at):
             assert all(p[0] < q[0] and p[1] < q[1] for p, q in zip(points, points[1:]))
-            return minimized(points)
+            return dropped(points, at)
 
         rng = random.Random(6)
         coincident = 0
@@ -279,7 +280,7 @@ class TestComposeOracle:
             g = random_map(rng, n, rng.randint(0, 12), 6)
             coincident += bool(coincident_breakpoints(f, g))
             with monkeypatch.context() as m:
-                m.setattr(plrep, "_minimized", checked)
+                m.setattr(plrep, "_coincidences_dropped", checked)
                 got = compose(f, g)
             assert got.breakpoints == pointwise_compose(f, g).breakpoints, (n, f, g)
         assert coincident > 100  # the branch where both walks advance is exercised
@@ -301,6 +302,58 @@ class TestComposeOracle:
         f, g = generator_map(2, 0), generator_map(2, 1)
         assert coincident_breakpoints(f, g) == {Fraction(1, 2), Fraction(3, 4)}
         assert compose(f, g).breakpoints == pointwise_compose(f, g).breakpoints
+
+
+def grid_map(rng):
+    """A random map built by `PLMap(...)` through up to 5 interior points on
+    the grid of a denominator that is no power of 2, 3 or 4."""
+    d = rng.choice((3, 5, 6, 7, 10, 12, 30))
+    m = rng.randint(0, min(5, d - 1))
+    xs, ys = (sorted(Fraction(c, d) for c in rng.sample(range(1, d), m)) for _ in range(2))
+    return PLMap(2, [(0, 0), *zip(xs, ys), (1, 1)])
+
+
+class TestCoincidentPointsOnly:
+    """Composing two minimized maps, only a point where an f-breakpoint meets
+    a g-breakpoint's image can be collinear, so `compose` tests only those:
+    over the seeded suites its map is `_minimized` of the whole walk, and
+    every point it drops lies over `coincident_breakpoints(f, g)`."""
+
+    def pairs(self):
+        rng = random.Random(6)  # the seeded pairs of TestComposeOracle
+        for k in range(300):
+            n = 2 + k % 3
+            yield random_map(rng, n, rng.randint(0, 12), 6), random_map(rng, n, rng.randint(0, 12), 6)
+        rng = random.Random(7)  # and its identity and inverse operands
+        for k in range(90):
+            n = 2 + k % 3
+            f = random_map(rng, n, rng.randint(1, 16), 7)
+            yield from ((f, identity_map(n)), (identity_map(n), f), (f, invert_map(f)), (invert_map(f), f))
+        rng = random.Random(25)  # maps on grids of non-n-adic points
+        for _ in range(400):
+            f, g, h = grid_map(rng), grid_map(rng), grid_map(rng)
+            yield from ((f, g), (f, invert_map(f)), (f, compose(invert_map(f), h)), (compose(h, g), invert_map(g)))
+
+    def test_matches_minimized_walk(self, monkeypatch):
+        walks = []
+
+        def recording(points, at):
+            walks.append(list(points))
+            return _coincidences_dropped(points, at)
+
+        monkeypatch.setattr(plrep, "_coincidences_dropped", recording)
+        kept = dropped = 0
+        for f, g in list(self.pairs()):
+            walks.clear()
+            h = compose(f, g)
+            (walk,) = walks
+            assert h.breakpoints == _minimized(walk), (f, g)
+            images, coincident = dict(g.breakpoints), coincident_breakpoints(f, g)
+            gone = set(walk) - set(h.breakpoints)
+            assert all(images.get(x) in coincident for x, _ in gone), (f, g)
+            kept += len(coincident) - len(gone)
+            dropped += len(gone)
+        assert kept > 500 and dropped > 3000, (kept, dropped)
 
 
 def test_generator_map_matches_set_and_sort():
@@ -487,9 +540,9 @@ class TestFreeReduction:
 
 class TestComposite:
     """`compose` and `invert_map` build their maps without `PLMap.__init__`'s
-    checks.  Over the seeded suites, every point list `compose` minimizes
-    passes those checks, and every composite and inverse rebuilds unchanged
-    through them."""
+    checks.  Over the seeded suites, every point list `compose` walks passes
+    those checks, and every composite and inverse rebuilds unchanged through
+    them."""
 
     def test_seeded_composites_rebuild_through_the_checks(self, monkeypatch):
         built, walked = [], []
@@ -498,12 +551,12 @@ class TestComposite:
             built.append(compose(f, g))
             return built[-1]
 
-        def minimized(points):
-            walked.append(points)
-            return _minimized(points)
+        def dropped(points, at):
+            walked.append(list(points))  # the walk as emitted: points loses its drops
+            return _coincidences_dropped(points, at)
 
         monkeypatch.setattr(plrep, "compose", recording)  # evaluate_word's too
-        monkeypatch.setattr(plrep, "_minimized", minimized)
+        monkeypatch.setattr(plrep, "_coincidences_dropped", dropped)
         rng = random.Random(6)  # the seeded pairs of TestComposeOracle
         for k in range(300):
             n = 2 + k % 3
