@@ -23,9 +23,8 @@ both are unimodular and map a primitive vector to a primitive one (a
 common divisor of M v divides M^-1 M v = v); the walk needs no gcd and no
 division.  A has one nonzero entry per row and C at most two, so an image
 costs O(n) integer operations, and `Fraction` values appear only in the
-returned sphere points.  CLI `orbit` with chi = (1, ..., n), an orbit of
-2(n - 1) points, takes 0.007 / 0.008 / 0.024 / 0.12 / 0.36 s at
-n = 16 / 32 / 64 / 128 / 256 (medians of three runs, 2-vCPU machine).
+returned sphere points, so CLI `orbit` stays under a second up to n = 256
+(`BENCH_9.json`).
 
 Sphere points are normalized only in `charspace`: `d_orbit` takes its start
 ray and its returned points from there, as `sphere_point` does.

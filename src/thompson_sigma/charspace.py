@@ -70,10 +70,6 @@ class SpherePoint(Value):
 
     __slots__ = ("arity", "values")
 
-    def __init__(self, arity: int, values: RationalVector):
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "values", values)
-
 
 class FinitenessReport(Value):
     """Classification of the finiteness type of a subgroup above G'.
@@ -82,12 +78,6 @@ class FinitenessReport(Value):
     """
 
     __slots__ = ("is_finitely_generated", "max_certified_f_type", "witness", "assumed_conjecture")
-
-    def __init__(self, is_finitely_generated, max_certified_f_type, witness, assumed_conjecture):
-        object.__setattr__(self, "is_finitely_generated", is_finitely_generated)
-        object.__setattr__(self, "max_certified_f_type", max_certified_f_type)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "assumed_conjecture", assumed_conjecture)
 
 
 def character(arity: int, values) -> Character:

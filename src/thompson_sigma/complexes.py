@@ -56,6 +56,12 @@ class AffineTail(Value):
         return self.slope * j + self.offset
 
 
+def _check_dimension(m: int) -> None:
+    require_at_least("dimension", m, 0)
+    if m > MAX_DIM:
+        refuse_above("dimension", m, MAX_DIM)
+
+
 class CellVector(Value):
     """Cell counts per dimension; finite, or eventually affine via `tail`."""
 
@@ -91,9 +97,7 @@ class CellVector(Value):
 
     def prefix(self, m: int) -> tuple[int, ...]:
         """Values in dimensions 0..m; m < 0 raises ParseError, m > MAX_DIM ResourceLimitError."""
-        require_at_least("dimension", m, 0)
-        if m > MAX_DIM:
-            refuse_above("dimension", m, MAX_DIM)
+        _check_dimension(m)
         return tuple(self.value(j) for j in range(m + 1))
 
     def reach(self) -> int:
@@ -227,14 +231,6 @@ class BoundReport(Value):
 
     __slots__ = ("d_upper", "d_upper_symbolic", "case_tag", "def_lower", "def_upper", "chi_values")
 
-    def __init__(self, d_upper, d_upper_symbolic, case_tag, def_lower, def_upper, chi_values):
-        object.__setattr__(self, "d_upper", d_upper)
-        object.__setattr__(self, "d_upper_symbolic", d_upper_symbolic)
-        object.__setattr__(self, "case_tag", case_tag)
-        object.__setattr__(self, "def_lower", def_lower)
-        object.__setattr__(self, "def_upper", def_upper)
-        object.__setattr__(self, "chi_values", chi_values)
-
 
 def d_bound(
     lat: SubgroupLattice, *, d0_override: int | None = None, chi_upto: int = DEFAULT_DIM_CAP
@@ -250,9 +246,7 @@ def d_bound(
     For every n, chi_upto is refused as `CellVector.prefix` refuses it, and
     a d0_override below 1 whether or not the bound reads it.
     """
-    require_at_least("dimension", chi_upto, 0)
-    if chi_upto > MAX_DIM:
-        refuse_above("dimension", chi_upto, MAX_DIM)
+    _check_dimension(chi_upto)
     if d0_override is not None:
         require_at_least("d0 override", d0_override, 1)
     n = lat.arity
@@ -271,11 +265,4 @@ def d_bound(
         d_upper, tag = n + 2 + d0_override, "generic"
     else:
         d_upper, symbolic, tag = None, f"{n + 2}+d0", "generic"
-    return BoundReport(
-        d_upper=d_upper,
-        d_upper_symbolic=symbolic,
-        case_tag=tag,
-        def_lower=def_lower,
-        def_upper=n,
-        chi_values=chi_values,
-    )
+    return BoundReport(d_upper, symbolic, tag, def_lower, n, chi_values)

@@ -22,24 +22,34 @@ from typing import NamedTuple, NoReturn
 class Value:
     """An immutable record whose fields, two or more, are its class's `__slots__`.
 
-    Each `__init__` checks its arguments and sets each field once with
-    `object.__setattr__`.  `_trusted` sets the fields unchecked, for a value
-    the package built itself from checked values.  Equality (within one
-    class), hashing, `repr` and pickling (through `__init__`) go by the
-    fields, and setting or deleting one raises AttributeError.
+    A class without an `__init__` of its own takes all its fields, in slot
+    order, and stores them unchecked; another count raises TypeError.  A class
+    whose values need checks defines an `__init__` that sets each field once
+    with `object.__setattr__`.  `_trusted` stores the fields as `Value.__init__`
+    does, for a value the package built itself from checked values.  Equality
+    (within one class), hashing, `repr` and pickling (through `__init__`) go by
+    the fields, and setting or deleting one raises AttributeError.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = attrgetter(*cls.__slots__)
+        # the setter of each slot's member descriptor, looked up through the
+        # class so that a subclass without slots of its own finds its parent's
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *fields):
+        if len(fields) != len(self._setters):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._setters)} fields, got {len(fields)}")
+        for put, value in zip(self._setters, fields):
+            put(self, value)
 
     @classmethod
     def _trusted(cls, *fields):
-        """The value with these fields, in slot order, skipping `__init__`."""
+        """The value with these fields, in slot order, skipping the class's own `__init__`."""
         self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            object.__setattr__(self, name, value)
+        Value.__init__(self, *fields)
         return self
 
     def __eq__(self, other):
@@ -138,65 +148,36 @@ class Budget(NamedTuple):
     error: type = ResourceLimitError  # ParseError exits 1, ResourceLimitError 2
 
 
-# The fixed budgets, with what they cost near the limit (2-vCPU machine).
+# The fixed budgets; README lists what each costs near its limit.
 
-# `parse_word`, before the token that crosses it expands.  In-process, the
-# token x0^1048576 parses in 0.15-0.19 s, `normalize` of it takes 4.9-5.2 s,
-# `eq` of x0^262144 x1^262144 and x0^262144 x2^262144 3.0-3.6 s; 2^18 and 2^20
-# one-letter tokens parse in 0.18-0.19 and 0.70-0.77 s (library only: a CLI
-# argument is at most 128 KiB).  Near-linear, so the limit bounds time.
+# `parse_word`, before the token that crosses it expands; parsing is near-linear.
 MAX_WORD_LETTERS = 1 << 20
 
-# `parse_word`, before turning an index or exponent into an int (CPython's
-# `int` refuses strings of more than 4300 digits with a plain ValueError).
+# `parse_word`, before `int` of an index or exponent (CPython refuses over 4300 digits).
 MAX_TOKEN_DIGITS = 100
 
-# `rewrite_to_seminormal`: random words at L = 4096 (three, n = 2..4) took
-# 0.03-0.11 s, x0^-(L/2) x1^(L/2) 0.11-0.13 s and the slowest shape seen,
-# x1^(L/2) x0^(L/2), 0.17-0.22 s; at L = 8192 the same took 0.19-0.39 s,
-# 0.77-0.80 s and 0.83-0.87 s, so the 2^20 letters `parse_word` admits
-# would take hours.
+# `rewrite_to_seminormal`, quadratic: MAX_WORD_LETTERS letters would take hours.
 MAX_REWRITE_LETTERS = 1 << 12
 
-# `words`, on an input index or one a rewrite bumps to: in-process, `normalize`
-# of x0^-65535 x1^65535 (n = 2) reaches 65536 in 0.54-0.55 s.
+# `words`, on an input index or one a rewrite bumps to.
 MAX_GENERATOR_INDEX = 1 << 16
 
-# `generator_map`, `evaluate_word` and the CLI's --n.  A map takes about 20 us
-# anywhere within the limit, but its denominators n^(i // (n - 1) + 2) grow
-# every composition: a fresh `eval-pl --n 256 --word x256` takes about 0.1 s,
-# a 908-letter random word below x256 at n = 256 0.46 s in-process.
+# `generator_map`, `evaluate_word` and the CLI's --n: denominators grow with the index.
 MAX_PL_INDEX = 256
 
-# `evaluate_word`, after the arity and index checks: the sum over a word's
-# letters x_i^(+-1) of i // (n - 1) + 2, which bounds the exponent of n in the
-# denominators of every product, times the bit length of n.  It counts the
-# word as given, before free reduction, so x0^2049 x0^-2049 (n = 2, work
-# 16,392) is refused although it reduces to the empty word.  Time grows about
-# as its square: at the limit, x0^(+-4096) took 2.3-3.4 s at n = 3 (the slowest
-# shape), 0.8-1.3 s at n = 2 and 0.45-2.2 s at n = 4..256, random words 0.2-0.5 s;
-# the product of x0^15000 at n = 2 (work 60,000) took 7.8 s.
+# `evaluate_word`, on the word as given (before free reduction); time grows about as its square.
 MAX_PL_WORK = 1 << 14
 
-# `hnf_bases` and `enumerate_subgroups`, before the first lattice.  The tests
-# and benchmarks make at most 84,552, at (3, 50); the 1,047,476 of (2, 1128)
-# are listed in 0.5 s.
+# `hnf_bases` and `enumerate_subgroups`, before the first lattice.
 MAX_LATTICES = 1 << 20
 
-# `CellVector.prefix`, `chi_m` and `d_bound`: `d_bound(lat, chi_upto=1024)`
-# takes 0.54 ms, in-process CLI `bounds --n 2 --lattice 2,0,0,2 --m 1024`
-# 3.2-3.5 ms, and `cells --m M` prints 6 KB at 1024, 18.6 MB at two million.
+# `CellVector.prefix`, `chi_m` and `d_bound`; it also bounds `cells --m` output.
 MAX_DIM = 1024
 
-# Gradient series, before the first row: CPython's default limit for turning
-# an int into a string, so every index and denominator of a row prints.
+# Gradient series, before the first row: CPython's default digit limit, so every row prints.
 MAX_INDEX_DIGITS = 4300
 
-# The CLI's --lattice, rows times n, before any elimination (its coefficients
-# grow on dense rows).  On seeded rows with entries in -9..9, three seeds
-# each, `bounds` took 0.92-1.03 s at 84 x 84, 0.52-0.90 s at the other
-# shapes of 7056 entries tried (126 x 56 to 98 x 72) and 1.4-1.7 s at
-# 96 x 96; `classify-kernel` took 0.76-0.82 s at 84 x 84.
+# The CLI's --lattice, rows times n, before any elimination (coefficients grow on dense rows).
 MAX_LATTICE_ENTRIES = 84 * 84
 
 BUDGETS = {

@@ -40,28 +40,15 @@ _MAX_INDEX = 10**MAX_INDEX_DIGITS - 1
 class GradientRow(Value):
     __slots__ = ("s", "index", "lower", "upper", "upper_symbolic")  # upper None if symbolic in d0
 
-    def __init__(self, s, index, lower, upper, upper_symbolic=None):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "upper_symbolic", upper_symbolic)
-
 
 class GradientSeries(Value):
     __slots__ = ("kind", "arity", "m", "rows")
 
-    def __init__(self, kind: str, arity: int, m: int | None, rows: tuple[GradientRow, ...]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rows", rows)
-
 
 def _series(kind: str, spec: ChainSpec, n: int, steps: int | None, m, bounds) -> GradientSeries:
-    # one row per chain term: bounds(lat, idx) gives its lower and upper
-    # values, and its upper_symbolic where the upper one is symbolic in d0
-    if steps is None or steps < 1:
+    # one row per chain term: bounds(lat, idx) gives its lower, upper and
+    # upper_symbolic values, the last None unless the upper one is symbolic in d0
+    if not isinstance(steps, int) or steps < 1:
         raise ValueError("need a positive number of chain steps")
     e = (steps - 1) * (n if spec.kind == "scaling" else 1)
     if spec.kind != "explicit" and _index_too_long(spec.p, e):
@@ -102,7 +89,7 @@ def rank_gradient_series(
         d_upper = n if idx == 1 else d_bound(lat, d0_override=d0_override, chi_upto=0).d_upper
         if d_upper is None:
             return Fraction(0), None, f"({n + 1}+d0)/{idx}"
-        return Fraction(0), Fraction(d_upper - 1, idx)
+        return Fraction(0), Fraction(d_upper - 1, idx), None
 
     return _series(RANK, spec, n, steps, None, bounds)
 
@@ -116,7 +103,7 @@ def deficiency_gradient_series(
 
     def bounds(lat, idx):
         lower, upper = deficiency_bounds(_subgroup_cells(lat, idx), n)
-        return Fraction(lower, idx), Fraction(upper, idx)
+        return Fraction(lower, idx), Fraction(upper, idx), None
 
     return _series(DEFICIENCY, spec, n, steps, None, bounds)
 
@@ -130,7 +117,7 @@ def chi_m_gradient_series(
     require_at_least("m", m, 0)
 
     def bounds(lat, idx):
-        return Fraction(0), Fraction(chi_m(_subgroup_cells(lat, idx), m), idx)
+        return Fraction(0), Fraction(chi_m(_subgroup_cells(lat, idx), m), idx), None
 
     return _series(CHI, spec, n, steps, m, bounds)
 

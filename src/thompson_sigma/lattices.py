@@ -45,7 +45,7 @@ class SubgroupLattice(Value):
 
     __slots__ = ("arity", "basis")
 
-    def __init__(self, arity: int, basis: IntRows):
+    def __init__(self, arity: int, basis: IntRows):  # not Value's loop: ~41k per census round
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "basis", basis)
 
@@ -217,6 +217,8 @@ class ChainSpec(Value):
 
     def __init__(self, kind: str, p: int | None = None, terms: tuple | None = None):
         if kind in ("scaling", "coordinate"):
+            if p is not None and not isinstance(p, int):
+                raise ValueError(f"must be an int, got {p!r} (p of a {kind} chain)")
             if p is None or p < 2:
                 raise ValueError(f"must be >= 2, got {p} (p of a {kind} chain)")
         elif kind == "explicit":

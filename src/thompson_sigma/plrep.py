@@ -23,7 +23,9 @@ minimized (collinear interior points dropped), so two maps are equal as
 functions iff their breakpoint tuples are equal.  `compose` and `invert_map`
 build their results from valid maps, so they skip those checks
 (`Value._trusted`); `TestComposite` pins that every such result rebuilds
-unchanged through `PLMap(...)`.
+unchanged through `PLMap(...)`.  One collinearity test,
+`_coincidences_dropped`, minimizes for both: the constructor tests every
+interior point, `compose` only the points where breakpoints coincide.
 
 `compose(f, g)` walks g's segments keeping one pointer k into f's
 breakpoints: an f-breakpoint is pulled back by the inverse slope of the
@@ -34,26 +36,16 @@ f-breakpoint pulled back into the interior of g's segment j has slopes
 s_f(k-1) s_g(j) and s_f(k) s_g(j) on its two sides, a g-breakpoint pushed
 into the interior of f's segment k has s_f(k) s_g(j) and s_f(k) s_g(j+1).
 So only a point where an f-breakpoint meets a g-breakpoint's image can be
-collinear with its neighbours, and only those are tested, by `_minimized`'s
-integer cross product; dropping one leaves the slopes beside it.  Earlier,
-skipping the constructor's type and order checks, Python-level `Fraction`
-tests per point, cut the median latency of the `oracle_pairs` benchmark by
-14% (eleven seeded pairs of runs).
+collinear with its neighbours, and only those are tested.  Skipping the
+checks and testing only those points are what make the oracle fast
+(`BENCH_24.json`, `BENCH_25.json`).
 
 `evaluate_word` first reduces its word freely, cancelling each adjacent
 x_i^e x_i^-e (nested pairs included) in one stack pass, then composes the
 letter maps in the product tree of `words.normal_form`: O(log L) levels of
 compositions for L letters, each linear in its operands, where a left fold
-makes L compositions with a growing left factor.  On seeded n = 2 words with
-indices below 7, which reduce freely to 84-96% of their letters (medians of
-nine words, three runs on a 2-vCPU shared machine whose speed varies 2x), it
-took 3.8-7.3 ms at L = 50, 17-32 ms at L = 200 and 73-139 ms at L = 800, up
-to 7% less than the same words without free reduction in the same runs (one
-run read 25% more at L = 200); a left fold of pointwise f(g(x)) compositions
-took 28 ms, 280 ms and 3.9-4.6 s in earlier runs.  The words of the
-`oracle_pairs` benchmark (at most 18 letters, indices at most 4, a sixth of
-them with inserted cancelling pairs) gain more: 48% of them reduce, and 25%
-of their letters cancel.
+makes L compositions with a growing left factor (timings in `BENCH_6.json`
+and `BENCH_21.json`).
 """
 
 from __future__ import annotations
@@ -72,34 +64,26 @@ Breakpoint = tuple[Fraction, Fraction]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-def _minimized(points: list[Breakpoint]) -> tuple[Breakpoint, ...]:
-    """Drop every interior point collinear with the last kept point and the next.
+def _coincidences_dropped(points: list[Breakpoint], at: range | list[int]) -> tuple[Breakpoint, ...]:
+    """`points` without each points[i], i in the increasing `at`, that is
+    collinear with its neighbours; the list is changed in place.
 
-    `PLMap(...)` stores its points through it; `compose` tests only its
-    coincident points (`_coincidences_dropped`).  The differences (dx0, dy0)
-    to the last kept point are carried, and the slopes are compared on
-    numerators and (positive) denominators, so a point costs two `Fraction`
-    subtractions and builds no product.
+    Points are tested from the last, each against points[i - 1] and
+    points[i + 1] in the list as it stands.  Where the inputs strictly
+    increase, dropping a collinear point leaves the slopes beside it, so this
+    drops exactly the points of `at` where the map does not bend.
+    `PLMap(...)` passes every interior point, `compose` only its coincident
+    ones.  Slopes are compared on numerators and (positive) denominators.
     """
-    if len(points) < 3:
-        return tuple(points)
-    out = [points[0]]
-    (xa, ya), (x1, y1) = points[0], points[1]
-    dx0, dy0 = x1 - xa, y1 - ya
-    for k in range(1, len(points) - 1):
-        x2, y2 = points[k + 1]
-        dx1, dy1 = x2 - x1, y2 - y1
+    for i in reversed(at):
+        (xa, ya), (x1, y1), (x2, y2) = points[i - 1 : i + 2]
+        dx0, dy0, dx1, dy1 = x1 - xa, y1 - ya, x2 - x1, y2 - y1
         if (
             dy0.numerator * dx1.numerator * dy1.denominator * dx0.denominator
             == dy1.numerator * dx0.numerator * dy0.denominator * dx1.denominator
         ):
-            dx0, dy0 = dx0 + dx1, dy0 + dy1  # collinear, drop points[k]
-        else:
-            out.append(points[k])
-            dx0, dy0 = dx1, dy1
-        x1, y1 = x2, y2
-    out.append(points[-1])
-    return tuple(out)
+            del points[i]
+    return tuple(points)
 
 
 class PLMap(Value):
@@ -119,7 +103,7 @@ class PLMap(Value):
             if not (bps[k][0] < bps[k + 1][0] and bps[k][1] < bps[k + 1][1]):
                 raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "breakpoints", _minimized(bps))
+        object.__setattr__(self, "breakpoints", _coincidences_dropped(list(bps), range(1, len(bps) - 1)))
 
     def __call__(self, t: Fraction) -> Fraction:
         return evaluate_at(self, t)
@@ -160,25 +144,6 @@ def evaluate_at(f: PLMap, t: Fraction) -> Fraction:
 def invert_map(f: PLMap) -> PLMap:
     """Swap input and output of every breakpoint; a minimized map stays so."""
     return PLMap._trusted(f.arity, tuple((y, x) for x, y in f.breakpoints))
-
-
-def _coincidences_dropped(points: list[Breakpoint], at: list[int]) -> tuple[Breakpoint, ...]:
-    """`points` without each points[i], i in `at`, collinear with its neighbours.
-
-    The test is `_minimized`'s cross product, on points[i - 1] and
-    points[i + 1] as the walk emitted them: dropping a collinear point leaves
-    the slope of the segment on either side, so the points are checked from
-    the last, each against the list as it stands.
-    """
-    for i in reversed(at):
-        (xa, ya), (x1, y1), (x2, y2) = points[i - 1 : i + 2]
-        dx0, dy0, dx1, dy1 = x1 - xa, y1 - ya, x2 - x1, y2 - y1
-        if (
-            dy0.numerator * dx1.numerator * dy1.denominator * dx0.denominator
-            == dy1.numerator * dx0.numerator * dy0.denominator * dx1.denominator
-        ):
-            del points[i]
-    return tuple(points)
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:

@@ -43,17 +43,11 @@ DEFAULT_INDEX_CAP = MAX_GENERATOR_INDEX  # the name `perfbench/run.py` reads it 
 _TOKEN_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
 # `normal_form` rewrites runs of this many letters left to right and
-# multiplies their forms.  On 400- and 1600-letter words (n = 2..4), against
-# runs of 64 letters, runs of 32 took the same time (within 1%), runs of 16
-# or 128 letters 6-10% longer, runs of 256 letters 23-30% longer, and one
-# run of the whole 1600-letter word 4.1 times as long.
+# multiplies their forms: 32 and 64 tie as the fastest length (`BENCH_18.json`).
 _LEAF = 64
 
 # `_rewrite` bumps an index range of fewer than this many letters in place,
-# one `+=` per letter, and a longer one as one new slice.  Per bump, in place
-# against the slice: 1 letter took 380-510 against 720-870 ns, 8 letters
-# 850-930 against 1180-1210 ns; at 64 and 128 letters the two were within
-# 7% either way, and at 512 the in-place loop was 28-29% slower.
+# one `+=` per letter, and a longer one as one new slice, where the two tie (`BENCH_18.json`).
 _BULK = 64
 
 
@@ -259,10 +253,9 @@ def rewrite_to_seminormal(w: GroupWord) -> SeminormalForm:
     into the positive part.  Passing a smaller inverse letter bumps its own
     index, one step per letter passed; the larger letters it passes are
     bumped in place, or as one new slice when there are `_BULK` or more.
-    A word of length L thus costs O(L^2) index increments.  On random words
-    of 1600 to 4096 letters over 90% of the larger letters' bumps were done
-    in slices, but the steps of passing letters outnumbered them 1.4 to 2
-    times.  The result depends on this left-to-right order: it is one of
+    A word of length L thus costs O(L^2) index increments; on long words
+    most are slice bumps, but the passing steps dominate (`BENCH_18.json`).
+    The result depends on this left-to-right order: it is one of
     the element's seminormal forms, not the canonical one.  An input letter
     or a bumped index beyond MAX_GENERATOR_INDEX raises ResourceLimitError.
 
@@ -423,8 +416,7 @@ def normal_form(w: GroupWord) -> SeminormalForm:
     rewrite.  The result does not depend on the route, as the normal form is
     unique per element, but the intermediate indices do, and with them the
     refusals: the highest index a long word reaches can differ from that of
-    `rewrite_to_seminormal`.  On 300 seeded words of 70-400 letters it was
-    the same for 268, lower for 31 and higher for 1, by -6.3% to +1.0%.
+    `rewrite_to_seminormal`, though mostly it is the same (`BENCH_4.json`).
     """
     letters, n = w.letters, w.arity
     _check_max(max(letters, default=())[:1])

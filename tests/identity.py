@@ -332,6 +332,14 @@ def catalogue():
             s, 3, steps=3, d0_override=0)
     yield "chi_m_gradient_series/m=-1", lambda: gradients.chi_m_gradient_series(lattices.ChainSpec("scaling", p=2), -1)
     yield "chain/s=-1", lambda: lattices.chain(lattices.ChainSpec("scaling", p=2), -1, 2)
+    spec = lattices.ChainSpec("scaling", p=2)
+    for name, steps in (("float", 2.5), ("string", "3")):
+        yield f"rank_gradient_series/steps={name}", lambda s=steps: gradients.rank_gradient_series(spec, 2, s)
+        yield f"deficiency_gradient_series/steps={name}", lambda s=steps: gradients.deficiency_gradient_series(
+            spec, 2, s)
+        yield f"chi_m_gradient_series/steps={name}", lambda s=steps: gradients.chi_m_gradient_series(spec, 2, 2, s)
+    for p in ("3", 2.5):
+        yield f"ChainSpec/p={p!r}", lambda p=p: lattices.ChainSpec("scaling", p=p)
 
 
 def _cli_outcome(main, call) -> dict:

@@ -59,7 +59,7 @@ class TestRankGradient:
                     rank_gradient_series(spec, n, steps, d0_override=0)
 
     def test_steps_required(self):
-        for steps in (None, 0):
+        for steps in (None, 0, 2.5, "3"):
             for build in (
                 lambda: rank_gradient_series(SCALING2, 2, steps),
                 lambda: deficiency_gradient_series(SCALING2, 2, steps),
@@ -194,7 +194,7 @@ class TestCertification:
             series.arity,
             series.m,
             tuple(
-                type(row)(row.s, row.index, Fraction(0), Fraction(0))
+                type(row)(row.s, row.index, Fraction(0), Fraction(0), None)
                 for row in series.rows
             ),
         )

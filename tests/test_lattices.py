@@ -269,3 +269,11 @@ class TestChains:
             ChainSpec("mystery", p=2)
         with pytest.raises(ValueError):
             ChainSpec("explicit", terms=())
+
+    def test_p_must_be_an_int(self):
+        for kind in ("scaling", "coordinate"):
+            for p in ("3", 2.5):
+                with pytest.raises(ValueError, match=rf"^must be an int, got {p!r} \(p of a {kind} chain\)$"):
+                    ChainSpec(kind, p=p)
+            with pytest.raises(ValueError, match=rf"^must be >= 2, got 1 \(p of a {kind} chain\)$"):
+                ChainSpec(kind, p=1)

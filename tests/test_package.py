@@ -212,6 +212,12 @@ def test_value_semantics(module, name, args, text):
     assert type(trusted) is cls and trusted == value and value == trusted
     assert hash(trusted) == hash(value) and repr(trusted) == text
     assert pickle.loads(pickle.dumps(trusted)) == value and copy.deepcopy(trusted) == value
+    # one field too many, and one too few of those without a default
+    fields = cls._fields(value)
+    required = len(fields) - len(cls.__init__.__defaults__ or ())
+    for wrong in (fields + (None,), fields[: required - 1]):
+        with pytest.raises(TypeError):
+            cls(*wrong)
 
 
 def test_values_of_different_classes_differ():

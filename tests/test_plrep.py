@@ -13,7 +13,6 @@ from thompson_sigma.errors import MAX_PL_INDEX, MAX_PL_WORK, ArityMismatchError,
 from thompson_sigma.plrep import (
     PLMap,
     _coincidences_dropped,
-    _minimized,
     compose,
     evaluate_at,
     evaluate_word,
@@ -48,8 +47,9 @@ def collinear_runs(rng):
     carrying a run of 0 to 5 more points on its line, and the run lengths.
 
     A run is in order, or it repeats points and steps back along its line:
-    `PLMap(...)` refuses such points, but on increasing points alone a carry
-    of the wrong length and the right slope in `_minimized` would go unseen.
+    `PLMap(...)` refuses such points, but on increasing points alone a
+    minimizing pass that tests against the wrong neighbour on the right line
+    would go unseen.
     """
     m = rng.randint(1, 5)
 
@@ -199,21 +199,28 @@ def test_breakpoints_minimized():
     assert f.breakpoints == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
 
 
+def minimized(points):
+    """`PLMap(...)`'s minimizing pass: every interior point tested, from the last."""
+    return plrep._coincidences_dropped(list(points), range(1, len(points) - 1))
+
+
 class TestMinimized:
-    """`_minimized`, which carries its differences, against the pairwise pass."""
+    """`PLMap(...)`'s minimizing pass, which tests each point against its
+    neighbours from the last, against the pairwise pass, which carries the
+    last kept point forward."""
 
     def test_matches_pairwise(self):
         rng = random.Random(12)
         first = last = 0
         for _ in range(600):
             points, runs = collinear_runs(rng)
-            assert plrep._minimized(points) == pairwise_minimized(points), points
+            assert minimized(points) == pairwise_minimized(points), points
             first += runs[0] > 0  # a run from (0,0)
             last += runs[-1] > 0  # a run into (1,1)
         assert first > 300 and last > 300
 
     def test_short_point_lists(self):
-        assert plrep._minimized([]) == ()
+        assert minimized([]) == ()
         for points in ([], [(Fraction(0), Fraction(0))], [(Fraction(1), Fraction(1))], [(0, 0)]):
             with pytest.raises(ValueError, match=r"^breakpoints must run from \(0,0\) to \(1,1\)$"):
                 PLMap(2, points)
@@ -316,7 +323,7 @@ def grid_map(rng):
 class TestCoincidentPointsOnly:
     """Composing two minimized maps, only a point where an f-breakpoint meets
     a g-breakpoint's image can be collinear, so `compose` tests only those:
-    over the seeded suites its map is `_minimized` of the whole walk, and
+    over the seeded suites its map is `pairwise_minimized` of the whole walk, and
     every point it drops lies over `coincident_breakpoints(f, g)`."""
 
     def pairs(self):
@@ -347,7 +354,7 @@ class TestCoincidentPointsOnly:
             walks.clear()
             h = compose(f, g)
             (walk,) = walks
-            assert h.breakpoints == _minimized(walk), (f, g)
+            assert h.breakpoints == pairwise_minimized(walk), (f, g)
             images, coincident = dict(g.breakpoints), coincident_breakpoints(f, g)
             gone = set(walk) - set(h.breakpoints)
             assert all(images.get(x) in coincident for x, _ in gone), (f, g)
