@@ -1,9 +1,10 @@
 """Exact integer elimination, the one routine behind the lattice code.
 
 `eliminate` clears chosen columns by unimodular row operations (gcd
-steps, big ints).  `hnf` uses its pivots, `integer_kernel` the rows it
-leaves zero, and `rank` counts its pivots, which over Z equals the rank
-over Q.  Everything is tiny (n <= 10 or so); clarity over speed.
+steps, big ints).  `hnf` uses its pivots, `intersect_with_M` the rows it
+leaves zero in coordinate 0, and `rank` counts its pivots, which over Z
+equals the rank over Q.  Everything is tiny (n <= 10 or so); clarity over
+speed.
 """
 
 from __future__ import annotations
@@ -37,16 +38,3 @@ def eliminate(rows, columns) -> tuple[list[list[int] | None], list[list[int]]]:
 def rank(rows, width: int) -> int:
     """Rank of integer rows of length `width`."""
     return sum(p is not None for p in eliminate(rows, range(width))[0])
-
-
-def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the left kernel {v in Z^m : v . rows = 0} of an m x c matrix.
-
-    Clears the first c columns of [rows | I]; the identity block of each
-    row left zero there is a kernel vector, and together they span it.
-    """
-    if not rows:
-        return []
-    m, c = len(rows), len(rows[0])
-    augmented = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
-    return [r[c:] for r in eliminate(augmented, range(c))[1]]

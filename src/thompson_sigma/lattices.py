@@ -12,11 +12,12 @@ in a canonical Hermite normal form with rows as generators:
 With this orientation the pivot of coordinate 0 is exactly the smallest
 alpha > 0 with x_0^alpha in H, which feeds the HNN decomposition
 machinery: `intersect_with_M` computes the image of H intersect M for
-M = <x_1, ..., x_n> (the preimage under the fold x_n -> x_1).  The
-isomorphism theta : M -> G, x_i -> x_{i-1}, sends M-slot i (holding
-xbar_{i+1}) to G-slot i, so that HNF lattice is already in G-coordinates
-and transporting it along theta is the identity.  `restrict_character` is
-the companion move on characters.
+M = <x_1, ..., x_n>: the preimage under the fold psi (x_n -> x_1), in
+closed form, since psi's image is {x_0 = 0} and its kernel is spanned by
+xbar_1 - xbar_n.  The isomorphism theta : M -> G, x_i -> x_{i-1}, sends
+M-slot i (holding xbar_{i+1}) to G-slot i, so that HNF lattice is already
+in G-coordinates and transporting it along theta is the identity.
+`restrict_character` is the companion move on characters.
 
 `enumerate_subgroups` lists all subgroups up to a given index exactly
 once (`hnf_bases` streams their bases), and `ChainSpec`/`chain`
@@ -29,7 +30,7 @@ from collections.abc import Iterator
 from itertools import product
 from math import prod
 
-from ._linalg import eliminate, integer_kernel
+from ._linalg import eliminate
 from .charspace import Character
 from .errors import MAX_LATTICES, DomainError, RankDeficientError, ZeroCharacterError, refuse_above
 from .errors import Value, require_at_least, require_ints
@@ -107,29 +108,19 @@ def member(lat: SubgroupLattice, vector) -> bool:
     return True
 
 
-def _fold_matrix(n: int) -> list[list[int]]:
-    # psi : Z^n (M-basis xbar_1..xbar_n) -> Z^n (G-basis xbar_0..xbar_{n-1});
-    # xbar_j -> e_j for j <= n-1, xbar_n -> e_1 (x_n is conjugate to x_1)
-    rows = []
-    for i in range(n):
-        j = i + 1
-        target = j if j <= n - 1 else 1
-        rows.append([1 if c == target else 0 for c in range(n)])
-    return rows
-
-
 def intersect_with_M(lat: SubgroupLattice) -> SubgroupLattice:
     """Image of H intersect M in M-coordinates: the psi-preimage of L.
 
     Coordinates of the result are xbar_1, ..., xbar_n of M (stored in tuple
-    slots 0..n-1).  Computed as the projection of the integer kernel of
-    (v, w) -> v*psi - w*basis.
+    slots 0..n-1).  The fold psi sends v to (0, v_0 + v_{n-1}, v_1, ...,
+    v_{n-2}); its image is {x_0 = 0} and its kernel is spanned by
+    (1, 0, ..., 0, -1).  So the preimage is spanned by that kernel vector
+    and the lifts (r_1, ..., r_{n-1}, 0) of the rows r of L with r_0 = 0,
+    which one elimination step on coordinate 0 leaves.
     """
     n = lat.arity
-    stacked = _fold_matrix(n) + [[-x for x in row] for row in lat.basis]
-    kernel = integer_kernel(stacked)
-    projections = [k[:n] for k in kernel]
-    return hnf(projections, arity=n)
+    lifts = [r[1:] + [0] for r in eliminate(lat.basis, [0])[1]]
+    return hnf(lifts + [[1] + [0] * (n - 2) + [-1]], arity=n)
 
 
 def restrict_character(chi: Character) -> Character:

@@ -280,6 +280,35 @@ def catalogue():
         yield f"cells_for_subgroup_F/{k}", lambda lat=lat: complexes.cells_for_subgroup_F(lat)
     for k, lat in enumerate(lattices.enumerate_subgroups(3, 8)):
         yield f"d_bound/{k}", lambda lat=lat: complexes.d_bound(lat)
+    for n, top in ((2, 20), (3, 8), (4, 4)):  # the HNN ingredients
+        for k, lat in enumerate(lattices.enumerate_subgroups(n, top)):
+            for f in (lattices.intersect_with_M, lattices.alpha, lattices.index):
+                yield f"{f.__name__}/{n}/{top}/{k}", lambda f=f, lat=lat: f(lat)
+    raw = [(name, lattices.SubgroupLattice(n, rows)) for name, n, rows in (
+        ("non-hnf", 2, ((1, 1), (1, -1))),
+        ("non-hnf", 3, ((2, 1, 0), (1, 1, 1), (0, 3, 1))),
+        ("negative-pivot", 2, ((-2, 0), (1, 3))),
+        ("negative-pivot", 3, ((2, 0, 0), (1, -3, 0), (0, 1, 1))),
+        ("extra-rows", 2, ((2, 0), (0, 2), (1, 1))),
+        ("extra-rows", 3, ((1, 2, 3), (4, 5, 6), (7, 8, 10), (2, 0, 2))),
+        ("rank-deficient", 2, ((1, 2), (2, 4))),
+        ("rank-deficient", 3, ((1, 0, 0),)),
+        ("rank-deficient", 3, ((0, 1, 0), (0, 0, 1))),
+        ("rank-deficient", 3, ()),
+    )]
+    rng = random.Random("raw bases")  # dense rows, n - 1 to n + 1 of them, as the constructor takes them
+    for k in range(120):
+        n = 2 + k % 4
+        rows = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(rng.randint(n - 1, n + 1)))
+        raw.append((f"dense/{k}", lattices.SubgroupLattice(n, rows)))
+    for k, (name, lat) in enumerate(raw):
+        for f in (lattices.intersect_with_M, lattices.alpha, lattices.index):
+            yield f"{f.__name__}/raw/{name}/{k}", lambda f=f, lat=lat: f(lat)
+    rng = random.Random("restrict")
+    for k in range(60):
+        chi = charspace.character(2 + k % 4, [rng.randint(-3, 3) for _ in range(2 + k % 4)])
+        yield f"restrict_character/{k}", lambda chi=chi: lattices.restrict_character(chi)
+    yield "restrict_character/zero", lambda: lattices.restrict_character(charspace.character(3, [0, 0, 0]))
     for n, rows in ((2, [[2, 0], [0, 2]]), (3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]]), ("m-contained", [[2, 0, 0], [0, 1, 0], [0, 0, 1]])):
         for key, value in (("chi_upto", -1), ("d0_override", -5)):
             yield f"d_bound/{key}={value}/{n}", lambda rows=rows, kw={key: value}: complexes.d_bound(lattices.hnf(rows), **kw)

@@ -14,6 +14,7 @@ from thompson_sigma.errors import (
     ResourceLimitError,
     refuse_above,
 )
+from thompson_sigma._linalg import eliminate
 from thompson_sigma.lattices import SubgroupLattice, hnf
 from thompson_sigma.plrep import PLMap, generator_map, identity_map, invert_map
 from thompson_sigma import words
@@ -200,6 +201,30 @@ def rational_rank(rows) -> int:
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
+    """Basis of the left kernel {v in Z^m : v . rows = 0} of an m x c matrix.
+
+    Clears the first c columns of [rows | I]; the identity block of each
+    row left zero there is a kernel vector, and together they span it.
+    """
+    if not rows:
+        return []
+    m, c = len(rows), len(rows[0])
+    augmented = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    return [r[c:] for r in eliminate(augmented, range(c))[1]]
+
+
+def kernel_intersect_with_M(lat: SubgroupLattice) -> SubgroupLattice:
+    """Reference psi-preimage of L: the M-halves of the integer kernel of
+    (v, w) -> v psi - w basis, normalized by `hnf`."""
+    n = lat.arity
+    # psi : Z^n (M-basis xbar_1..xbar_n) -> Z^n (G-basis xbar_0..xbar_{n-1}),
+    # one row per M-generator: xbar_j -> e_j for j <= n-1, xbar_n -> e_1
+    fold = [[int(c == (j if j <= n - 1 else 1)) for c in range(n)] for j in range(1, n + 1)]
+    stacked = fold + [[-x for x in row] for row in lat.basis]
+    return hnf([k[:n] for k in integer_kernel(stacked)], arity=n)
 
 
 def pairwise_minimized(points: list[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -1,6 +1,7 @@
 """HNF lattices, the HNN ingredients, enumeration, chains."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from thompson_sigma.charspace import character, chi2
 from thompson_sigma.errors import MAX_LATTICES, DomainError, RankDeficientError, ResourceLimitError
 from thompson_sigma.lattices import (
     ChainSpec,
+    SubgroupLattice,
     alpha,
     chain,
     enumerate_subgroups,
@@ -23,7 +25,44 @@ from thompson_sigma.lattices import (
 )
 from thompson_sigma.words import abelianize, word
 
-from oracles import brute_force_index_count, divisor_sum, full_lattice
+from oracles import brute_force_index_count, divisor_sum, full_lattice, kernel_intersect_with_M
+
+RAW_KINDS = ("non-hnf", "negative-pivot", "extra-rows", "rank-deficient")
+
+
+def raw_lattices(count=800, seed=2027):
+    """`SubgroupLattice`s built on raw bases, which the constructor takes
+    unchecked: a scrambled HNF basis, one with a negated row, n + 1 or
+    n + 2 random rows, and fewer than n rows or a repeated multiple."""
+    rng = random.Random(seed)
+    for k in range(count):
+        kind, n = RAW_KINDS[k % 4], rng.randint(2, 6)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if kind in ("non-hnf", "negative-pivot"):  # from an HNF basis
+            rows = [[rng.randint(1, 4) if j == i else rng.randint(0, 3) if j < i else 0 for j in range(n)]
+                    for i in range(n)]
+        if kind == "non-hnf":
+            for _ in range(3):  # elementary row operations keep the lattice
+                (i, j), c = rng.sample(range(n), 2), rng.choice((-2, -1, 1, 2))
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        elif kind == "negative-pivot":
+            i = rng.randrange(n)
+            rows[i] = [-a for a in rows[i]]
+        elif kind == "extra-rows":
+            rows += [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+        elif rng.random() < 0.5:
+            rows = rows[: rng.randrange(n)]
+        else:
+            rows[-1] = [rng.choice((-2, 0, 2)) * a for a in rows[0]]
+        yield kind, SubgroupLattice(n, tuple(tuple(r) for r in rows))
+
+
+def _outcome(f, lat):
+    """f(lat), or the type and message of what it raised."""
+    try:
+        return f(lat)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestHNF:
@@ -122,6 +161,40 @@ class TestIntersectTheta:
                 for v2 in range(-4, 5):
                     image = (0, v1 + v2)  # psi for n = 2
                     assert member(got, (v1, v2)) == member(lat, image)
+
+    def test_intersection_by_brute_force_n3(self):
+        # psi(v0, v1, v2) = (0, v0 + v2, v1); membership by back-substitution
+        # only, so neither `eliminate` nor `hnf` is trusted here
+        window = range(-3, 4)
+        for lat in enumerate_subgroups(3, 6):
+            got = intersect_with_M(lat)
+            for v in itertools.product(window, repeat=3):
+                assert member(got, v) == member(lat, (0, v[0] + v[2], v[1])), (lat, v)
+
+    def test_index_identity(self):
+        # psi maps Z^n onto {x_0 = 0}, so [Z^n : psi^-1 L] = [{x_0 = 0} : L with x_0 = 0],
+        # and the projection of L to coordinate 0 is gcd(first column) * Z
+        for n, cap in ((2, 60), (3, 20), (4, 8), (5, 4)):
+            for lat in enumerate_subgroups(n, cap):
+                first = math.gcd(*(row[0] for row in lat.basis))
+                assert index(intersect_with_M(lat)) * first == index(lat), lat
+
+    def test_matches_kernel_route(self):
+        rng, dense = random.Random(27), []
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            dense.append(hnf([[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(n, n + 2))]))
+        for lat in enumerate_subgroups(3, 20) + enumerate_subgroups(4, 8) + dense:
+            assert intersect_with_M(lat) == kernel_intersect_with_M(lat), lat
+
+    def test_raw_bases_match_kernel_route(self):
+        kinds = set()
+        for kind, lat in raw_lattices():
+            want, got = (_outcome(f, lat) for f in (kernel_intersect_with_M, intersect_with_M))
+            assert got == want, (kind, lat)
+            kinds.add((kind, type(want).__name__))
+        assert {k for k, _ in kinds} == set(RAW_KINDS)
+        assert {t for _, t in kinds} == {"SubgroupLattice", "tuple"}  # results and refusals
 
 
 class TestRestrictCharacter:

@@ -1,9 +1,10 @@
-"""The integer elimination behind HNF, lattice kernels and ranks."""
+"""The integer elimination behind HNF and ranks, and the reference integer
+kernel in `oracles` that `intersect_with_M`'s closed form is checked against."""
 
 import random
 
-from oracles import rational_rank
-from thompson_sigma._linalg import integer_kernel, rank
+from oracles import integer_kernel, rational_rank
+from thompson_sigma._linalg import rank
 
 
 def seeded_matrices(count=3000, seed=5):
