@@ -2,9 +2,9 @@
 
 `eliminate` clears chosen columns by unimodular row operations (gcd
 steps, big ints).  `hnf` uses its pivots, `intersect_with_M` the rows it
-leaves zero in coordinate 0, and `rank` counts its pivots, which over Z
-equals the rank over Q.  Everything is tiny (n <= 10 or so); clarity over
-speed.
+leaves zero in coordinate 0, and `kernel_finiteness`, on n or more rows,
+`rank`: the pivot count, which over Z equals the rank over Q.  All is tiny
+(n <= 10 or so); clarity over speed.
 """
 
 from __future__ import annotations

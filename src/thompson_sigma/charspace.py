@@ -193,7 +193,8 @@ def kernel_finiteness(
     """Finiteness type of N = (preimage in G of the lattice L), G' <= N.
 
     `lattice_rows` are generators of L inside Z^n (any rank), rows of ints.  The
-    decision is exact and runs in integer arithmetic: the annihilator V of
+    decision is exact and runs in integer arithmetic.  Full rank (tested only
+    on n or more rows) gives "infinity"; otherwise the annihilator V of
     L is intersected with the Sigma^1 complement {[chi1], [chi2]} and with
     the Sigma^m complement wedge.  "infinity" is certified when V misses
     the wedge entirely -- unconditionally for n = 2, under the conjecture
@@ -208,7 +209,7 @@ def kernel_finiteness(
         raise ValueError("lattice rows must all have length n >= 2")
     rows = [require_ints("lattice entries", r) for r in lattice_rows]
 
-    if rank(rows, n) == n:
+    if len(rows) >= n and rank(rows, n) == n:  # fewer rows than n never have rank n
         return FinitenessReport(True, "infinity", None, False)
 
     # not finitely generated iff chi1 or chi2 annihilates L

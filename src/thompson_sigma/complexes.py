@@ -98,7 +98,9 @@ class CellVector(Value):
     def prefix(self, m: int) -> tuple[int, ...]:
         """Values in dimensions 0..m; m < 0 raises ParseError, m > MAX_DIM ResourceLimitError."""
         _check_dimension(m)
-        return tuple(self.value(j) for j in range(m + 1))
+        t = self.tail  # canonical: it starts at len(counts); a finite vector is 0 there
+        slope, offset = (t.slope, t.offset) if t else (0, 0)
+        return self.counts[: m + 1] + tuple(slope * j + offset for j in range(len(self.counts), m + 1))
 
     def reach(self) -> int:
         """Dimension from which the vector is 'settled' (tail or zero)."""
@@ -238,10 +240,13 @@ def d_bound(
     """Upper bound on the minimal number of generators of the subgroup.
 
     n = 2: d(H) <= r(H, 1) from the exact cell counts (3 or 5), and
-    chi_values = (chi_0, ..., chi_{chi_upto}) as `chi_m` gives them, built in
-    one running alternating sum, O(chi_upto); the first negative value
-    raises InvariantViolationError as `chi_m` would at that m.
-    n >= 3 with e_1, ..., e_{n-1} all in L: d(H) <= 1 + d(M) = 1 + n.
+    chi_values = (chi_0, ..., chi_{chi_upto}) as `chi_m` gives them: one
+    tuple of running alternating sums, O(chi_upto), checked once by `min`;
+    a negative one raises InvariantViolationError as `chi_m` would at the
+    first negative m.
+    n >= 3 with e_1, ..., e_{n-1} all in L: d(H) <= 1 + d(M) = 1 + n.  Read
+    off the canonical HNF (`hnf` builds it): its rows are nonnegative with
+    positive pivots, so rows 1..n-1 are e_1..e_{n-1} iff each sums to 1.
     n >= 3 otherwise: d(H) <= n + 2 + d0, symbolic unless overridden.
     For every n, chi_upto is refused as `CellVector.prefix` refuses it, and
     a d0_override below 1 whether or not the bound reads it.
@@ -255,11 +260,11 @@ def d_bound(
         cells, case = cells_for_subgroup_F(lat)
         d_upper, tag = cells.value(1), f"cells-case-{case}"
         def_lower, _ = deficiency_bounds(cells, n)
-        chi_values = tuple(
-            _nonnegative(cells, m, total)
-            for m, total in enumerate(_alternating_sums(cells, chi_upto))
-        )
-    elif all(member(lat, tuple(int(c == i) for c in range(n))) for i in range(1, n)):
+        chi_values = tuple(_alternating_sums(cells, chi_upto))
+        if min(chi_values) < 0:
+            for m, total in enumerate(chi_values):
+                _nonnegative(cells, m, total)
+    elif all(sum(row) == 1 for row in lat.basis[1:]):  # rows 1..n-1 are e_1..e_{n-1}
         d_upper, tag = n + 1, "m-contained"
     elif d0_override is not None:
         d_upper, tag = n + 2 + d0_override, "generic"

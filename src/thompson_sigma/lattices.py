@@ -41,7 +41,9 @@ IntRows = tuple[tuple[int, ...], ...]
 class SubgroupLattice(Value):
     """Full-rank sublattice of Z^n in canonical (lower-triangular) HNF.
 
-    `hnf` normalizes; the constructor does not, as enumeration's bases are HNF.
+    `hnf` is the checked route; the constructor checks nothing (enumeration
+    builds ~41k HNF bases per census round), yet `index`, `alpha`, `member`
+    and `complexes.d_bound` read the canonical HNF: no other basis will do.
     """
 
     __slots__ = ("arity", "basis")
@@ -66,7 +68,11 @@ def hnf(rows, arity: int | None = None) -> SubgroupLattice:
     n = len(work[0]) if arity is None else arity
     if n < 2 or any(len(r) != n for r in work):
         raise ValueError("rows must all have length n >= 2")
+    return _hnf(work, n)
 
+
+def _hnf(work: list[list[int]], n: int) -> SubgroupLattice:
+    # hnf of a nonempty list of int lists of length n >= 2, as hnf checks them
     basis = eliminate(work, range(n - 1, -1, -1))[0][::-1]
     if None in basis:
         missing = max(i for i, row in enumerate(basis) if row is None)
@@ -95,7 +101,7 @@ def alpha(lat: SubgroupLattice) -> int:
 
 
 def member(lat: SubgroupLattice, vector) -> bool:
-    """Is the vector of ints in the lattice?  Back-substitution on the HNF."""
+    """Is the vector of ints in the lattice?  Back-substitution: needs the canonical HNF."""
     v = require_ints("vector entries", vector)
     if len(v) != lat.arity:
         raise ValueError(f"vector length {len(v)} != arity {lat.arity}")
@@ -120,7 +126,7 @@ def intersect_with_M(lat: SubgroupLattice) -> SubgroupLattice:
     """
     n = lat.arity
     lifts = [r[1:] + [0] for r in eliminate(lat.basis, [0])[1]]
-    return hnf(lifts + [[1] + [0] * (n - 2) + [-1]], arity=n)
+    return _hnf(lifts + [[1] + [0] * (n - 2) + [-1]], n)
 
 
 def restrict_character(chi: Character) -> Character:
@@ -201,7 +207,7 @@ class ChainSpec(Value):
 
     kind "scaling":    L_s = p^s * Z^n            (index p^(s n), nested)
     kind "coordinate": L_s = p^s Z + Z^(n-1)      (index p^s, nested)
-    kind "explicit":   a stored list of lattices; need not be nested.
+    kind "explicit":   stored lattices, used unchecked (build them with `hnf`); need not nest.
     """
 
     __slots__ = ("kind", "p", "terms")

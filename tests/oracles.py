@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 from thompson_sigma.autos import CharacterMatrix, matrix_A, matrix_C
-from thompson_sigma.charspace import Character, SpherePoint, sphere_point
+from thompson_sigma.charspace import Character, FinitenessReport, SpherePoint, kernel_finiteness, sphere_point
 from thompson_sigma.complexes import CellVector, cell_vector
 from thompson_sigma.errors import (
     ArityMismatchError,
@@ -201,6 +201,14 @@ def rational_rank(rows) -> int:
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def rank_first_kernel_finiteness(rows: list[list[int]], **options) -> FinitenessReport:
+    """`kernel_finiteness` with its full-rank test run on every row set, by
+    `rational_rank`, whatever the row count; valid int rows only."""
+    if rational_rank(rows) == len(rows[0]):
+        return FinitenessReport(True, "infinity", None, False)
+    return kernel_finiteness(rows, **options)
 
 
 def integer_kernel(rows: list[list[int]]) -> list[list[int]]:

@@ -28,7 +28,7 @@ from thompson_sigma.errors import (
 from thompson_sigma.plrep import evaluate_word
 from thompson_sigma.words import parse_word, word
 
-from oracles import evaluate
+from oracles import evaluate, rank_first_kernel_finiteness, rational_rank
 
 
 def grid_characters(n, span):
@@ -243,6 +243,44 @@ class TestKernelFiniteness:
         report = kernel_finiteness([[1, -2]])
         assert report.max_certified_f_type == "infinity"
         assert not report.assumed_conjecture
+
+
+class TestKernelRowCount:
+    """kernel_finiteness runs its full-rank test only on n or more rows; the
+    reference runs it on every row set."""
+
+    @staticmethod
+    def seeded_row_sets(seed: str):
+        # 1 to n + 1 rows, n = 2..6; the kinds aim at each branch: dense rows
+        # (often full rank), x_0 = 0 (chi1 vanishes), sum 0 (chi2 vanishes),
+        # and rows (a, b, ..., b) in the plane of the wedge
+        rng = random.Random(seed)
+        for n in range(2, 7):
+            for count in range(1, n + 2):
+                for k in range(40):
+                    kind = k % 4
+                    rows = []
+                    for _ in range(count):
+                        row = [rng.randint(-4, 4) for _ in range(n)]
+                        if kind == 1:
+                            row[0] = 0
+                        elif kind == 2:
+                            row[-1] = -sum(row[:-1])
+                        elif kind == 3:
+                            row = [rng.randint(-4, 4)] + [rng.randint(-4, 4)] * (n - 1)
+                        rows.append(row)
+                    yield n, rows
+
+    def test_matches_rank_first_reference(self):
+        outcomes, full_at_n = set(), 0
+        for k, (n, rows) in enumerate(self.seeded_row_sets("kernel rows")):
+            options = {"assume_conjecture": k % 3 == 0, "m_max": 1 + k % 5}
+            got = kernel_finiteness(rows, **options)
+            assert got == rank_first_kernel_finiteness(rows, **options), (rows, options)
+            outcomes.add((got.is_finitely_generated, got.max_certified_f_type))
+            full_at_n += n >= 3 and len(rows) == n and rational_rank(rows) == n
+        assert outcomes >= {(True, "infinity"), (False, 0), (True, 1), (True, 2)}
+        assert full_at_n >= 30  # the sets the row-count guard must still test
 
 
 class TestGermIdentity:

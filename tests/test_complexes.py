@@ -1,5 +1,7 @@
 """Cell-count recursions, the n = 2 classification, bounds, chi_m."""
 
+import random
+
 import pytest
 
 from thompson_sigma import complexes
@@ -20,8 +22,8 @@ from thompson_sigma.complexes import (
     ones_cells,
     stack_cells,
 )
-from thompson_sigma.errors import MAX_DIM, DomainError, InvariantViolationError, ResourceLimitError
-from thompson_sigma.lattices import enumerate_subgroups, hnf
+from thompson_sigma.errors import MAX_DIM, DomainError, InvariantViolationError, RankDeficientError, ResourceLimitError
+from thompson_sigma.lattices import enumerate_subgroups, hnf, member
 
 from oracles import binomial_cells, full_lattice, per_m_chi_values
 
@@ -302,3 +304,82 @@ def test_chi_nonnegative_across_enumeration():
         vec, _ = cells_for_subgroup_F(lat)
         for m in range(17):
             assert chi_m(vec, m) >= 0
+
+
+def seeded_cell_vectors(count: int, seed: str):
+    # random counts up to a random start, then an affine tail, flat (slope 0,
+    # zero when its offset is) or rising, spelled out for up to 3 dimensions
+    rng = random.Random(seed)
+    for k in range(count):
+        start = rng.randint(0, 8)
+        slope = 0 if k % 2 else rng.randint(1, 9)
+        offset = rng.randint(max(-slope * start, int(start == 0)), 9)
+        head = [rng.randint(1, 9)] + [rng.randint(0, 9) for _ in range(start - 1)]
+        spelled = [slope * j + offset for j in range(start, start + rng.randint(0, 3))]
+        yield cell_vector(tuple(head[:start] + spelled), AffineTail(slope, offset, start))
+
+
+class TestPrefixRoute:
+    # prefix slices the counts and runs the tail; value(j) reads one dimension
+    @staticmethod
+    def assert_prefix_matches(vec, dims):
+        top = max(dims)
+        expected = tuple(vec.value(j) for j in range(top + 1))
+        for m in dims:
+            assert vec.prefix(m) == expected[: m + 1], (vec, m)
+
+    def test_named_and_finite_vectors_at_every_dimension(self):
+        finite = [cell_vector((1,)), cell_vector((1, 3)), cell_vector((1, 2, 0)), cell_vector((2, 0, 0, 5))]
+        finite += [binomial_cells(k) for k in range(7)]
+        for vec in [CASE_1_2_CELLS, CASE_3_CELLS, classical_f_cells(), ones_cells(), *finite]:
+            self.assert_prefix_matches(vec, range(MAX_DIM + 1))
+
+    def test_seeded_vectors(self):
+        # every dimension where counts and tail meet, then a stride to MAX_DIM
+        kinds = set()
+        for vec in seeded_cell_vectors(200, "prefix"):
+            kinds.add(None if vec.tail is None else vec.tail.slope > 0)
+            self.assert_prefix_matches(vec, [*range(40), 100, 511, MAX_DIM - 1, MAX_DIM])
+        assert kinds == {None, False, True}
+
+
+class TestContainmentRoute:
+    # d_bound reads rows 1..n-1 of the canonical HNF; the reference asks member
+    @staticmethod
+    def by_member(lat):
+        n = lat.arity
+        return all(member(lat, tuple(int(c == i) for c in range(n))) for i in range(1, n))
+
+    def assert_same(self, lats):
+        tags = set()
+        for lat in lats:
+            tag = d_bound(lat).case_tag
+            assert (tag == "m-contained") == self.by_member(lat), lat
+            tags.add(tag)
+        assert tags == {"m-contained", "generic"}
+
+    def test_every_enumerated_lattice(self):
+        for n, top in ((3, 20), (4, 8), (5, 4)):
+            self.assert_same(enumerate_subgroups(n, top))
+
+    def test_hnf_of_seeded_dense_rows(self):
+        # half dense rows, half a lattice d Z + Z^(n-1) scrambled by row operations
+        rng = random.Random("containment")
+        lats = []
+        for k in range(300):
+            n = 3 + k % 4
+            if k % 2:
+                rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n + rng.randint(0, 1))]
+            else:
+                rows = [[rng.randint(1, 6)] + [rng.randint(-6, 6) for _ in range(n - 1)]]
+                rows += [[int(c == i) for c in range(n)] for i in range(1, n)]
+                for _ in range(3 * n):
+                    i, j = rng.sample(range(n), 2)
+                    q = rng.randint(-3, 3)
+                    rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+            try:
+                lats.append(hnf(rows))
+            except RankDeficientError:
+                continue
+        assert len(lats) > 250
+        self.assert_same(lats)
