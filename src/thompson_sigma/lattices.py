@@ -20,14 +20,15 @@ in G-coordinates and transporting it along theta is the identity.
 `restrict_character` is the companion move on characters.
 
 `enumerate_subgroups` lists all subgroups up to a given index exactly
-once (`hnf_bases` streams their bases), and `ChainSpec`/`chain`
-generate the subgroup chains the gradient series are evaluated on.
+once (`hnf_bases` yields their bases lazily, in (index, basis) order, from
+an `itertools` pipeline), and `ChainSpec`/`chain` generate the subgroup
+chains the gradient series are evaluated on.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import product
+from itertools import chain as chained, product, repeat
 from math import prod
 
 from ._linalg import eliminate
@@ -49,8 +50,9 @@ class SubgroupLattice(Value):
     __slots__ = ("arity", "basis")
 
     def __init__(self, arity: int, basis: IntRows):  # not Value's loop: ~41k per census round
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "basis", basis)
+        put_arity, put_basis = self._setters
+        put_arity(self, arity)
+        put_basis(self, basis)
 
     def index(self) -> int:
         return prod(self.basis[i][i] for i in range(self.arity))
@@ -145,17 +147,13 @@ def _bases_of_index(n: int, rows: tuple, remaining: int):
     # HNF bases of index exactly k = remaining * (pivots of rows so far), in
     # lexicographic order: row by row, the below-pivot entries first, then
     # the pivot over the divisors of what remains; the last pivot takes it all
-    r = len(rows)
-    fillings = product(*(range(row[i]) for i, row in enumerate(rows)))
-    if r == n - 1:
-        for below in fillings:
-            yield (*rows, below + (remaining,))
-        return
+    ranges = [range(row[i]) for i, row in enumerate(rows)]
+    if len(rows) == n - 1:  # whole last rows, each beside the rows above
+        return zip(*map(repeat, rows), product(*ranges, (remaining,)))
     divisors = [d for d in range(1, remaining + 1) if remaining % d == 0]
-    zeros = (0,) * (n - 1 - r)
-    for below in fillings:
-        for d in divisors:
-            yield from _bases_of_index(n, (*rows, below + (d,) + zeros), remaining // d)
+    zeros = (0,) * (n - 1 - len(rows))
+    return chained.from_iterable(_bases_of_index(n, (*rows, below + (d,) + zeros), remaining // d)
+                                 for below in product(*ranges) for d in divisors)
 
 
 def _basis_count(n: int, max_index: int, cap: int) -> int:
@@ -184,14 +182,16 @@ def hnf_bases(n: int, max_index: int) -> Iterator[IntRows]:
 
     Yields each basis (a tuple of integer rows) exactly once, in (index,
     basis) order: index 1, 2, ..., and within one index lexicographically.
-    The arguments and the budget are checked on the call, before the first
-    basis: more than MAX_LATTICES lattices raise ResourceLimitError.
+    The bases come lazily from an `itertools` pipeline, which yields whole
+    last rows beside the rows above them.  The arguments and the budget are
+    checked on the call, before the first basis: more than MAX_LATTICES
+    lattices raise ResourceLimitError.
     """
     require_at_least("arity", n, 2)
     require_at_least("max_index", max_index, 1)
     if _basis_count(n, max_index, MAX_LATTICES) > MAX_LATTICES:
         refuse_above("lattice count", None, MAX_LATTICES)
-    return (basis for k in range(1, max_index + 1) for basis in _bases_of_index(n, (), k))
+    return chained.from_iterable(_bases_of_index(n, (), k) for k in range(1, max_index + 1))
 
 
 def enumerate_subgroups(n: int, max_index: int) -> list[SubgroupLattice]:
@@ -199,7 +199,7 @@ def enumerate_subgroups(n: int, max_index: int) -> list[SubgroupLattice]:
 
     The lattices of `hnf_bases`, in its order and under its budget check.
     """
-    return [SubgroupLattice(n, basis) for basis in hnf_bases(n, max_index)]
+    return list(map(SubgroupLattice, repeat(n), hnf_bases(n, max_index)))
 
 
 class ChainSpec(Value):

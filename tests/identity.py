@@ -254,8 +254,10 @@ def catalogue():
     yield "evaluate_at/outside", lambda: plrep.evaluate_at(plrep.generator_map(2, 0), Fraction(3, 2))
 
     # lattices, complexes
-    for n, top in ((2, 100), (3, 30), (4, 12)):
+    for n, top in ((2, 100), (3, 30), (4, 12), (5, 6), (6, 4), (7, 2)):  # recursion depths 1 to 6
         yield f"enumerate_subgroups/{n}/{top}", lambda n=n, top=top: lattices.enumerate_subgroups(n, top)
+    for n, top in ((2, 1), (3, 1), (5, 6), (6, 4), (7, 2)):  # one lattice, then the deep arities
+        yield f"hnf_bases/{n}/{top}", lambda n=n, top=top: list(lattices.hnf_bases(n, top))
     yield "enumerate_subgroups/MAX_LATTICES=100", lambda: _patched(
         lattices, "MAX_LATTICES", 100, lambda: lattices.enumerate_subgroups(2, 40))
     rng = random.Random("lattices")

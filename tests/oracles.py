@@ -2,7 +2,8 @@
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 
 from thompson_sigma.autos import CharacterMatrix, matrix_A, matrix_C
 from thompson_sigma.charspace import Character, FinitenessReport, SpherePoint, kernel_finiteness, sphere_point
@@ -52,6 +53,30 @@ def brute_force_index_count(n: int, k: int) -> int:
         for d in range(1, k + 1)
         if k % d == 0
     )
+
+
+def brute_force_hnf_bases(n: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every HNF basis of Z^n of index <= m, sorted by index, then row by row.
+
+    Walks every pivot sequence (d_0, ..., d_{n-1}) with product <= m and, for
+    each, every choice of the entries below the pivots (column j in
+    [0, d_j)); row i is (below entries, d_i, zeros).  Within one index the
+    bases sort by their rows in turn, each by its below entries, then its
+    pivot.
+    """
+    bases, cells = [], [(i, j) for i in range(n) for j in range(i)]
+    for pivots in product(range(1, m + 1), repeat=n):
+        if prod(pivots) > m:
+            continue
+        for entries in product(*(range(pivots[j]) for _, j in cells)):
+            rows = [[0] * n for _ in range(n)]
+            for i, d in enumerate(pivots):
+                rows[i][i] = d
+            for (i, j), e in zip(cells, entries):
+                rows[i][j] = e
+            bases.append(tuple(map(tuple, rows)))
+    return sorted(bases, key=lambda b: (prod(b[i][i] for i in range(n)),
+                                        tuple((b[i][:i], b[i][i]) for i in range(n))))
 
 
 def divisor_sum(k: int) -> int:

@@ -25,7 +25,7 @@ from thompson_sigma.lattices import (
 )
 from thompson_sigma.words import abelianize, word
 
-from oracles import brute_force_index_count, divisor_sum, full_lattice, kernel_intersect_with_M
+from oracles import brute_force_hnf_bases, brute_force_index_count, divisor_sum, full_lattice, kernel_intersect_with_M
 
 RAW_KINDS = ("non-hnf", "negative-pivot", "extra-rows", "rank-deficient")
 
@@ -231,6 +231,15 @@ class TestEnumeration:
         for n, max_index in ((2, 40), (3, 10), (4, 6)):
             lats = enumerate_subgroups(n, max_index)
             assert lats == sorted(lats, key=lambda l: (l.index(), l.basis))
+
+    def test_matches_brute_force_listing(self):
+        # one arity per recursion depth of the enumeration, 1 to 6
+        for n, max_index in ((2, 60), (3, 20), (4, 8), (5, 6), (6, 4), (7, 2)):
+            listing = brute_force_hnf_bases(n, max_index)
+            assert list(lattices.hnf_bases(n, max_index)) == listing, (n, max_index)
+            lats = enumerate_subgroups(n, max_index)
+            assert all(type(lat) is SubgroupLattice and lat.arity == n for lat in lats)
+            assert [lat.basis for lat in lats] == listing, (n, max_index)
 
     def test_no_duplicates_and_canonical(self):
         lats = enumerate_subgroups(3, 6)
