@@ -19,10 +19,11 @@ M-slot i (holding xbar_{i+1}) to G-slot i, so that HNF lattice is already
 in G-coordinates and transporting it along theta is the identity.
 `restrict_character` is the companion move on characters.
 
-`enumerate_subgroups` lists all subgroups up to a given index exactly
-once (`hnf_bases` yields their bases lazily, in (index, basis) order, from
-an `itertools` pipeline), and `ChainSpec`/`chain` generate the subgroup
-chains the gradient series are evaluated on.
+`enumerate_subgroups` gives each subgroup up to a given index once, as a
+sized, re-iterable and lazy view whose passes build the lattices afresh in
+(index, basis) order (`list()` keeps them); `hnf_bases` yields their bases
+from the same `itertools` pipeline.  `ChainSpec`/`chain` generate the
+subgroup chains the gradient series are evaluated on.
 """
 
 from __future__ import annotations
@@ -177,6 +178,10 @@ def _basis_count(n: int, max_index: int, cap: int) -> int:
     return sum(ways)
 
 
+def _bases(n: int, max_index: int) -> Iterator[IntRows]:  # behind hnf_bases and each Subgroups pass
+    return chained.from_iterable(_bases_of_index(n, (), k) for k in range(1, max_index + 1))
+
+
 def hnf_bases(n: int, max_index: int) -> Iterator[IntRows]:
     """The HNF bases of all lattices of index <= max_index, as an iterator.
 
@@ -187,19 +192,39 @@ def hnf_bases(n: int, max_index: int) -> Iterator[IntRows]:
     checked on the call, before the first basis: more than MAX_LATTICES
     lattices raise ResourceLimitError.
     """
-    require_at_least("arity", n, 2)
-    require_at_least("max_index", max_index, 1)
-    if _basis_count(n, max_index, MAX_LATTICES) > MAX_LATTICES:
-        refuse_above("lattice count", None, MAX_LATTICES)
-    return chained.from_iterable(_bases_of_index(n, (), k) for k in range(1, max_index + 1))
+    enumerate_subgroups(n, max_index)  # the checks, on the call
+    return _bases(n, max_index)
 
 
-def enumerate_subgroups(n: int, max_index: int) -> list[SubgroupLattice]:
+class Subgroups(Value):
+    """The `count` lattices of `enumerate_subgroups(arity, max_index)`: a sized view.
+
+    Each `iter()` builds them afresh and lazily, holding none; `list()` keeps them.
+    """
+
+    __slots__ = ("arity", "max_index", "count")
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[SubgroupLattice]:
+        return map(SubgroupLattice, repeat(self.arity), _bases(self.arity, self.max_index))
+
+
+def enumerate_subgroups(n: int, max_index: int) -> Subgroups:
     """All HNF lattices of index <= max_index, each exactly once.
 
-    The lattices of `hnf_bases`, in its order and under its budget check.
+    A sized, re-iterable and lazy view, not a list: `len()` is exact, each
+    pass builds the lattices afresh in `hnf_bases` order, and `+`, indexing
+    or `==` with a list need `list(...)` of it.  The arguments and the
+    budget are checked on the call, as for `hnf_bases`.
     """
-    return list(map(SubgroupLattice, repeat(n), hnf_bases(n, max_index)))
+    require_at_least("arity", n, 2)
+    require_at_least("max_index", max_index, 1)
+    count = _basis_count(n, max_index, MAX_LATTICES)
+    if count > MAX_LATTICES:
+        refuse_above("lattice count", None, MAX_LATTICES)
+    return Subgroups(n, max_index, count)
 
 
 class ChainSpec(Value):

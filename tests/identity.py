@@ -80,6 +80,8 @@ def _canon(x) -> str:
         return "{" + ", ".join(sorted(f"{_canon(k)}: {_canon(v)}" for k, v in x.items())) + "}"
     if isinstance(x, (tuple, list)):
         return type(x).__name__ + "[" + ", ".join(map(_canon, x)) + "]"
+    if type(x).__name__ == "Subgroups":  # `enumerate_subgroups`' view, as the list it stands for
+        return _canon(list(x))
     slots = getattr(type(x), "__slots__", ())
     if slots:  # the package's value classes
         return type(x).__name__ + "(" + ", ".join(f"{s}={_canon(getattr(x, s))}" for s in slots) + ")"
@@ -256,6 +258,7 @@ def catalogue():
     # lattices, complexes
     for n, top in ((2, 100), (3, 30), (4, 12), (5, 6), (6, 4), (7, 2)):  # recursion depths 1 to 6
         yield f"enumerate_subgroups/{n}/{top}", lambda n=n, top=top: lattices.enumerate_subgroups(n, top)
+        yield f"enumerate_subgroups/len/{n}/{top}", lambda n=n, top=top: len(lattices.enumerate_subgroups(n, top))
     for n, top in ((2, 1), (3, 1), (5, 6), (6, 4), (7, 2)):  # one lattice, then the deep arities
         yield f"hnf_bases/{n}/{top}", lambda n=n, top=top: list(lattices.hnf_bases(n, top))
     yield "enumerate_subgroups/MAX_LATTICES=100", lambda: _patched(

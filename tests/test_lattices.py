@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -184,7 +185,7 @@ class TestIntersectTheta:
         for _ in range(300):
             n = rng.randint(2, 6)
             dense.append(hnf([[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(n, n + 2))]))
-        for lat in enumerate_subgroups(3, 20) + enumerate_subgroups(4, 8) + dense:
+        for lat in list(enumerate_subgroups(3, 20)) + list(enumerate_subgroups(4, 8)) + dense:
             assert intersect_with_M(lat) == kernel_intersect_with_M(lat), lat
 
     def test_raw_bases_match_kernel_route(self):
@@ -229,7 +230,7 @@ class TestEnumeration:
 
     def test_order_is_index_then_basis(self):
         for n, max_index in ((2, 40), (3, 10), (4, 6)):
-            lats = enumerate_subgroups(n, max_index)
+            lats = list(enumerate_subgroups(n, max_index))
             assert lats == sorted(lats, key=lambda l: (l.index(), l.basis))
 
     def test_matches_brute_force_listing(self):
@@ -240,6 +241,31 @@ class TestEnumeration:
             lats = enumerate_subgroups(n, max_index)
             assert all(type(lat) is SubgroupLattice and lat.arity == n for lat in lats)
             assert [lat.basis for lat in lats] == listing, (n, max_index)
+
+    def test_view_is_sized_and_reiterable(self):
+        # the grid of test_matches_brute_force_listing
+        for n, max_index in ((2, 60), (3, 20), (4, 8), (5, 6), (6, 4), (7, 2)):
+            view = enumerate_subgroups(n, max_index)
+            assert len(view) == sum(1 for _ in view), (n, max_index)
+            assert list(view) == list(view), (n, max_index)
+            assert list(view) == [SubgroupLattice(n, b) for b in lattices.hnf_bases(n, max_index)], (n, max_index)
+
+    def test_a_pass_holds_no_lattices(self):
+        # a pass over the view takes memory that does not grow with it, while
+        # keeping the 33,044 lattices of (2, 200) takes megabytes
+        view = enumerate_subgroups(2, 200)
+
+        def peak(consume):
+            tracemalloc.start()
+            try:
+                consume(view)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert len(view) == 33_044
+        assert peak(lambda v: sum(1 for _ in v)) < 256 * 1024
+        assert peak(list) > 4 * 1024 * 1024
 
     def test_no_duplicates_and_canonical(self):
         lats = enumerate_subgroups(3, 6)
@@ -256,9 +282,9 @@ class TestEnumeration:
     def test_cap_boundary(self, monkeypatch):
         for n, max_index in ((2, 30), (3, 6), (4, 8), (5, 4)):
             monkeypatch.setattr(lattices, "MAX_LATTICES", MAX_LATTICES)
-            everything = enumerate_subgroups(n, max_index)
+            everything = list(enumerate_subgroups(n, max_index))
             monkeypatch.setattr(lattices, "MAX_LATTICES", len(everything))
-            assert enumerate_subgroups(n, max_index) == everything
+            assert list(enumerate_subgroups(n, max_index)) == everything
             monkeypatch.setattr(lattices, "MAX_LATTICES", len(everything) - 1)
             with pytest.raises(ResourceLimitError):
                 enumerate_subgroups(n, max_index)
