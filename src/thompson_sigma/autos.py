@@ -53,8 +53,7 @@ class CharacterMatrix(Value):
         require_at_least("arity", arity, 2)
         if len(entries) != arity or any(len(r) != arity for r in entries):
             raise ValueError(f"expected a {arity}x{arity} matrix")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "entries", entries)
+        Value.__init__(self, arity, entries)
 
 
 def delta_involution(n: int) -> dict[int, int]:
@@ -112,11 +111,8 @@ def d_orbit(point: SpherePoint, cap: int = ORBIT_CAP) -> frozenset[SpherePoint]:
     under the full group; the cap guards against runaway exploration.  The
     walk runs on primitive integer rays through the sparse rows of A and C,
     which are built once per arity and cached, and builds the sphere points
-    only on return.  A hand-built point that is not normalized walks the ray
-    through its values: the result is the orbit of the normalized point and
-    does not contain the point itself.  Equality with the orbit of the
-    point is promised only for points that `sphere_point` produced.  A cap
-    below 1 raises ParseError: the start point alone is already over it.
+    only on return.  A cap below 1 raises ParseError: the start point alone
+    is already over it.
     """
     require_at_least("cap", cap, 1)
     n = point.arity
@@ -133,5 +129,5 @@ def d_orbit(point: SpherePoint, cap: int = ORBIT_CAP) -> frozenset[SpherePoint]:
                     refuse_above("orbit size", len(seen) + 1, cap)
                 seen.add(image)
                 frontier.append(image)
-    return frozenset(SpherePoint(n, _on_sphere(v)) for v in seen)
+    return frozenset(SpherePoint._trusted(n, _on_sphere(v)) for v in seen)
 

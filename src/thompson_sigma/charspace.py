@@ -8,8 +8,8 @@ folding rule chi(x_i) = values[1 + (i-1) mod (n-1)] and never stored.
 The character sphere S(G) identifies positive rational multiples; the
 canonical representative divides by |first nonzero coordinate|, and is
 made only here, from the primitive integer vector on the ray, for
-`sphere_point` and `autos.d_orbit`.  Exactly two sphere points lie
-outside Sigma^1:
+`SpherePoint`, `sphere_point` and `autos.d_orbit`.  Exactly two sphere
+points lie outside Sigma^1:
 
     chi1 = (-1, 0, ..., 0)      chi2 = (1, 1, ..., 1)
 
@@ -48,9 +48,7 @@ class Character(Value):
             raise ValueError(f"expected {arity} values, got {len(values)}")
         if not all(isinstance(v, (int, Fraction)) for v in values):
             raise ValueError(f"character values must be ints or Fractions, got {values!r}")
-        values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "values", values)
+        Value.__init__(self, arity, tuple(v if type(v) is Fraction else Fraction(v) for v in values))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
@@ -63,12 +61,15 @@ class Character(Value):
 
 
 class SpherePoint(Value):
-    """A character up to positive scaling, canonically normalized.
+    """A character up to positive scaling: its values divided by |first nonzero value|.
 
-    `sphere_point` normalizes; the constructor does not: `d_orbit` passes primitive rays.
+    `SpherePoint(n, values)` takes what `Character` takes; a zero vector raises ZeroCharacterError.
     """
 
     __slots__ = ("arity", "values")
+
+    def __init__(self, arity: int, values: RationalVector):
+        Value.__init__(self, arity, _on_sphere(_ray(Character(arity, values).values)))
 
 
 class FinitenessReport(Value):
@@ -114,7 +115,7 @@ def chi2(n: int) -> Character:
 
 def sphere_point(chi: Character) -> SpherePoint:
     """Canonical positive-scaling representative of a nonzero character."""
-    return SpherePoint(chi.arity, _on_sphere(_ray(chi.values)))
+    return SpherePoint._trusted(chi.arity, _on_sphere(_ray(chi.values)))
 
 
 def _ray(values) -> tuple[int, ...]:

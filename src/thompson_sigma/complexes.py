@@ -48,9 +48,7 @@ class AffineTail(Value):
     def __init__(self, slope: int, offset: int, start: int):
         if not type(slope) is type(offset) is type(start) is int:
             slope, offset, start = require_ints("tail slope, offset and start", (slope, offset, start))
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "start", start)
+        Value.__init__(self, slope, offset, start)
 
     def value(self, j: int) -> int:
         return self.slope * j + self.offset
@@ -80,9 +78,8 @@ class CellVector(Value):
         start = min(tail.start, len(counts))
         while start > 0 and counts[start - 1] == tail.value(start - 1):
             start -= 1
-        object.__setattr__(self, "counts", tuple(counts[:start]))
         zero = not (tail.slope or tail.offset)
-        object.__setattr__(self, "tail", None if zero else AffineTail(tail.slope, tail.offset, start))
+        Value.__init__(self, tuple(counts[:start]), None if zero else AffineTail(tail.slope, tail.offset, start))
         if self.value(0) < 1:
             raise ValueError("a complex needs at least one 0-cell")
 
@@ -245,8 +242,8 @@ def d_bound(
     a negative one raises InvariantViolationError as `chi_m` would at the
     first negative m.
     n >= 3 with e_1, ..., e_{n-1} all in L: d(H) <= 1 + d(M) = 1 + n.  Read
-    off the canonical HNF (`hnf` builds it): its rows are nonnegative with
-    positive pivots, so rows 1..n-1 are e_1..e_{n-1} iff each sums to 1.
+    off the HNF basis: its rows are nonnegative with positive pivots, so
+    rows 1..n-1 are e_1..e_{n-1} iff each sums to 1.
     n >= 3 otherwise: d(H) <= n + 2 + d0, symbolic unless overridden.
     For every n, chi_upto is refused as `CellVector.prefix` refuses it, and
     a d0_override below 1 whether or not the bound reads it.

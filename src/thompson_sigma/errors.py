@@ -24,13 +24,12 @@ class Value:
 
     A class without an `__init__` of its own takes all its fields, in slot
     order, and stores them unchecked; another count raises TypeError.  A class
-    whose values need checks defines an `__init__` that sets each field once
-    with `object.__setattr__`; a hot constructor may store through
-    `cls._setters` instead, as `SubgroupLattice` does.  `_trusted` stores the
-    fields as `Value.__init__` does, for a value the package built itself from
-    checked values.  Equality (within one class), hashing, `repr` and pickling
-    (through `__init__`) go by the fields, and setting or deleting one raises
-    AttributeError.
+    whose values need checks defines an `__init__` that checks its arguments
+    and stores the fields through `Value.__init__(self, ...)`.  `_trusted`
+    stores the fields as `Value.__init__` does, for a value the package built
+    itself from checked values.  Equality (within one class), hashing, `repr`
+    and pickling (through `__init__`) go by the fields, and setting or
+    deleting one raises AttributeError.
     """
 
     __slots__ = ()

@@ -102,8 +102,7 @@ class PLMap(Value):
         for k in range(len(bps) - 1):
             if not (bps[k][0] < bps[k + 1][0] and bps[k][1] < bps[k + 1][1]):
                 raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "breakpoints", _coincidences_dropped(list(bps), range(1, len(bps) - 1)))
+        Value.__init__(self, arity, _coincidences_dropped(list(bps), range(1, len(bps) - 1)))
 
     def __call__(self, t: Fraction) -> Fraction:
         return evaluate_at(self, t)

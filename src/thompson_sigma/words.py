@@ -87,8 +87,7 @@ class GroupWord(Value):
                 _check_index(i)
                 if e not in (1, -1) or not isinstance(e, int):
                     raise ValueError(f"letter exponent must be +-1, got {e}")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "letters", letters)
+        Value.__init__(self, arity, letters)
 
     def __len__(self):
         return len(self.letters)
@@ -114,9 +113,7 @@ class SeminormalForm(Value):
             raise ValueError(f"positive part not sorted: {positive}")
         if any(map(lt, negative, negative[1:])):
             raise ValueError(f"negative part not sorted: {negative}")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "negative", negative)
+        Value.__init__(self, arity, positive, negative)
 
     def is_identity(self) -> bool:
         return not self.positive and not self.negative

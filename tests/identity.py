@@ -289,7 +289,7 @@ def catalogue():
         for k, lat in enumerate(lattices.enumerate_subgroups(n, top)):
             for f in (lattices.intersect_with_M, lattices.alpha, lattices.index):
                 yield f"{f.__name__}/{n}/{top}/{k}", lambda f=f, lat=lat: f(lat)
-    raw = [(name, lattices.SubgroupLattice(n, rows)) for name, n, rows in (
+    raw = [  # built inside each call, so that a refused basis is that call's outcome
         ("non-hnf", 2, ((1, 1), (1, -1))),
         ("non-hnf", 3, ((2, 1, 0), (1, 1, 1), (0, 3, 1))),
         ("negative-pivot", 2, ((-2, 0), (1, 3))),
@@ -300,15 +300,15 @@ def catalogue():
         ("rank-deficient", 3, ((1, 0, 0),)),
         ("rank-deficient", 3, ((0, 1, 0), (0, 0, 1))),
         ("rank-deficient", 3, ()),
-    )]
+    ]
     rng = random.Random("raw bases")  # dense rows, n - 1 to n + 1 of them, as the constructor takes them
     for k in range(120):
         n = 2 + k % 4
         rows = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(rng.randint(n - 1, n + 1)))
-        raw.append((f"dense/{k}", lattices.SubgroupLattice(n, rows)))
-    for k, (name, lat) in enumerate(raw):
+        raw.append((f"dense/{k}", n, rows))
+    for k, (name, n, rows) in enumerate(raw):
         for f in (lattices.intersect_with_M, lattices.alpha, lattices.index):
-            yield f"{f.__name__}/raw/{name}/{k}", lambda f=f, lat=lat: f(lat)
+            yield f"{f.__name__}/raw/{name}/{k}", lambda f=f, n=n, rows=rows: f(lattices.SubgroupLattice(n, rows))
     rng = random.Random("restrict")
     for k in range(60):
         chi = charspace.character(2 + k % 4, [rng.randint(-3, 3) for _ in range(2 + k % 4)])

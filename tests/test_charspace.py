@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from thompson_sigma import charspace
 from thompson_sigma.charspace import (
     Character,
+    SpherePoint,
     character,
     chi1,
     chi2,
@@ -116,6 +117,18 @@ class TestBasics:
         assert sphere_point(character(2, (-3, 3))).values == (-1, 1)
         with pytest.raises(ZeroCharacterError):
             sphere_point(character(2, (0, 0)))
+
+    def test_sphere_point_constructor_normalizes(self):
+        # it takes what Character takes and stores what sphere_point does
+        assert SpherePoint(3, (2, 4, 6)) == sphere_point(character(3, (2, 4, 6)))
+        assert SpherePoint(2, (-3, Fraction(3, 2))).values == (-1, Fraction(1, 2))
+        for values in ((1.5, 2), (1, 2.0)):
+            with pytest.raises(ValueError, match="^character values must be ints or Fractions, got "):
+                SpherePoint(2, values)
+        with pytest.raises(ValueError, match="^expected 2 values, got 3$"):
+            SpherePoint(2, (1, 2, 3))
+        with pytest.raises(ZeroCharacterError):
+            SpherePoint(2, (0, 0))
 
 
 class TestSigma1:

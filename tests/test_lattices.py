@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -32,9 +33,10 @@ RAW_KINDS = ("non-hnf", "negative-pivot", "extra-rows", "rank-deficient")
 
 
 def raw_lattices(count=800, seed=2027):
-    """`SubgroupLattice`s built on raw bases, which the constructor takes
-    unchecked: a scrambled HNF basis, one with a negated row, n + 1 or
-    n + 2 random rows, and fewer than n rows or a repeated multiple."""
+    """`SubgroupLattice`s stored on raw bases through `_trusted`, which the
+    constructor would reduce or refuse: a scrambled HNF basis, one with a
+    negated row, n + 1 or n + 2 random rows, and fewer than n rows or a
+    repeated multiple."""
     rng = random.Random(seed)
     for k in range(count):
         kind, n = RAW_KINDS[k % 4], rng.randint(2, 6)
@@ -55,7 +57,7 @@ def raw_lattices(count=800, seed=2027):
             rows = rows[: rng.randrange(n)]
         else:
             rows[-1] = [rng.choice((-2, 0, 2)) * a for a in rows[0]]
-        yield kind, SubgroupLattice(n, tuple(tuple(r) for r in rows))
+        yield kind, SubgroupLattice._trusted(n, tuple(tuple(r) for r in rows))
 
 
 def _outcome(f, lat):
@@ -93,6 +95,22 @@ class TestHNF:
             hnf([[1, 1], [2, 2]])
         with pytest.raises(RankDeficientError):
             hnf([[0, 1]])
+
+    def test_constructor_stores_the_hnf(self):
+        # a raw basis and its hnf give the same lattice, index, alpha and membership
+        raw = (((1, 1), (1, -1)), ((-2, 0), (1, 3)), ((2, 1, 0), (1, 1, 1), (0, 3, 1)), ((2, 0), (0, 2), (1, 1)))
+        for rows in raw:
+            n = len(rows[0])
+            lat, want = SubgroupLattice(n, rows), hnf([list(r) for r in rows])
+            assert lat == want and (index(lat), alpha(lat)) == (index(want), alpha(want)), rows
+            assert all(member(lat, v) == member(want, v) for v in itertools.product(range(-3, 4), repeat=n))
+        lat = SubgroupLattice(2, ((1, 1), (1, -1)))
+        assert (lat.basis, index(lat), alpha(lat), member(lat, (1, 0))) == (((2, 0), (1, 1)), 2, 2, False)
+
+    def test_constructor_refuses_fewer_rows_than_the_arity(self):
+        for rows in (((1, 0, 0),), ((0, 1, 0), (0, 0, 1)), ()):
+            with pytest.raises(RankDeficientError):
+                SubgroupLattice(3, rows)
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -267,6 +285,12 @@ class TestEnumeration:
         assert peak(lambda v: sum(1 for _ in v)) < 256 * 1024
         assert peak(list) > 4 * 1024 * 1024
 
+    def test_enumeration_builds_what_the_constructor_builds(self):
+        # the enumeration stores its bases unchecked; the census grid
+        for n, max_index in ((2, 100), (3, 30), (4, 12)):
+            for lat in enumerate_subgroups(n, max_index):
+                assert lat == SubgroupLattice(n, lat.basis), (n, lat)
+
     def test_no_duplicates_and_canonical(self):
         lats = enumerate_subgroups(3, 6)
         assert len(set(lats)) == len(lats)
@@ -377,6 +401,12 @@ class TestChains:
             ChainSpec("mystery", p=2)
         with pytest.raises(ValueError):
             ChainSpec("explicit", terms=())
+        lat = hnf([[2, 0], [0, 2]])
+        for terms, s in ((([[2, 0], [0, 2]],), 0), ([lat, ((1, 0), (0, 1))], 1)):
+            bad = re.escape(repr(terms[s]))
+            with pytest.raises(ValueError, match=rf"^must be a SubgroupLattice, got {bad} \(term {s} of an explicit chain\)$"):
+                ChainSpec("explicit", terms=terms)
+        assert hash(ChainSpec("explicit", terms=[lat])) == hash(ChainSpec("explicit", terms=(lat,)))
 
     def test_p_must_be_an_int(self):
         for kind in ("scaling", "coordinate"):

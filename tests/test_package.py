@@ -231,6 +231,31 @@ def test_values_of_different_classes_differ():
     assert CharacterMatrix(2, rows) != SubgroupLattice(2, rows)
 
 
+def test_values_store_through_value_init():
+    # one store route: a checking constructor stores through `Value.__init__`;
+    # only `errors.py` and the enumeration's loop read the slot setters
+    offenders, loops = [], 0
+    for path in sorted((SRC / "thompson_sigma").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        hot = {
+            id(node)
+            for cls in tree.body
+            if path.name == "lattices.py" and isinstance(cls, ast.ClassDef) and cls.name == "Subgroups"
+            for f in cls.body
+            if isinstance(f, ast.FunctionDef) and f.name == "__iter__"
+            for node in ast.walk(f)
+        }
+        loops += bool(hot)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr == "__setattr__" and isinstance(node.value, ast.Name) and node.value.id == "object":
+                offenders.append((path.name, node.lineno, "object.__setattr__"))
+            if node.attr == "_setters" and path.name != "errors.py" and id(node) not in hot:
+                offenders.append((path.name, node.lineno, "_setters"))
+    assert offenders == [] and loops == 1
+
+
 def test_index_budget_alias():
     # `perfbench/run.py`, the only reader of this name, takes the budget
     # from it for `words.index_headroom`
