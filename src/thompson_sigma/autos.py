@@ -110,9 +110,10 @@ def d_orbit(point: SpherePoint, cap: int = ORBIT_CAP) -> frozenset[SpherePoint]:
     Both generators have finite order, so closing under them alone closes
     under the full group; the cap guards against runaway exploration.  The
     walk runs on primitive integer rays through the sparse rows of A and C,
-    which are built once per arity and cached, and builds the sphere points
-    only on return.  A cap below 1 raises ParseError: the start point alone
-    is already over it.
+    which are built once per arity and cached.  The orbit holds `point`
+    itself, canonical since `SpherePoint` normalizes, and builds sphere points
+    only for the other rays, on return; an orbit of one point builds none.
+    A cap below 1 raises ParseError: the start point alone is already over it.
     """
     require_at_least("cap", cap, 1)
     n = point.arity
@@ -129,5 +130,6 @@ def d_orbit(point: SpherePoint, cap: int = ORBIT_CAP) -> frozenset[SpherePoint]:
                     refuse_above("orbit size", len(seen) + 1, cap)
                 seen.add(image)
                 frontier.append(image)
-    return frozenset(SpherePoint._trusted(n, _on_sphere(v)) for v in seen)
+    seen.remove(start)
+    return frozenset([point, *(SpherePoint._trusted(n, _on_sphere(v)) for v in seen)])
 

@@ -13,7 +13,12 @@ points lie outside Sigma^1:
 
     chi1 = (-1, 0, ..., 0)      chi2 = (1, 1, ..., 1)
 
-and for m >= 2 the complement of Sigma^m is the wedge of nonnegative
+Their rays and characters are built once per arity and cached; `chi1`,
+`chi2`, `in_sigma1` and `kernel_finiteness` all read that cache, so the
+witness of a subgroup that is not finitely generated is the character
+`chi1(n)` or `chi2(n)` returns.
+
+For m >= 2 the complement of Sigma^m is the wedge of nonnegative
 combinations r1*chi1 + r2*chi2, i.e. vectors (r2 - r1, r2, ..., r2).
 That closed form is unconditional for m = 2 (any n) and for every m when
 n = 2; for n >= 3 and m >= 3 it is conjectural and callers must pass
@@ -22,13 +27,16 @@ assume_conjecture=True.
 `kernel_finiteness` classifies the finiteness type of the subgroup
 N >= G' whose image in Z^n is a given integer lattice L: N has type F_m
 iff no nonzero rational vector annihilating L falls outside Sigma^m,
-which reduces to exact linear algebra against the wedge.
+which reduces to exact linear algebra against the wedge, in ints: a
+`Character` is built only for the witness it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from ._linalg import rank
 from .errors import ConjectureRequiredError, ParseError, Value, ZeroCharacterError, require_at_least
@@ -99,18 +107,22 @@ def parse_character(arity: int, text: str) -> Character:
         raise ParseError(f"bad rational vector {text!r}: {exc}") from exc
 
 
-def _exceptional_rays(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (-1,) + (0,) * (n - 1), (1,) * n  # the rays of chi1 and chi2
+@lru_cache(maxsize=16, typed=True)
+def _exceptional(n: int) -> tuple[tuple[tuple[int, ...], Character], ...]:
+    # (ray, character) of chi1 and of chi2, built once per arity for the 16
+    # arities used last (each holds 2n Fractions; a census uses three), and
+    # typed, so that 2.0 or True do not find the entry of 2
+    return tuple((ray, Character(n, ray)) for ray in ((-1,) + (0,) * (n - 1), (1,) * n))
 
 
 def chi1(n: int) -> Character:
     """The character with chi(x_0) = -1 and chi(x_i) = 0 for i >= 1."""
-    return Character(n, _exceptional_rays(n)[0])
+    return _exceptional(n)[0][1]
 
 
 def chi2(n: int) -> Character:
     """The character with chi(x_i) = 1 for all i."""
-    return Character(n, _exceptional_rays(n)[1])
+    return _exceptional(n)[1][1]
 
 
 def sphere_point(chi: Character) -> SpherePoint:
@@ -120,9 +132,8 @@ def sphere_point(chi: Character) -> SpherePoint:
 
 def _ray(values) -> tuple[int, ...]:
     """The primitive integer vector on the ray through a nonzero rational vector."""
-    ratios = [q.as_integer_ratio() for q in values]
-    den = lcm(*(d for _, d in ratios))
-    ints = [p * (den // d) for p, d in ratios]
+    den = lcm(*(q.denominator for q in values))
+    ints = [q.numerator * (den // q.denominator) for q in values]
     g = gcd(*ints)
     if g == 0:
         raise ZeroCharacterError("zero character has no sphere point")
@@ -137,7 +148,7 @@ def _on_sphere(v: tuple[int, ...]) -> RationalVector:
 
 def in_sigma1(chi: Character) -> bool:
     """Membership of [chi] in Sigma^1: everything except [chi1] and [chi2]."""
-    return _ray(chi.values) not in _exceptional_rays(chi.arity)
+    return _ray(chi.values) not in [bad for bad, _ in _exceptional(chi.arity)]
 
 
 def _in_complement_wedge(values: RationalVector) -> bool:
@@ -214,14 +225,14 @@ def kernel_finiteness(
         return FinitenessReport(True, "infinity", None, False)
 
     # not finitely generated iff chi1 or chi2 annihilates L
-    for bad in _exceptional_rays(n):
-        if all(sum(u * v for u, v in zip(row, bad)) == 0 for row in rows):
-            return FinitenessReport(False, 0, Character(n, bad), False)
+    for bad, witness in _exceptional(n):
+        if all(sum(map(mul, row, bad)) == 0 for row in rows):
+            return FinitenessReport(False, 0, witness, False)
 
     wedge_vec = _wedge_meet(n, rows)
     if wedge_vec is not None:
         # finitely generated, but some vanishing character leaves Sigma^2
-        return FinitenessReport(True, 1, Character(n, wedge_vec), False)
+        return FinitenessReport(True, 1, Character._trusted(n, tuple(map(Fraction, wedge_vec))), False)
 
     if n == 2:
         return FinitenessReport(True, "infinity", None, False)

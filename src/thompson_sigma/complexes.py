@@ -35,6 +35,8 @@ characteristic, checked nonnegative; `deficiency_bounds` gives
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DEFAULT_DIM_CAP, MAX_DIM, DomainError, InvariantViolationError, Value, refuse_above
 from .errors import require_at_least, require_ints
 from .lattices import SubgroupLattice, member
@@ -205,6 +207,13 @@ def _alternating_sums(r: CellVector, m: int):
         yield total
 
 
+@lru_cache(maxsize=None)
+def _chi_sums(r: CellVector) -> tuple[int, ...]:
+    # chi_0, ..., chi_MAX_DIM of one vector, unchecked, for d_bound to slice;
+    # it passes only the two n = 2 vectors, so the cache holds two tuples
+    return tuple(_alternating_sums(r, MAX_DIM))
+
+
 def _nonnegative(r: CellVector, m: int, total: int) -> int:
     if total < 0:
         raise InvariantViolationError(
@@ -237,10 +246,10 @@ def d_bound(
     """Upper bound on the minimal number of generators of the subgroup.
 
     n = 2: d(H) <= r(H, 1) from the exact cell counts (3 or 5), and
-    chi_values = (chi_0, ..., chi_{chi_upto}) as `chi_m` gives them: one
-    tuple of running alternating sums, O(chi_upto), checked once by `min`;
-    a negative one raises InvariantViolationError as `chi_m` would at the
-    first negative m.
+    chi_values = (chi_0, ..., chi_{chi_upto}) as `chi_m` gives them: a
+    slice of the running alternating sums up to MAX_DIM, computed once per
+    cell vector and cached, checked by one `min`; a negative one raises
+    InvariantViolationError as `chi_m` would at the first negative m.
     n >= 3 with e_1, ..., e_{n-1} all in L: d(H) <= 1 + d(M) = 1 + n.  Read
     off the HNF basis: its rows are nonnegative with positive pivots, so
     rows 1..n-1 are e_1..e_{n-1} iff each sums to 1.
@@ -257,7 +266,7 @@ def d_bound(
         cells, case = cells_for_subgroup_F(lat)
         d_upper, tag = cells.value(1), f"cells-case-{case}"
         def_lower, _ = deficiency_bounds(cells, n)
-        chi_values = tuple(_alternating_sums(cells, chi_upto))
+        chi_values = _chi_sums(cells)[: chi_upto + 1]
         if min(chi_values) < 0:
             for m, total in enumerate(chi_values):
                 _nonnegative(cells, m, total)

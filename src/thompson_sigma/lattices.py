@@ -44,8 +44,9 @@ class SubgroupLattice(Value):
     """Full-rank sublattice of Z^n, stored in canonical (lower-triangular) HNF.
 
     `SubgroupLattice(n, rows)` stores the HNF basis of the span of the rows.
-    It raises RankDeficientError unless the span has full rank, and
-    ValueError for an entry that is not an int or a row of length other than n >= 2.
+    It raises RankDeficientError unless the span has full rank, ParseError
+    for an arity that is not an int, and ValueError for an entry that is not
+    an int or a row of length other than n >= 2.
     """
 
     __slots__ = ("arity", "basis")
@@ -54,6 +55,8 @@ class SubgroupLattice(Value):
         work = [require_ints("lattice entries", r) for r in rows]
         if not work:
             raise RankDeficientError("no generators")
+        if not isinstance(arity, int):  # refused as elsewhere; an int below 2 reads as a row length
+            require_at_least("arity", arity, 2)
         if arity < 2 or any(len(r) != arity for r in work):
             raise ValueError("rows must all have length n >= 2")
         Value.__init__(self, arity, _hnf(work, arity))
@@ -232,6 +235,9 @@ class ChainSpec(Value):
     kind "scaling":    L_s = p^s * Z^n            (index p^(s n), nested)
     kind "coordinate": L_s = p^s Z + Z^(n-1)      (index p^s, nested)
     kind "explicit":   the given `SubgroupLattice`s, in order; need not nest.
+
+    Each kind takes only its own argument: `terms` on "scaling" or "coordinate",
+    or `p` on "explicit", raises ValueError.
     """
 
     __slots__ = ("kind", "p", "terms")
@@ -242,6 +248,8 @@ class ChainSpec(Value):
                 raise ValueError(f"must be an int, got {p!r} (p of a {kind} chain)")
             if p is None or p < 2:
                 raise ValueError(f"must be >= 2, got {p} (p of a {kind} chain)")
+            if terms is not None:
+                raise ValueError(f"must be None, got {terms!r} (terms of a {kind} chain)")
         elif kind == "explicit":
             terms = tuple(terms or ())
             if not terms:
@@ -249,6 +257,8 @@ class ChainSpec(Value):
             for s, term in enumerate(terms):
                 if not isinstance(term, SubgroupLattice):
                     raise ValueError(f"must be a SubgroupLattice, got {term!r} (term {s} of an explicit chain)")
+            if p is not None:
+                raise ValueError(f"must be None, got {p!r} (p of an explicit chain)")
         else:
             raise ValueError(f"unknown chain kind {kind!r}")
         Value.__init__(self, kind, p, terms)

@@ -203,6 +203,15 @@ class TestOrbits:
             assert hit == complement
 
 
+    def test_orbit_keeps_the_callers_point(self):
+        # the start point is the caller's object; the other points are the
+        # ones the Fraction walk finds
+        for point in _seeded_points(13, 400) + [sphere_point(chi1(2)), TestOrbitCap.FIXED]:
+            orbit = d_orbit(point)
+            assert [p for p in orbit if p is point] == [point]
+            assert orbit == fraction_orbit(point), point
+
+
 class TestOrbitCap:
     FIXED = sphere_point(character(2, (0, 1)))  # C fixes it: a one-point orbit
     MOVING = sphere_point(character(2, (1, 2)))  # C sends it to (-1, 1)

@@ -1,5 +1,6 @@
 """Characters, the sphere, Sigma membership, kernel finiteness types."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -131,6 +132,36 @@ class TestBasics:
             SpherePoint(2, (0, 0))
 
 
+def _ray_by_ratios(values):
+    # the primitive integer vector on the ray, through as_integer_ratio
+    ratios = [Fraction(q).as_integer_ratio() for q in values]
+    den = math.lcm(*(d for _, d in ratios))
+    ints = [p * (den // d) for p, d in ratios]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+class TestRay:
+    def test_matches_the_integer_ratio_route(self):
+        rng = random.Random(32)
+        seen_zero = seen_negative = 0
+        for _ in range(2000):
+            n = rng.randrange(1, 7)
+            values = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 36)) for _ in range(n))
+            if not any(values):
+                continue
+            seen_zero += 0 in values
+            seen_negative += any(v < 0 for v in values)
+            assert charspace._ray(values) == _ray_by_ratios(values), values
+        assert seen_zero and seen_negative
+
+    def test_ints_and_distinct_denominators(self):
+        assert charspace._ray((Fraction(1, 2), Fraction(-1, 3), Fraction(0))) == (3, -2, 0)
+        assert charspace._ray((4, -6, 0)) == (2, -3, 0)
+        with pytest.raises(ZeroCharacterError):
+            charspace._ray((Fraction(0), 0))
+
+
 class TestSigma1:
     def test_exceptional_points(self):
         assert not in_sigma1(chi1(2))
@@ -250,6 +281,33 @@ class TestKernelFiniteness:
                 kernel_finiteness([[1, 1]], m_max=m_max)
         assert kernel_finiteness([[1, 1]], m_max=1).max_certified_f_type == 1
         assert kernel_finiteness([[1, 0, 0], [0, 0, 1]], m_max=1).max_certified_f_type == 1
+
+    def test_witnesses_are_chi1_and_chi2(self):
+        for n in (2, 3, 5):
+            by_chi1 = kernel_finiteness([[0] + [1] * (n - 1)])  # chi1 vanishes, chi2 does not
+            by_chi2 = kernel_finiteness([[1, -1] + [0] * (n - 2)])  # chi2 vanishes, chi1 does not
+            assert by_chi1.witness == chi1(n) and by_chi1.witness != chi2(n)
+            assert by_chi2.witness == chi2(n) and by_chi2.witness != chi1(n)
+            assert chi1(n).values == (-1,) + (0,) * (n - 1)
+            assert chi2(n).values == (1,) * n
+
+    def test_wedge_witness_is_a_character(self):
+        # built through _trusted: it equals what the checking constructor stores
+        for rows in ([[1, 1]], [[1, 2, 3], [0, 1, -1]], [[2, 1, 1, 1]]):
+            witness = kernel_finiteness(rows).witness
+            assert witness == Character(len(rows[0]), witness.values)
+            assert all(type(v) is Fraction for v in witness.values)
+            assert all(sum(a * w for a, w in zip(row, witness.values)) == 0 for row in rows)
+
+    def test_exceptional_cache_is_typed_and_bounded(self):
+        chi1(2)
+        for arity in (2.0, True):
+            with pytest.raises((TypeError, ValueError)):
+                chi1(arity)
+        for n in range(2, 60):
+            kernel_finiteness([[1] + [0] * (n - 1)])
+        assert charspace._exceptional.cache_info().currsize <= 16
+        assert chi2(3) == Character(3, (1, 1, 1))
 
     def test_n2_wedge_missed_is_f_infinity_unconditionally(self):
         # annihilator of Z(1,-2) is spanned by (2,1): outside the wedge

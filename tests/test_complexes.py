@@ -282,6 +282,24 @@ class TestChiValues:
             for m in range(MAX_DIM + 1):
                 assert d_bound(lat, chi_upto=m).chi_values == expected[: m + 1], m
 
+    def test_slices_agree_with_chi_m_in_any_order(self):
+        complexes._chi_sums.cache_clear()
+        ups = (0, 1, 2, 16, 1023, 1024)
+        for lat, cells in ((hnf([[3, 0], [0, 1]]), CASE_1_2_CELLS), (hnf([[2, 0], [0, 2]]), CASE_3_CELLS)):
+            for chi_upto in ups + ups[::-1]:
+                got = d_bound(lat, chi_upto=chi_upto).chi_values
+                assert got == tuple(chi_m(cells, m) for m in range(chi_upto + 1)), chi_upto
+
+    def test_sums_are_kept_per_vector_not_per_case(self, monkeypatch):
+        lat = hnf([[2, 0], [0, 2]])
+        real = d_bound(lat, chi_upto=4).chi_values
+        assert real == (1, 4, 8, 12, 16)
+        other = cell_vector((1, 7, 9))  # chi = 1, 6, 3, -3, 3
+        monkeypatch.setattr(complexes, "cells_for_subgroup_F", lambda lat: (other, 3))
+        assert d_bound(lat, chi_upto=2).chi_values == (1, 6, 3)
+        monkeypatch.undo()
+        assert d_bound(lat, chi_upto=4).chi_values == real
+
     def test_first_negative_sum_raises_as_chi_m(self, monkeypatch):
         vec = cell_vector((1, 0, 5))  # chi = 1, -1, 6
         with pytest.raises(InvariantViolationError) as by_chi_m:

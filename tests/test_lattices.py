@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from thompson_sigma import lattices
 from thompson_sigma.charspace import character, chi2
-from thompson_sigma.errors import MAX_LATTICES, DomainError, RankDeficientError, ResourceLimitError
+from thompson_sigma.errors import MAX_LATTICES, DomainError, ParseError, RankDeficientError, ResourceLimitError
 from thompson_sigma.lattices import (
     ChainSpec,
     SubgroupLattice,
@@ -111,6 +111,17 @@ class TestHNF:
         for rows in (((1, 0, 0),), ((0, 1, 0), (0, 0, 1)), ()):
             with pytest.raises(RankDeficientError):
                 SubgroupLattice(3, rows)
+
+    def test_arity_must_be_an_int(self):
+        rows = [[1, 0], [0, 1]]
+        calls = (lambda a: SubgroupLattice(a, rows), lambda a: SubgroupLattice(a, rows), lambda a: hnf(rows, arity=a))
+        for call, arity in zip(calls, (2.0, "2", 2.0)):
+            with pytest.raises(ParseError, match=f"^arity must be an int, got {re.escape(repr(arity))}$"):
+                call(arity)
+        for arity in (1, 0, -2):  # an int below 2 keeps the row-length message
+            with pytest.raises(ValueError, match=r"^rows must all have length n >= 2$") as caught:
+                SubgroupLattice(arity, [[1]])
+            assert type(caught.value) is ValueError
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -407,6 +418,19 @@ class TestChains:
             with pytest.raises(ValueError, match=rf"^must be a SubgroupLattice, got {bad} \(term {s} of an explicit chain\)$"):
                 ChainSpec("explicit", terms=terms)
         assert hash(ChainSpec("explicit", terms=[lat])) == hash(ChainSpec("explicit", terms=(lat,)))
+
+    def test_each_kind_takes_only_its_own_argument(self):
+        lat = hnf([[2, 0], [0, 2]])
+        for kind in ("scaling", "coordinate"):
+            for terms in ([1], (lat,), ()):
+                bad = re.escape(repr(terms))
+                with pytest.raises(ValueError, match=rf"^must be None, got {bad} \(terms of a {kind} chain\)$"):
+                    ChainSpec(kind, p=2, terms=terms)
+        with pytest.raises(ValueError, match=r"^must be None, got 3 \(p of an explicit chain\)$"):
+            ChainSpec("explicit", p=3, terms=[lat])
+        with pytest.raises(ValueError, match="^explicit chain needs at least one term$"):
+            ChainSpec("explicit", p=3)  # as CLI --chain explicit:3 has always read
+        assert ChainSpec("scaling", p=2) == ChainSpec("scaling", 2, None)
 
     def test_p_must_be_an_int(self):
         for kind in ("scaling", "coordinate"):
