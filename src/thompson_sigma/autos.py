@@ -17,17 +17,12 @@ group they generate permutes the character sphere preserving the Sigma
 complements; `d_orbit` explores those orbits.
 
 `d_orbit` walks primitive integer vectors, one per ray, instead of
-characters: the start point's denominators are cleared with one lcm and
-the result divided by its gcd.  A is a permutation matrix and C^2 = I, so
-both are unimodular and map a primitive vector to a primitive one (a
-common divisor of M v divides M^-1 M v = v); the walk needs no gcd and no
-division.  A has one nonzero entry per row and C at most two, so an image
-costs O(n) integer operations, and `Fraction` values appear only in the
-returned sphere points, so CLI `orbit` stays under a second up to n = 256
-(`BENCH_9.json`).
-
-Sphere points are normalized only in `charspace`: `d_orbit` takes its start
-ray and its returned points from there, as `sphere_point` does.
+characters: a `SpherePoint` stores its ray.  A is a permutation matrix and
+C^2 = I, so both are unimodular and map a primitive vector to a primitive
+one (a common divisor of M v divides M^-1 M v = v); the walk needs no gcd
+and no division.  A has one nonzero entry per row and C at most two, so an
+image costs O(n) integer operations, and no `Fraction` is built, so CLI
+`orbit` stays under a second up to n = 256 (`BENCH_9.json`).
 
 mu is not implemented on words: expressing mu(x_i) needs negative powers
 of phi on low-index generators, which the presentation does not supply.
@@ -38,7 +33,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .charspace import SpherePoint, _on_sphere, _ray
+from .charspace import SpherePoint
 from .errors import ORBIT_CAP, Value, refuse_above, require_at_least
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -110,15 +105,15 @@ def d_orbit(point: SpherePoint, cap: int = ORBIT_CAP) -> frozenset[SpherePoint]:
     Both generators have finite order, so closing under them alone closes
     under the full group; the cap guards against runaway exploration.  The
     walk runs on primitive integer rays through the sparse rows of A and C,
-    which are built once per arity and cached.  The orbit holds `point`
-    itself, canonical since `SpherePoint` normalizes, and builds sphere points
-    only for the other rays, on return; an orbit of one point builds none.
+    which are built once per arity and cached, from `point.ray`.  The orbit
+    holds `point` itself and builds sphere points, each stored as its ray,
+    only for the other rays; an orbit of one point builds none.
     A cap below 1 raises ParseError: the start point alone is already over it.
     """
     require_at_least("cap", cap, 1)
     n = point.arity
     gens = _generator_rows(n)
-    start = _ray(point.values)
+    start = point.ray
     seen = {start}
     frontier = [start]
     while frontier:
@@ -131,5 +126,5 @@ def d_orbit(point: SpherePoint, cap: int = ORBIT_CAP) -> frozenset[SpherePoint]:
                 seen.add(image)
                 frontier.append(image)
     seen.remove(start)
-    return frozenset([point, *(SpherePoint._trusted(n, _on_sphere(v)) for v in seen)])
+    return frozenset([point, *(SpherePoint._trusted(n, v) for v in seen)])
 

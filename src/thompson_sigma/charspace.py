@@ -5,11 +5,12 @@ abelianization Z^n, so it is stored as the rational value vector
 (chi(x_0), ..., chi(x_{n-1})).  Higher generators are implied by the
 folding rule chi(x_i) = values[1 + (i-1) mod (n-1)] and never stored.
 
-The character sphere S(G) identifies positive rational multiples; the
-canonical representative divides by |first nonzero coordinate|, and is
-made only here, from the primitive integer vector on the ray, for
-`SpherePoint`, `sphere_point` and `autos.d_orbit`.  Exactly two sphere
-points lie outside Sigma^1:
+The character sphere S(G) identifies positive rational multiples, so a
+`SpherePoint` is stored as its ray: the primitive integer vector on it,
+made only here, by `SpherePoint` and `sphere_point`.  Its `values`, the
+canonical representative divided by |first nonzero coordinate|, are
+derived as Fractions on request.  Exactly two sphere points lie outside
+Sigma^1:
 
     chi1 = (-1, 0, ..., 0)      chi2 = (1, 1, ..., 1)
 
@@ -69,15 +70,21 @@ class Character(Value):
 
 
 class SpherePoint(Value):
-    """A character up to positive scaling: its values divided by |first nonzero value|.
+    """A character up to positive scaling, stored as the primitive integer vector on its ray.
 
     `SpherePoint(n, values)` takes what `Character` takes; a zero vector raises ZeroCharacterError.
+    `values` derives the canonical Fractions: the ray divided by |first nonzero value|.
     """
 
-    __slots__ = ("arity", "values")
+    __slots__ = ("arity", "ray")
 
     def __init__(self, arity: int, values: RationalVector):
-        Value.__init__(self, arity, _on_sphere(_ray(Character(arity, values).values)))
+        Value.__init__(self, arity, _ray(Character(arity, values).values))
+
+    @property
+    def values(self) -> RationalVector:
+        lead = abs(next(x for x in self.ray if x))
+        return tuple(Fraction(x, lead) for x in self.ray)
 
 
 class FinitenessReport(Value):
@@ -111,7 +118,8 @@ def parse_character(arity: int, text: str) -> Character:
 def _exceptional(n: int) -> tuple[tuple[tuple[int, ...], Character], ...]:
     # (ray, character) of chi1 and of chi2, built once per arity for the 16
     # arities used last (each holds 2n Fractions; a census uses three), and
-    # typed, so that 2.0 or True do not find the entry of 2
+    # typed, so that 2.0 or True miss the entry of 2 and are refused here
+    require_at_least("arity", n, 2)
     return tuple((ray, Character(n, ray)) for ray in ((-1,) + (0,) * (n - 1), (1,) * n))
 
 
@@ -127,7 +135,7 @@ def chi2(n: int) -> Character:
 
 def sphere_point(chi: Character) -> SpherePoint:
     """Canonical positive-scaling representative of a nonzero character."""
-    return SpherePoint._trusted(chi.arity, _on_sphere(_ray(chi.values)))
+    return SpherePoint._trusted(chi.arity, _ray(chi.values))
 
 
 def _ray(values) -> tuple[int, ...]:
@@ -138,12 +146,6 @@ def _ray(values) -> tuple[int, ...]:
     if g == 0:
         raise ZeroCharacterError("zero character has no sphere point")
     return tuple(x // g for x in ints)
-
-
-def _on_sphere(v: tuple[int, ...]) -> RationalVector:
-    # the canonical point of a ray: its values divided by |first nonzero|
-    lead = abs(next(x for x in v if x))
-    return tuple(Fraction(x, lead) for x in v)
 
 
 def in_sigma1(chi: Character) -> bool:

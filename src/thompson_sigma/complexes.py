@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from .errors import DEFAULT_DIM_CAP, MAX_DIM, DomainError, InvariantViolationError, Value, refuse_above
 from .errors import require_at_least, require_ints
-from .lattices import SubgroupLattice, member
+from .lattices import SubgroupLattice
 
 
 class AffineTail(Value):
@@ -175,14 +175,17 @@ def cells_for_subgroup_F(lat: SubgroupLattice) -> tuple[CellVector, int]:
     Case 2 ((1,-1) in L): the mirror automorphism reduces to case 1.
     Case 3: HNN over the case-2 complex of H intersect M, then a stack
     with the finite cyclic quotient.  Precedence 1 > 2 > 3 (1 and 2 agree).
+    The case is read off the HNF basis ((a, 0), (b, c)), 0 <= b < a: e_1
+    is in L iff (b, c) = (0, 1), and (1,-1) iff c = 1 and b = a - 1.
     Returns (cells, case); the affine tail makes any truncation exact, so
     callers slice with `CellVector.prefix` instead of passing a depth here.
     """
     if lat.arity != 2:
         raise DomainError(f"closed-form cells need n = 2, got n = {lat.arity}")
-    if member(lat, (0, 1)):
+    (a, _), bc = lat.basis
+    if bc == (0, 1):
         return CASE_1_2_CELLS, 1
-    if member(lat, (1, -1)):
+    if bc == (a - 1, 1):
         return CASE_1_2_CELLS, 2
     return CASE_3_CELLS, 3
 

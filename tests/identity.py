@@ -82,6 +82,8 @@ def _canon(x) -> str:
         return type(x).__name__ + "[" + ", ".join(map(_canon, x)) + "]"
     if type(x).__name__ == "Subgroups":  # `enumerate_subgroups`' view, as the list it stands for
         return _canon(list(x))
+    if type(x).__name__ == "SpherePoint":  # by its values, whether it stores them or its ray
+        return f"SpherePoint(arity={_canon(x.arity)}, values={_canon(x.values)})"
     slots = getattr(type(x), "__slots__", ())
     if slots:  # the package's value classes
         return type(x).__name__ + "(" + ", ".join(f"{s}={_canon(getattr(x, s))}" for s in slots) + ")"

@@ -372,6 +372,13 @@ def apply(mat: CharacterMatrix, chi: Character) -> Character:
     return Character(n, values)
 
 
+def sphere_values(values) -> tuple[Fraction, ...]:
+    """Reference canonical sphere representative, in Fractions throughout:
+    the vector divided by |its first nonzero value|."""
+    lead = abs(next(Fraction(v) for v in values if v))
+    return tuple(Fraction(v) / lead for v in values)
+
+
 def fraction_orbit(point: SpherePoint, cap: int = 1024) -> frozenset[SpherePoint]:
     """Reference orbit: a depth-first walk that applies the full shift and
     flip matrices to Fraction values and normalizes each image with

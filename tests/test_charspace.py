@@ -1,6 +1,7 @@
 """Characters, the sphere, Sigma membership, kernel finiteness types."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thompson_sigma import charspace
+from thompson_sigma.autos import d_orbit
 from thompson_sigma.charspace import (
     Character,
     SpherePoint,
@@ -30,7 +32,7 @@ from thompson_sigma.errors import (
 from thompson_sigma.plrep import evaluate_word
 from thompson_sigma.words import parse_word, word
 
-from oracles import evaluate, rank_first_kernel_finiteness, rational_rank
+from oracles import evaluate, fraction_orbit, rank_first_kernel_finiteness, rational_rank, sphere_values
 
 
 def grid_characters(n, span):
@@ -130,6 +132,57 @@ class TestBasics:
             SpherePoint(2, (1, 2, 3))
         with pytest.raises(ZeroCharacterError):
             SpherePoint(2, (0, 0))
+
+
+class TestSpherePointRay:
+    """A sphere point stores the primitive integer vector on its ray; its
+    `values` are the Fractions of the reference normalization."""
+
+    @staticmethod
+    def seeded_vectors():
+        # nonzero rational vectors, n = 2..6, with zeros and negative leads
+        rng = random.Random("sphere ray")
+        for k in range(600):
+            n = 2 + k % 5
+            v = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 9)) if rng.random() < 0.8 else Fraction(0)
+                      for _ in range(n))
+            if any(v):
+                yield n, v
+
+    def test_values_match_the_fraction_reference(self):
+        for n, v in self.seeded_vectors():
+            p = SpherePoint(n, v)
+            assert p.values == sphere_values(v), v
+            assert all(type(x) is Fraction for x in p.values)
+            assert sphere_point(character(n, v)) == p
+
+    def test_ray_is_primitive_and_points_the_same_way(self):
+        for n, v in self.seeded_vectors():
+            ray = SpherePoint(n, v).ray
+            assert type(ray) is tuple and all(type(x) is int for x in ray)
+            assert math.gcd(*ray) == 1
+            k = next(i for i, x in enumerate(v) if x)
+            assert ray[k] * v[k] > 0  # a positive multiple, not a negative one
+            assert all(ray[i] * v[k] == v[i] * ray[k] for i in range(n)), (v, ray)
+
+    def test_round_trips(self):
+        for n, v in self.seeded_vectors():
+            p = SpherePoint(n, v)
+            for twin in (pickle.loads(pickle.dumps(p)), SpherePoint(n, p.values), SpherePoint(n, p.ray)):
+                assert twin == p and hash(twin) == hash(p)
+
+    def test_sphere_point_and_orbit_build_no_fraction(self, monkeypatch):
+        chis = [character(3, (2, 4, 6)), chi2(4)]  # a Character holds Fractions; its sphere point none
+
+        def no_fraction(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(charspace, "Fraction", no_fraction)
+        points = [sphere_point(chi) for chi in chis]
+        assert [p.ray for p in points] == [(1, 2, 3), (1, 1, 1, 1)]
+        orbits = [d_orbit(p) for p in points]
+        monkeypatch.undo()
+        assert orbits == [fraction_orbit(p) for p in points]
 
 
 def _ray_by_ratios(values):
@@ -301,9 +354,10 @@ class TestKernelFiniteness:
 
     def test_exceptional_cache_is_typed_and_bounded(self):
         chi1(2)
-        for arity in (2.0, True):
-            with pytest.raises((TypeError, ValueError)):
-                chi1(arity)
+        for arity, message in ((2.0, r"an int, got 2\.0"), (True, ">= 2, got True")):
+            for exceptional in (chi1, chi2):
+                with pytest.raises(ParseError, match=f"^arity must be {message}$"):
+                    exceptional(arity)
         for n in range(2, 60):
             kernel_finiteness([[1] + [0] * (n - 1)])
         assert charspace._exceptional.cache_info().currsize <= 16

@@ -361,6 +361,32 @@ class TestPrefixRoute:
         assert kinds == {None, False, True}
 
 
+class TestCaseRoute:
+    # cells_for_subgroup_F reads the case off the canonical HNF; the reference asks member
+    @staticmethod
+    def by_member(lat):
+        return 1 if member(lat, (0, 1)) else 2 if member(lat, (1, -1)) else 3
+
+    def test_every_enumerated_lattice(self):
+        cases = set()
+        for lat in enumerate_subgroups(2, 150):
+            _, case = cells_for_subgroup_F(lat)
+            assert case == self.by_member(lat), lat
+            cases.add(case)
+        assert cases == {1, 2, 3}
+
+    def test_hnf_of_scrambled_rows(self):
+        # each case's lattice, under unimodular row operations, keeps its case
+        rng = random.Random("cases")
+        for rows, case in (([[5, 0], [0, 1]], 1), ([[5, 0], [4, 1]], 2), ([[1, 0], [0, 1]], 1), ([[2, 0], [1, 1]], 2),
+                           ([[5, 0], [3, 1]], 3), ([[4, 0], [3, 2]], 3), ([[1, 0], [0, 3]], 3)):
+            for _ in range(40):
+                i, j = rng.sample(range(2), 2)
+                q = rng.randint(-4, 4)
+                rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+                assert cells_for_subgroup_F(hnf(rows))[1] == case, rows
+
+
 class TestContainmentRoute:
     # d_bound reads rows 1..n-1 of the canonical HNF; the reference asks member
     @staticmethod

@@ -175,7 +175,7 @@ VALUES = [
      " (Fraction(1, 1), Fraction(1, 1))))"),
     ("charspace", "Character", (2, (-1, _F(1, 2))), "Character(arity=2, values=(Fraction(-1, 1), Fraction(1, 2)))"),
     ("charspace", "SpherePoint", (2, (_F(-1), _F(1, 2))),
-     "SpherePoint(arity=2, values=(Fraction(-1, 1), Fraction(1, 2)))"),
+     "SpherePoint(arity=2, ray=(-2, 1))"),
     ("charspace", "FinitenessReport", (False, 1, None, True),
      "FinitenessReport(is_finitely_generated=False, max_certified_f_type=1, witness=None, assumed_conjecture=True)"),
     ("autos", "CharacterMatrix", (2, ((0, 1), (1, 0))), "CharacterMatrix(arity=2, entries=((0, 1), (1, 0)))"),
