@@ -16,13 +16,17 @@ claimed order n; the tests compute it by repeated multiplication).  The
 group they generate permutes the character sphere preserving the Sigma
 complements; `d_orbit` explores those orbits.
 
-`d_orbit` walks primitive integer vectors, one per ray, instead of
+A and C are defined once, by their rows: `_generator_rows` writes the
+(column, entry) pairs of each row, one for A and at most two for C, in O(n)
+per arity, and `matrix_A` and `matrix_C` expand them.  `d_orbit` walks
+those rows over primitive integer vectors, one per ray, instead of
 characters: a `SpherePoint` stores its ray.  A is a permutation matrix and
 C^2 = I, so both are unimodular and map a primitive vector to a primitive
 one (a common divisor of M v divides M^-1 M v = v); the walk needs no gcd
-and no division.  A has one nonzero entry per row and C at most two, so an
-image costs O(n) integer operations, and no `Fraction` is built, so CLI
-`orbit` stays under a second up to n = 256 (`BENCH_9.json`).
+and no division.  An image costs O(n) integer operations and no `Fraction`
+is built: in-process, the first orbit of chi1 at n = 2000 takes about 8 ms
+and CLI `orbit` of the 510 points of (1, ..., 256) about 0.5 s
+(`BENCH_34.json`).
 
 mu is not implemented on words: expressing mu(x_i) needs negative powers
 of phi on low-index generators, which the presentation does not supply.
@@ -62,41 +66,31 @@ def delta_involution(n: int) -> dict[int, int]:
     return {i: n - i - 2 for i in range(1, n - 2)} | {n - 2: n - 1, n - 1: n - 2}
 
 
-def rho0_cycle_power(n: int, i: int, k: int) -> int:
-    """rho0^k(i) for the cycle (1, 2, ..., n-1), any integer k."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"index {i} outside 1..{n - 1}")
-    return 1 + (i - 1 + k) % (n - 1)
-
-
 def matrix_A(n: int) -> CharacterMatrix:
     """Action of the shift on value vectors: fixes slot 0, cycles the rest."""
-    targets = [0] + [rho0_cycle_power(n, i, 1) for i in range(1, n)]
-    return CharacterMatrix(n, tuple(tuple(int(j == t) for j in range(n)) for t in targets))
+    return _dense(n, _generator_rows(n)[0])
 
 
 def matrix_C(n: int) -> CharacterMatrix:
     """Action of the flip: (C v)_0 = -v_0, (C v)_i = v_{delta(i)} - v_0."""
-    delta = delta_involution(n)
-    rows = [[-1 if j == 0 else 0 for j in range(n)]]
-    for i in range(1, n):
-        row = [0] * n
-        row[0] = -1
-        row[delta[i]] += 1
-        rows.append(row)
-    return CharacterMatrix(n, tuple(tuple(r) for r in rows))
+    return _dense(n, _generator_rows(n)[1])
 
 
-def _sparse_rows(mat: CharacterMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # the nonzero (column, entry) pairs of each row
-    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in mat.entries)
+def _dense(n: int, rows) -> CharacterMatrix:
+    # the n x n matrix whose row i has the (column, entry) pairs rows[i]
+    return CharacterMatrix(n, tuple(tuple(map(dict(row).get, range(n), [0] * n)) for row in rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16, typed=True)
 def _generator_rows(n: int):
-    # the sparse rows of A and C, built once per arity; all tuples, so no
-    # caller can change the cached value
-    return _sparse_rows(matrix_A(n)), _sparse_rows(matrix_C(n))
+    # the (column, entry) pairs of each row of A and of C, for the 16 arities
+    # used last; typed, so that 2.0 or True miss the entry of 2 and are
+    # refused here.  All tuples, so no caller can change the cached value.
+    require_at_least("arity", n, 2)
+    delta = delta_involution(n)
+    shift = (((0, 1),), *(((1 + i % (n - 1), 1),) for i in range(1, n)))
+    flip = (((0, -1),), *(((0, -1), (delta[i], 1)) for i in range(1, n)))
+    return shift, flip
 
 
 def d_orbit(point: SpherePoint, cap: int = ORBIT_CAP) -> frozenset[SpherePoint]:
@@ -104,10 +98,10 @@ def d_orbit(point: SpherePoint, cap: int = ORBIT_CAP) -> frozenset[SpherePoint]:
 
     Both generators have finite order, so closing under them alone closes
     under the full group; the cap guards against runaway exploration.  The
-    walk runs on primitive integer rays through the sparse rows of A and C,
-    which are built once per arity and cached, from `point.ray`.  The orbit
-    holds `point` itself and builds sphere points, each stored as its ray,
-    only for the other rays; an orbit of one point builds none.
+    walk runs on primitive integer rays, from `point.ray`, through the rows
+    that define A and C, built once per arity in O(n).  The orbit holds
+    `point` itself and builds sphere points, each stored as its ray, only
+    for the other rays; an orbit of one point builds none.
     A cap below 1 raises ParseError: the start point alone is already over it.
     """
     require_at_least("cap", cap, 1)

@@ -97,8 +97,8 @@ class FinitenessReport(Value):
 
 
 def character(arity: int, values) -> Character:
-    """A Character from ints, Fractions or rational strings like "1/10" (no floats)."""
-    return Character(arity, tuple(Fraction(v) if isinstance(v, str) else v for v in values))
+    """A Character from ints, Fractions or rational strings like "1/10", read as `parse_character` reads them."""
+    return Character(arity, tuple(_rationals((v,), f"value {v!r}")[0] if isinstance(v, str) else v for v in values))
 
 
 def parse_character(arity: int, text: str) -> Character:
@@ -106,12 +106,22 @@ def parse_character(arity: int, text: str) -> Character:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != arity:
         raise ParseError(f"expected {arity} comma-separated values, got {len(parts)}")
-    if "e" in text.lower():  # Fraction would expand 1e999999999 exactly
-        raise ParseError(f"bad rational vector {text!r}: values take no exponent (e or E)")
+    shown = f"vector {text!r}"
+    values = _rationals(parts, shown)
     try:
-        return Character(arity, tuple(Fraction(p) for p in parts))
+        return Character(arity, values)
+    except ValueError as exc:
+        raise ParseError(f"bad rational {shown}: {exc}") from exc
+
+
+def _rationals(texts, shown: str) -> RationalVector:
+    # Fraction of each text, or ParseError "bad rational <shown>: ..."
+    if any("e" in t.lower() for t in texts):  # Fraction would expand 1e999999999 exactly
+        raise ParseError(f"bad rational {shown}: values take no exponent (e or E)")
+    try:
+        return tuple(map(Fraction, texts))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational vector {text!r}: {exc}") from exc
+        raise ParseError(f"bad rational {shown}: {exc}") from exc
 
 
 @lru_cache(maxsize=16, typed=True)

@@ -63,7 +63,13 @@ def _check_dimension(m: int) -> None:
 
 
 class CellVector(Value):
-    """Cell counts per dimension; finite, or eventually affine via `tail`."""
+    """Cell counts per dimension; finite, or eventually affine via `tail`.
+
+    A tail starts at most where the counts end and agrees with each count it
+    covers; it neither decreases nor takes a negative value.  Otherwise, or on
+    a negative count, ValueError.  The stored tail starts exactly where the
+    stored counts end.
+    """
 
     __slots__ = ("counts", "tail")
 
@@ -71,13 +77,17 @@ class CellVector(Value):
         counts = require_ints("cell counts", counts)
         if any(v < 0 for v in counts):
             raise ValueError(f"negative cell count in {counts}")
-        tail = AffineTail(0, 0, len(counts)) if tail is None else tail  # finite: zero past the counts
-        for j in range(tail.start, len(counts)):
+        start = len(counts)
+        tail = AffineTail(0, 0, start) if tail is None else tail  # finite: zero past the counts
+        if not 0 <= tail.start <= start:
+            raise ValueError(f"tail start {tail.start} outside 0..{start}")
+        for j in range(tail.start, start):
             if counts[j] != tail.value(j):
                 raise ValueError(f"explicit count {counts[j]} at dim {j} contradicts tail")
         if tail.slope < 0:
             raise ValueError("cell counts cannot decrease forever")
-        start = min(tail.start, len(counts))
+        if tail.value(start) < 0:
+            raise ValueError(f"negative cell count {tail.value(start)} at dim {start} in the tail")
         while start > 0 and counts[start - 1] == tail.value(start - 1):
             start -= 1
         zero = not (tail.slope or tail.offset)
@@ -88,11 +98,9 @@ class CellVector(Value):
     def value(self, j: int) -> int:
         if j < 0:
             return 0
-        if self.tail is not None and j >= self.tail.start:
-            return self.tail.value(j)
         if j < len(self.counts):
             return self.counts[j]
-        return 0
+        return self.tail.value(j) if self.tail is not None else 0
 
     def prefix(self, m: int) -> tuple[int, ...]:
         """Values in dimensions 0..m; m < 0 raises ParseError, m > MAX_DIM ResourceLimitError."""
@@ -101,10 +109,6 @@ class CellVector(Value):
         slope, offset = (t.slope, t.offset) if t else (0, 0)
         return self.counts[: m + 1] + tuple(slope * j + offset for j in range(len(self.counts), m + 1))
 
-    def reach(self) -> int:
-        """Dimension from which the vector is 'settled' (tail or zero)."""
-        return self.tail.start if self.tail is not None else len(self.counts)
-
 
 cell_vector = CellVector  # the exported name of the canonical constructor
 
@@ -112,7 +116,7 @@ cell_vector = CellVector  # the exported name of the canonical constructor
 def _combine(parts, value_fn) -> CellVector:
     # Probe the combination out to a horizon past every transient; detect
     # an affine tail from stabilized first differences, else stay finite.
-    horizon = sum(p.reach() for p in parts) + 2
+    horizon = sum(len(p.counts) for p in parts) + 2
     vals = [value_fn(j) for j in range(horizon + 4)]
     d = [vals[j + 1] - vals[j] for j in range(horizon, horizon + 3)]
     if not (d[0] == d[1] == d[2]):

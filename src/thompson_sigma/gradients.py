@@ -48,8 +48,7 @@ class GradientSeries(Value):
 def _series(kind: str, spec: ChainSpec, n: int, steps: int | None, m, bounds) -> GradientSeries:
     # one row per chain term: bounds(lat, idx) gives its lower, upper and
     # upper_symbolic values, the last None unless the upper one is symbolic in d0
-    if not isinstance(steps, int) or steps < 1:
-        raise ValueError("need a positive number of chain steps")
+    require_at_least("steps", steps, 1)
     e = (steps - 1) * (n if spec.kind == "scaling" else 1)
     if spec.kind != "explicit" and _index_too_long(spec.p, e):
         refuse_above("last chain index digit count", None, MAX_INDEX_DIGITS)

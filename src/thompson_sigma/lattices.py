@@ -99,20 +99,6 @@ def alpha(lat: SubgroupLattice) -> int:
     return lat.basis[0][0]
 
 
-def member(lat: SubgroupLattice, vector) -> bool:
-    """Is the vector of ints in the lattice?  Back-substitution on the HNF basis."""
-    v = require_ints("vector entries", vector)
-    if len(v) != lat.arity:
-        raise ValueError(f"vector length {len(v)} != arity {lat.arity}")
-    for i in range(lat.arity - 1, -1, -1):
-        c, rem = divmod(v[i], lat.basis[i][i])
-        if rem:
-            return False
-        if c:
-            v = [a - c * b for a, b in zip(v, lat.basis[i])]
-    return True
-
-
 def intersect_with_M(lat: SubgroupLattice) -> SubgroupLattice:
     """Image of H intersect M in M-coordinates: the psi-preimage of L.
 

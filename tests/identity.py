@@ -271,11 +271,9 @@ def catalogue():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         yield f"hnf/{k}", lambda rows=rows: lattices.hnf(rows)
     yield "hnf/rank-deficient", lambda: lattices.hnf([[1, 2], [2, 4]])
-    lat = lattices.hnf([[2, 0], [0, 2]])
     for name, entry in (("float", 1.5), ("integral-float", 2.0), ("fraction", Fraction(5, 2)), ("string", "3"),
                         ("bool", True), ("int", 4)):
         yield f"hnf/{name}", lambda e=entry: lattices.hnf([[e, 0], [0, 2]])
-        yield f"member/{name}", lambda e=entry: lattices.member(lat, (e, 0))
         yield f"kernel_finiteness/{name}", lambda e=entry: charspace.kernel_finiteness([[e, 0]])
         yield f"CellVector/{name}", lambda e=entry: complexes.CellVector((1, e))
     yield "hnf_bases/arity=1", lambda: list(lattices.hnf_bases(1, 3))

@@ -39,6 +39,20 @@ def full_lattice(n: int) -> SubgroupLattice:
     return hnf([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
+def member(lat: SubgroupLattice, vector) -> bool:
+    """Is the vector of ints in the lattice?  Back-substitution on the HNF basis."""
+    v = list(vector)
+    if len(v) != lat.arity:
+        raise ValueError(f"vector length {len(v)} != arity {lat.arity}")
+    for i in range(lat.arity - 1, -1, -1):
+        c, rem = divmod(v[i], lat.basis[i][i])
+        if rem:
+            return False
+        if c:
+            v = [a - c * b for a, b in zip(v, lat.basis[i])]
+    return True
+
+
 def brute_force_index_count(n: int, k: int) -> int:
     """Count of index-k sublattices of Z^n via HNF diagonals.
 
@@ -358,6 +372,13 @@ def phi_on_word(w: GroupWord, k: int = 1) -> GroupWord:
         for l in w.letters
     )
     return GroupWord(w.arity, letters)
+
+
+def rho0_cycle_power(n: int, i: int, k: int) -> int:
+    """rho0^k(i) for the cycle (1, 2, ..., n-1), any integer k."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"index {i} outside 1..{n - 1}")
+    return 1 + (i - 1 + k) % (n - 1)
 
 
 def apply(mat: CharacterMatrix, chi: Character) -> Character:

@@ -9,15 +9,13 @@ import pytest
 from thompson_sigma.autos import (
     CharacterMatrix,
     _generator_rows,
-    _sparse_rows,
     d_orbit,
     delta_involution,
     matrix_A,
     matrix_C,
-    rho0_cycle_power,
 )
 from thompson_sigma.charspace import SpherePoint, _ray, character, chi1, chi2, sphere_point
-from thompson_sigma.errors import DomainError, ResourceLimitError, ZeroCharacterError
+from thompson_sigma.errors import DomainError, ParseError, ResourceLimitError, ZeroCharacterError
 from thompson_sigma.words import parse_word, word
 
 from oracles import (
@@ -30,6 +28,7 @@ from oracles import (
     order_of,
     phi_on_word,
     reduction_identity_check,
+    rho0_cycle_power,
 )
 
 
@@ -60,6 +59,12 @@ class TestMatrixA:
     def test_n2_is_identity(self):
         assert matrix_A(2) == identity_matrix(2)
 
+    def test_rows_follow_the_cycle(self):
+        # row i of A picks coordinate rho0(i), as the reference cycle gives it
+        for n in range(2, 13):
+            targets = [0] + [rho0_cycle_power(n, i, 1) for i in range(1, n)]
+            assert matrix_A(n).entries == tuple(tuple(int(j == t) for j in range(n)) for t in targets), n
+
     def test_action(self):
         out = apply(matrix_A(3), character(3, (1, 2, 3)))
         assert out.values == (1, 3, 2)
@@ -83,6 +88,13 @@ class TestMatrixC:
 
     def test_display_n2(self):
         assert matrix_C(2).entries == ((-1, 0), (-1, 1))
+
+    def test_rows_follow_delta(self):
+        for n in range(2, 13):
+            delta = delta_involution(n)
+            want = [(-1,) + (0,) * (n - 1)]
+            want += [tuple(-1 if j == 0 else int(j == delta[i]) for j in range(n)) for i in range(1, n)]
+            assert matrix_C(n).entries == tuple(want), n
 
     def test_swaps_chi1_chi2(self):
         for n in range(2, 7):
@@ -291,11 +303,26 @@ class TestGeneratorRowsCache:
     def test_rows_of_the_matrices_built_once(self):
         for n in (2, 3, 4, 7, 12):
             rows = _generator_rows(n)
-            assert rows == (_sparse_rows(matrix_A(n)), _sparse_rows(matrix_C(n)))
+            # the nonzero (column, entry) pairs of each row of A and of C
+            assert rows == tuple(
+                tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in mat.entries)
+                for mat in (matrix_A(n), matrix_C(n))
+            )
             assert _generator_rows(n) is rows
             # tuples throughout: no caller can change the cached value
             assert all(isinstance(mat, tuple) for mat in rows)
             assert all(isinstance(row, tuple) for mat in rows for row in mat)
+
+    def test_cache_is_typed_and_bounded(self):
+        _generator_rows(2)
+        for arity, message in ((2.0, r"an int, got 2\.0"), ("3", "an int, got '3'"), (True, ">= 2, got True")):
+            for build in (_generator_rows, matrix_A, matrix_C):
+                with pytest.raises(ParseError, match=f"^arity must be {message}$"):
+                    build(arity)
+        for n in range(2, 60):
+            d_orbit(sphere_point(chi1(n)))
+        assert _generator_rows.cache_info().currsize <= 16
+        assert d_orbit(sphere_point(chi2(3))) == {sphere_point(chi1(3)), sphere_point(chi2(3))}
 
 
 class TestRayInvariant:

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,11 @@ class TestBasics:
             with pytest.raises(ValueError, match="^character values must be ints or Fractions, got "):
                 character(2, values)
         assert character(2, ("1/10", Fraction(3, 10))) == character(2, (Fraction(1, 10), "3/10"))
+        # a string is read as parse_character reads a value: no exponent, and a bad one is a ParseError
+        for text, why in (("1e200000", "values take no exponent (e or E)"), ("1/0", "Fraction(1, 0)"),
+                          ("abc", "Invalid literal for Fraction: 'abc'")):
+            with pytest.raises(ParseError, match=f"^bad rational value {re.escape(repr(text))}: {re.escape(why)}$"):
+                character(2, [text, "0"])
         assert character(2, [3, Fraction(-1, 2)]).values == (3, Fraction(-1, 2))
 
     def test_extension_rule(self):

@@ -23,9 +23,9 @@ from thompson_sigma.complexes import (
     stack_cells,
 )
 from thompson_sigma.errors import MAX_DIM, DomainError, InvariantViolationError, RankDeficientError, ResourceLimitError
-from thompson_sigma.lattices import enumerate_subgroups, hnf, member
+from thompson_sigma.lattices import enumerate_subgroups, hnf
 
-from oracles import binomial_cells, full_lattice, per_m_chi_values
+from oracles import binomial_cells, full_lattice, member, per_m_chi_values
 
 
 def values(vec, upto):
@@ -64,6 +64,23 @@ class TestCellVector:
     def test_inconsistent_tail_rejected(self):
         with pytest.raises(ValueError):
             cell_vector((1, 5, 11), AffineTail(8, -4, 2))
+
+    def test_tail_starts_within_the_counts(self):
+        # a tail past the counts would fill dimensions that have no count, one
+        # before dimension 0 would be stored as given
+        for counts, start in (((1,), 5), ((1,), 2), ((1, 1, 1), -1), ((), -2)):
+            with pytest.raises(ValueError, match=f"^tail start {start} outside 0..{len(counts)}$"):
+                CellVector(counts, AffineTail(0, 1, start))
+        assert CellVector((1,), AffineTail(0, 1, 1)) == CellVector((1, 1, 1), AffineTail(0, 1, 0)) == ones_cells()
+        assert CellVector((1,), AffineTail(0, 1, 0)).tail == AffineTail(0, 1, 0)
+
+    def test_tail_refuses_negative_values(self):
+        # the tail's least value is the first one past the counts, as it cannot decrease
+        with pytest.raises(ValueError, match="^negative cell count -2 at dim 3 in the tail$"):
+            CellVector((1, 0, 0), AffineTail(1, -5, 3))
+        with pytest.raises(ValueError, match="^negative cell count -1 at dim 1 in the tail$"):
+            CellVector((1,), AffineTail(0, -1, 1))
+        assert CellVector((1, 0, 0), AffineTail(1, -3, 3)).prefix(5) == (1, 0, 0, 0, 1, 2)
 
     def test_tail_refuses_non_ints(self):
         with pytest.raises(ValueError, match=r"^tail slope, offset and start must be ints, got 1\.5$"):

@@ -59,13 +59,14 @@ class TestRankGradient:
                     rank_gradient_series(spec, n, steps, d0_override=0)
 
     def test_steps_required(self):
-        for steps in (None, 0, 2.5, "3"):
+        for steps, message in ((None, "an int, got None"), (0, ">= 1, got 0"), (2.5, "an int, got 2.5"),
+                               ("3", "an int, got '3'")):
             for build in (
                 lambda: rank_gradient_series(SCALING2, 2, steps),
                 lambda: deficiency_gradient_series(SCALING2, 2, steps),
                 lambda: chi_m_gradient_series(SCALING2, 2, 2, steps),
             ):
-                with pytest.raises(ValueError, match="positive number of chain steps"):
+                with pytest.raises(ParseError, match=f"^steps must be {message}$"):
                     build()
 
 

@@ -22,12 +22,18 @@ from thompson_sigma.lattices import (
     hnf,
     index,
     intersect_with_M,
-    member,
     restrict_character,
 )
 from thompson_sigma.words import abelianize, word
 
-from oracles import brute_force_hnf_bases, brute_force_index_count, divisor_sum, full_lattice, kernel_intersect_with_M
+from oracles import (
+    brute_force_hnf_bases,
+    brute_force_index_count,
+    divisor_sum,
+    full_lattice,
+    kernel_intersect_with_M,
+    member,
+)
 
 RAW_KINDS = ("non-hnf", "negative-pivot", "extra-rows", "rank-deficient")
 

@@ -84,6 +84,7 @@ def _lower_bound_calls():
         "d0 override": (lambda: ts.d_bound(lattice, d0_override=0), "d0 override must be >= 1, got 0"),
         "prefix dimension": (lambda: ts.cell_vector((1, 2)).prefix(-1), "dimension must be >= 0, got -1"),
         "d_bound dimension": (lambda: ts.d_bound(lattice, chi_upto=-3), "dimension must be >= 0, got -3"),
+        "steps": (lambda: ts.rank_gradient_series(coordinate, 2, 0), "steps must be >= 1, got 0"),
     }
 
 
@@ -107,6 +108,8 @@ def _non_int_calls():
         "max_index": (lambda: ts.hnf_bases(2, "3"), "max_index must be an int, got '3'"),
         "d_bound dimension": (lambda: ts.d_bound(lattice, chi_upto=2.5), "dimension must be an int, got 2.5"),
         "m_max": (lambda: ts.kernel_finiteness([[1, 0]], m_max=1.5), "m_max must be an int, got 1.5"),
+        "steps": (lambda: ts.deficiency_gradient_series(ts.ChainSpec("scaling", p=2), 2, 2.5),
+                  "steps must be an int, got 2.5"),
     }
 
 
@@ -129,12 +132,8 @@ def test_lower_bounds_take_bools_as_ints():
 
 def test_integer_entries_refuse_other_types():
     # each entry goes through errors.require_ints; a bool counts as its int
-    from thompson_sigma.lattices import member
-
     ts = thompson_sigma
-    lattice = ts.hnf([[2, 0], [0, 2]])
     calls = [  # (what, entries -> result) for each route that takes integer entries
-        ("vector entries", lambda a, b: member(lattice, (a, b))),
         ("lattice entries", lambda a, b: ts.hnf([[a, 0], [b, 2]])),
         ("lattice entries", lambda a, b: ts.kernel_finiteness([[a, b]])),
         ("cell counts", lambda a, b: ts.CellVector((a, b))),
@@ -144,7 +143,29 @@ def test_integer_entries_refuse_other_types():
             with pytest.raises(ValueError, match=f"^{what} must be ints, got {re.escape(repr(bad))}$"):
                 call(1, bad)
         assert call(True, False) == call(1, 0)
-    assert member(lattice, (2, -4)) and not member(lattice, (1, 0))
+
+
+# the caches in src/ without an int maxsize, and the bound that keeps each key set finite
+UNBOUNDED_CACHES = {
+    "generator_map": "MAX_PL_INDEX: arities 2..256 times indices 0..256, 65,535 maps",
+    "inverse_generator_map": "MAX_PL_INDEX, as generator_map",
+    "_chi_sums": "d_bound passes only the two n = 2 cell vectors",
+}
+
+
+def test_every_cache_is_bounded():
+    # every lru_cache in src/ names an int maxsize, or a key bound in UNBOUNDED_CACHES
+    unbounded = []
+    for path in sorted((SRC / "thompson_sigma").glob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text())):
+            for dec in getattr(f, "decorator_list", ()):
+                call = dec if isinstance(dec, ast.Call) else ast.Call(dec, [], [])
+                if ast.unparse(call.func).rpartition(".")[2] not in ("lru_cache", "cache"):
+                    continue
+                size = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+                if not (size and isinstance(size[0], ast.Constant) and type(size[0].value) is int):
+                    unbounded.append(f.name)
+    assert sorted(unbounded) == sorted(UNBOUNDED_CACHES)
 
 
 def test_readme_budget_table_is_the_budget_table():
